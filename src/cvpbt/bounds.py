@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import DensityOperator, FockOperator, as_cutoff, chi, coherent_ket, pure_density, thermal_state
-from .two_port import ChannelParams, Regime, omega, regime
+from .two_port import ChannelParams, Regime, _inv_root, omega, regime
 
 __all__ = [
     "EdrcParams",
@@ -38,11 +38,6 @@ def lossy_apply(alpha: complex, transmissivity: float, cutoff) -> DensityOperato
     return pure_density(coherent_ket(math.sqrt(transmissivity) * alpha, cutoff))
 
 
-def _inv_root0(params: ChannelParams, m: int) -> float:
-    c = chi(params.lambda_y, m)
-    return 1.0 / math.sqrt(1.0 - c * c)
-
-
 def lossy_diamond_bound_positive(energy: float, params: ChannelParams) -> float:
     """Energy-constrained diamond-norm bound against the matched lossy channel.
 
@@ -59,23 +54,26 @@ def lossy_diamond_bound_positive(energy: float, params: ChannelParams) -> float:
     return 2 * (1 - math.exp(-energy * (1 - params.tau)) * params.g * om)
 
 
-def negative_regime_t_bound(u: float, params: ChannelParams) -> float:
+def negative_regime_t_bound(u, params: ChannelParams):
     """Radial trace-norm bound T(u), u = r^2, from the three-term split.
 
     The m = 0 diagonal term is carried separately so the bound stays
     finite for small lambda_y; the price is an extra pure-state distance
-    term that vanishes at u = 0.
+    term that vanishes at u = 0.  `u` may be an array, whose points share
+    one evaluation of Omega.
     """
     lx = params.lambda_x
     g, tau = params.g, params.tau
     om, _ = omega(params)
     chi0 = chi(lx, 0)
-    inv0 = _inv_root0(params, 0)
+    inv0 = _inv_root(params.lambda_y, 0)
     om_prime = om - chi0 * inv0
-    damp = math.exp(-u * (1 - tau))
+    u = np.asarray(u, dtype=float)
+    damp = np.exp(-u * (1 - tau))
     f_prime = 1 - damp * g * om_prime
-    extra = 2 * damp * g * chi0 * inv0 * math.sqrt(max(0.0, 1 - math.exp(-u * tau)))
-    return 2 * f_prime + extra
+    extra = 2 * damp * g * chi0 * inv0 * np.sqrt(np.maximum(0.0, 1 - np.exp(-u * tau)))
+    t = 2 * f_prime + extra
+    return t if t.ndim else float(t)
 
 
 def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray):
@@ -117,7 +115,7 @@ def lossy_diamond_bound_negative(
     g, tau = params.g, params.tau
     om, _ = omega(params)
     chi0 = chi(params.lambda_x, 0)
-    inv0 = _inv_root0(params, 0)
+    inv0 = _inv_root(params.lambda_y, 0)
     om_prime = om - chi0 * inv0
     # |T(u) - 2| <= exp(-u (1 - tau)) * amp
     amp = 2 * g * (abs(om_prime) + chi0 * inv0)
@@ -126,7 +124,7 @@ def lossy_diamond_bound_negative(
         ([0.0], np.geomspace(u_max * 1e-8, u_max, grid_points), [energy])
     )
     grid = np.unique(grid)
-    values = np.array([negative_regime_t_bound(u, params) for u in grid])
+    values = negative_regime_t_bound(grid, params)
     hx, hy = _upper_concave_envelope(grid, values)
     at_energy = float(np.interp(energy, hx, hy))
     before = hy[hx <= energy]
@@ -181,7 +179,7 @@ def critical_index(params: ChannelParams, scan_cap: int = MC_SCAN_CAP) -> int:
     om, _ = omega(params)
     m_c = -1
     for m in range(scan_cap + 1):
-        if _inv_root0(params, m) > om:
+        if _inv_root(params.lambda_y, m) > om:
             m_c = m
         else:
             return m_c
@@ -200,7 +198,7 @@ def edrc_diamond_norm(params: ChannelParams) -> float:
     m_c = critical_index(params)
     if m_c < 0:
         return 0.0
-    total = sum(chi(params.lambda_x, m) * (_inv_root0(params, m) - om) for m in range(m_c + 1))
+    total = sum(chi(params.lambda_x, m) * (_inv_root(params.lambda_y, m) - om) for m in range(m_c + 1))
     return 2 * params.g * total
 
 

@@ -15,9 +15,7 @@ import csv
 import datetime
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -118,13 +116,6 @@ def _parse_range(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _pool_map(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
@@ -152,7 +143,6 @@ def cmd_twoport_coherent(args) -> tuple[ResultTable, int]:
             "lambda_y": args.lambda_y,
             "alpha": [alpha.real, alpha.imag],
             "cutoff": d,
-            "tol": args.tol,
             "trace": state.trace(),
             "trace_deficit": state.trace_deficit,
             "mean_photon_number": fock.mean_photon_number(state),
@@ -166,14 +156,11 @@ def cmd_twoport_coherent(args) -> tuple[ResultTable, int]:
 def cmd_energy(args) -> tuple[ResultTable, int]:
     lx_grid = _parse_range(args.lambda_x_range)
     ly_grid = _parse_range(args.lambda_y_range)
-    points = [(lx, ly) for lx in lx_grid for ly in ly_grid]
-
-    def one(point):
-        lx, ly = point
-        return two_port.max_output_energy(two_port.ChannelParams(lx, ly), tol=args.tol)
-
-    values = _pool_map(one, points, args.workers)
-    rows = [[lx, ly, v] for (lx, ly), v in zip(points, values)]
+    rows = [
+        [lx, ly, two_port.max_output_energy(two_port.ChannelParams(lx, ly), tol=args.tol)]
+        for lx in lx_grid
+        for ly in ly_grid
+    ]
     table = ResultTable(
         ["lambda_x", "lambda_y", "max_energy"],
         rows,
@@ -228,24 +215,18 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
 def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
     lx_grid = _parse_range(args.lambda_x_range)
     ly_grid = _parse_range(args.lambda_y_range)
-    if args.input == "tmsv" and args.lambda_in is None:
-        raise ValueError("--lambda-in is required for tmsv input")
-    points = [(lx, ly) for lx in lx_grid for ly in ly_grid]
-
-    def one(point):
-        lx, ly = point
-        params = two_port.ChannelParams(lx, ly, ports=args.ports)
-        fid, meta = nport.input_output_fidelity(
-            args.input,
-            params,
-            lambda_in=args.lambda_in,
-            levels=args.cutoff,
-            cap=args.cap,
-        )
-        return fid, meta["cap"]
-
-    results = _pool_map(one, points, args.workers)
-    rows = [[lx, ly, fid, cap] for (lx, ly), (fid, cap) in zip(points, results)]
+    rows = []
+    for lx in lx_grid:
+        for ly in ly_grid:
+            params = two_port.ChannelParams(lx, ly, ports=args.ports)
+            fid, meta = nport.input_output_fidelity(
+                args.input,
+                params,
+                lambda_in=args.lambda_in,
+                levels=args.cutoff,
+                cap=args.cap,
+            )
+            rows.append([lx, ly, fid, meta["cap"]])
     table = ResultTable(
         ["lambda_x", "lambda_y", "fidelity", "cap"],
         rows,
@@ -295,7 +276,6 @@ def _build_parser():
         p.add_argument("--config", help=argparse.SUPPRESS)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", default="-", help="output path ('-' for stdout)")
-        p.add_argument("--workers", type=int, default=min(4, os.cpu_count() or 1))
         configure(p)
         p.set_defaults(func=fn)
         subparsers[name] = p
@@ -306,7 +286,6 @@ def _build_parser():
         p.add_argument("--lambda-y", type=float, required=True)
         p.add_argument("--alpha", default="0", help="complex amplitude, e.g. '1.5+0.5j'")
         p.add_argument("--cutoff", type=int, default=30)
-        p.add_argument("--tol", type=float, default=1e-12)
 
     def energy(p):
         p.add_argument("--lambda-x-range", required=True, help="start:stop:count")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, FockOperator, as_cutoff
-from .two_port import ChannelParams
+from .fock import DensityOperator, FockOperator, as_cutoff, chi_vector
+from .two_port import ChannelParams, _diag_tail_bound, _inv_root, omega
 
 __all__ = [
     "MARKER",
@@ -33,7 +33,6 @@ __all__ = [
     "default_cap",
     "NPortChannel",
     "ThreePortChannel",
-    "TwoPortChannel",
     "make_channel",
     "apply_number_element_nport",
     "three_port_apply_number_element",
@@ -352,88 +351,133 @@ def default_cap(params: ChannelParams, tol: float = 1e-10) -> int:
     return cap
 
 
-class NPortChannel:
-    """Generic N-port channel on number-basis elements.
+def _orbit_segments(arr: Arrangements):
+    """Flat Gamma indices and `np.add.reduceat` starts whose segment sums
+    are the orbit sums of a sector with this multiplicity pattern.
 
-    Precomputes the sector data (arrangements and Gamma matrices) for all
-    multisets up to `cap`; evaluation of any element is then a weighted
-    gather of Gamma entries.
+    Slot r < k stands for the r-th unique level and slot k for a level the
+    sector does not hold; orbit(t, v) is t plus the arrangements reached by
+    swapping its marker with a slot holding v (t alone in slot k).  The
+    segments give, row-major, Gamma[orbit(i, b), orbit(i, a)] summed over
+    marker-first i for slots a, b, then Gamma[t, orbit(t, a)] summed over
+    the t starting with level n for slots a and levels n.
+    """
+    size = arr.size
+    uniq = sorted(set(arr.multiset))
+    slots = uniq + [None]
+
+    def orbit(t, v):
+        return (t,) if v is None else (t, *arr.swaps[t][v])
+
+    segments = [
+        [r * size + c for i in arr.ptilde for r in orbit(i, b) for c in orbit(i, a)]
+        for a in slots
+        for b in slots
+    ]
+    segments += [
+        [t * size + c for t, seq in enumerate(arr.seqs) if seq[0] == n for c in orbit(t, a)]
+        for a in slots
+        for n in uniq
+    ]
+    return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
+
+
+class NPortChannel:
+    """Phase-covariant N-port channel held as level sums.
+
+    |a><b| (a != b) goes to C[a, b] |a><b| and |a><a| to the diagonal state
+    T[a, :]; `arrays(levels)` returns both.  With c0 = N (1-lx^2)^N (1-ly^2)
+    and q_a = (lx ly)^a, C[a, b] = c0 q_a q_b S[a, b] and
+    T[a, n] = chi_{x,n} + c0 q_a^2 F[a, n], F[a, a] = S[a, a].  Otherwise S
+    and F add lx^(2 sum(ms)) times orbit sums of the Gamma of each multiset
+    ms up to `cap`:
+
+        S[a, b]  sums Gamma[orbit(i, b), orbit(i, a)] over marker-first i
+        F[a, n]  sums Gamma[t, orbit(t, a)] over t that start with level n
+
+    No sector holds a level above the cap, so index cap+1 of the stored
+    sums stands for them all.  Gammas are computed, or taken from `gammas`
+    (keyed by multiset, canonical arrangement coordinates);
+    `closed_two_port` builds the sums from the two-port closed form.
     """
 
     def __init__(self, params: ChannelParams, cap: int | None = None, gammas=None):
         self.params = params
         self.cap = default_cap(params) if cap is None else int(cap)
-        self.sectors = []
+        self.sectors = enumerate_multisets(params.ports, self.cap)
         self._gamma_max = 0.0
-        for ms in enumerate_multisets(params.ports, self.cap):
-            arr = Arrangements(ms)
-            g = gammas[ms] if gammas is not None else gamma(arr, params.lambda_y)
-            self.sectors.append((ms, arr, g))
+        segments = {}  # multiplicity pattern -> orbit-sum segments
+        s = np.zeros((self.cap + 2, self.cap + 2), dtype=complex)
+        f = np.zeros_like(s)
+        for ms in self.sectors:
+            uniq = sorted(set(ms))
+            k = len(uniq)
+            pattern = tuple(ms.count(v) for v in uniq)
+            arr = None
+            if pattern not in segments:
+                arr = Arrangements(ms)
+                segments[pattern] = _orbit_segments(arr)
+            g = gammas[ms] if gammas is not None else gamma(ms if arr is None else arr, params.lambda_y)
             self._gamma_max = max(self._gamma_max, float(np.abs(g).max()))
+            sums = np.add.reduceat(g.reshape(-1)[segments[pattern][0]], segments[pattern][1])
+            slot = np.full(self.cap + 2, k)
+            slot[uniq] = np.arange(k)
+            w = params.lambda_x ** (2 * sum(ms))
+            s += w * sums[: (k + 1) ** 2].reshape(k + 1, k + 1)[np.ix_(slot, slot)]
+            f[:, uniq] += w * sums[(k + 1) ** 2 :].reshape(k + 1, k)[slot]
+        if max(np.abs(s.imag).max(), np.abs(f.imag).max()) > 1e-10 * max(1.0, np.abs(s).max()):
+            raise RuntimeError("sector orbit sums unexpectedly complex")
+        self._s, self._f = s.real, f.real
 
-    def _prefactor(self, a: int, b: int) -> float:
+    @classmethod
+    def closed_two_port(cls, params: ChannelParams) -> "NPortChannel":
+        """Two-port channel from the closed form: no cap, Omega for the sum
+        shared by all levels and one analytic term per level."""
+        if params.ports != 2:
+            raise ValueError("the closed form is the two-port case")
+        channel = cls.__new__(cls)
+        channel.params, channel.cap, channel.sectors = params, None, []
+        om, channel._omega_tail = omega(params)
+        channel._base = om / (2 * (1 - params.lambda_x**2))
+        return channel
+
+    def _sums(self, levels: int):
+        """S and F on levels 0..levels-1, F with its diagonal unset."""
+        if self.cap is None:  # two-port closed form: sector {m} adds only to level m
+            m = np.arange(levels)
+            own = -0.5 * self.params.lambda_x ** (2 * m) * _inv_root(self.params.lambda_y, m)
+            return self._base + np.diag(own), np.tile(own, (levels, 1))
+        ix = np.ix_(*[np.minimum(np.arange(levels), self.cap + 1)] * 2)
+        return self._s[ix], self._f[ix]
+
+    def arrays(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
+        """(C, T) on levels 0..levels-1, with a zero diagonal in C."""
         p = self.params
-        n = p.ports
-        return n * (1 - p.lambda_x**2) ** n * (1 - p.lambda_y**2) * (p.lambda_x * p.lambda_y) ** (a + b)
+        lx, n = p.lambda_x, p.ports
+        s, f = self._sums(levels)
+        np.fill_diagonal(f, np.diag(s))
+        c0 = n * (1 - lx**2) ** n * (1 - p.lambda_y**2)
+        q = (lx * p.lambda_y) ** np.arange(levels)
+        c = c0 * np.outer(q, q) * s
+        np.fill_diagonal(c, 0.0)
+        return c, chi_vector(lx, levels) + c0 * (q * q)[:, None] * f
 
     def offdiag_coefficient(self, a: int, b: int) -> float:
         """Real scaling of |a><b| in the output for an |a><b| input, a != b."""
         if a == b:
             raise ValueError("offdiag_coefficient requires a != b")
-        lx = self.params.lambda_x
-        total = 0.0 + 0.0j
-        for ms, arr, g in self.sectors:
-            w = lx ** (2 * sum(ms))
-            a_in, b_in = a in ms, b in ms
-            s = 0.0 + 0.0j
-            for i in arr.ptilde:
-                rows = (i, *arr.swaps[i][b]) if b_in else (i,)
-                cols = (i, *arr.swaps[i][a]) if a_in else (i,)
-                s += g[np.ix_(rows, cols)].sum()
-            total += w * s
-        coeff = self._prefactor(a, b) * total
-        if abs(coeff.imag) > 1e-10 * max(1.0, abs(coeff.real)):
-            raise RuntimeError(f"element coefficient unexpectedly complex: {coeff}")
-        return float(coeff.real)
+        return float(self.arrays(max(a, b) + 1)[0][a, b])
 
     def diagonal_profile(self, a: int, levels: int) -> np.ndarray:
         """Diagonal of the output for an |a><a| input, truncated to `levels`."""
-        p = self.params
-        lx, n = p.lambda_x, p.ports
-        diag = (1 - lx**2) * lx ** (2 * np.arange(levels))
-        acc_aa = 0.0
-        acc_n = np.zeros(levels)
-        for ms, arr, g in self.sectors:
-            w = lx ** (2 * sum(ms))
-            a_in = a in ms
-            for i in arr.ptilde:
-                if a_in:
-                    orbit = (i, *arr.swaps[i][a])
-                    acc_aa += w * g[np.ix_(orbit, orbit)].sum().real
-                else:
-                    acc_aa += w * g[i, i].real
-                seq = arr.seqs[i]
-                for q in range(1, n):
-                    n_val = seq[q]
-                    if n_val == a or n_val >= levels:
-                        continue
-                    t = list(seq)
-                    t[0], t[q] = t[q], t[0]
-                    t1 = arr.index[tuple(t)]
-                    if a_in:
-                        orbit = (t1, *arr.swaps[t1][a])
-                        acc_n[n_val] += w * g[t1, orbit].sum().real
-                    else:
-                        acc_n[n_val] += w * g[t1, t1].real
-        pref = self._prefactor(a, a)
-        diag[a] += pref * acc_aa
-        diag += pref * acc_n
-        return diag
+        return self.arrays(levels)[1][a]
 
     def tail_bound(self, levels: int) -> float:
         """Declared bound on the output mass missed by the cap and level cutoffs."""
         p = self.params
         lx, n = p.lambda_x, p.ports
+        if self.cap is None:
+            return _diag_tail_bound(p, levels) + p.g * self._omega_tail
         if lx == 0:
             return 0.0
         geo = (n - 1) * (lx ** (2 * (self.cap + 1)) + lx ** (2 * levels)) / (1 - lx**2) ** (n - 1)
@@ -446,170 +490,35 @@ class NPortChannel:
         d = cutoff.levels
         if not (0 <= a < d and 0 <= b < d):
             raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
+        c, t = self.arrays(d)
         mat = np.zeros((d, d), dtype=complex)
         if a != b:
-            mat[a, b] = self.offdiag_coefficient(a, b)
+            mat[a, b] = c[a, b]
         else:
-            np.fill_diagonal(mat, self.diagonal_profile(a, d))
+            np.fill_diagonal(mat, t[a])
         return FockOperator(mat, 1, cutoff, meta={"tail_bound": self.tail_bound(d), "cap": self.cap})
 
 
-class ThreePortChannel:
-    """Three-port channel evaluated from the closed-form sector matrices.
-
-    Tabulates the handful of Gamma entries the reduced level sums use,
-    for all sector labels up to `cap`.
-    """
-
-    def __init__(self, params: ChannelParams, cap: int | None = None):
-        if params.ports != 3:
-            raise ValueError("ThreePortChannel requires ports == 3")
-        self.params = params
-        self.cap = default_cap(params) if cap is None else int(cap)
-        lx, ly = params.lambda_x, params.lambda_y
-        k = self.cap + 1
-        self._lx2 = lx ** (2 * np.arange(k))
-        self._g11_mm = np.array([gamma_mm_closed(m, ly)[0, 0] for m in range(k)])
-        self._g12_mm = np.array([gamma_mm_closed(m, ly)[0, 1] for m in range(k)])
-        self._p11_44 = np.zeros((k, k))
-        self._r16_42 = np.zeros((k, k))
-        self._p33_55 = np.zeros((k, k))
-        self._r35 = np.zeros((k, k))
-        self._r56_32 = np.zeros((k, k))
-        gmax = max(np.abs(self._g11_mm).max(), np.abs(self._g12_mm).max())
-        for l in range(k):
-            for m in range(k):
-                if l == m:
-                    continue
-                g = gamma_lm_closed(l, m, ly)
-                self._p11_44[l, m] = (g[0, 0] + g[3, 3]).real
-                self._r16_42[l, m] = (g[0, 5] + g[3, 1]).real
-                self._p33_55[l, m] = (g[2, 2] + g[4, 4]).real
-                self._r35[l, m] = g[2, 4].real
-                self._r56_32[l, m] = (g[4, 5] + g[2, 1]).real
-                gmax = max(gmax, float(np.abs(g).max()))
-        self._gamma_max = gmax
-        w = self._lx2
-        self._sum_mm = float(np.dot(w**2, self._g11_mm))
-        pair_w = np.outer(w, w)
-        np.fill_diagonal(pair_w, 0.0)
-        self._sum_lm = 0.5 * float((pair_w * self._p11_44).sum())
-        # c16[a] = sum_{m != a} lx^(2m) Re[Gamma({a,m})_{1,6} + Gamma({a,m})_{4,2}]
-        self._c16 = self._r16_42 @ w
-        # t33[n] = sum_{l != n} lx^(2l) (Gamma({l,n})_{3,3} + Gamma({l,n})_{5,5})
-        self._t33 = w @ self._p33_55
-
-    def _prefactor(self, a: int, b: int) -> float:
-        p = self.params
-        return 3 * (1 - p.lambda_x**2) ** 3 * (1 - p.lambda_y**2) * (p.lambda_x * p.lambda_y) ** (a + b)
-
-    # levels beyond the cap have no tabulated sector of their own; those
-    # sector-specific terms are part of the declared geometric tail
-    def _w(self, a: int) -> float:
-        return self.params.lambda_x ** (2 * a)
-
-    def _g11(self, a: int) -> float:
-        return self._g11_mm[a] if a <= self.cap else 0.0
-
-    def _g12(self, a: int) -> float:
-        return self._g12_mm[a] if a <= self.cap else 0.0
-
-    def _c16a(self, a: int) -> float:
-        return self._c16[a] if a <= self.cap else 0.0
-
-    def _r56(self, a: int, b: int) -> float:
-        return self._r56_32[a, b] if a <= self.cap and b <= self.cap else 0.0
-
-    def offdiag_coefficient(self, a: int, b: int) -> float:
-        if a == b:
-            raise ValueError("offdiag_coefficient requires a != b")
-        wa, wb = self._w(a), self._w(b)
-        mm = self._sum_mm + 2 * wa**2 * self._g12(a) + 2 * wb**2 * self._g12(b)
-        lm = self._sum_lm + wa * self._c16a(a) + wb * self._c16a(b) + wa * wb * self._r56(a, b)
-        return self._prefactor(a, b) * (mm + lm)
-
-    def diagonal_profile(self, a: int, levels: int) -> np.ndarray:
-        p = self.params
-        lx = p.lambda_x
-        w = self._lx2
-        wa = self._w(a)
-        diag = (1 - lx**2) * lx ** (2 * np.arange(levels))
-        pref = self._prefactor(a, a)
-        aa = (self._sum_mm - wa**2 * self._g11(a)) + (self._sum_lm + 2 * wa * self._c16a(a))
-        diag[a] += pref * aa
-        upto = min(levels, self.cap + 1)
-        r35_row = self._r35[a, :upto] if a <= self.cap else np.zeros(upto)
-        corr = w[:upto] * (self._t33[:upto] + 2 * wa * r35_row)
-        mm_corr = -(w[:upto] ** 2) * self._g11_mm[:upto]
-        if a < upto:
-            corr[a] = w[a] * self._t33[a]  # no r35 self term
-            mm_corr[a] = 0.0
-        diag[:upto] += pref * (corr + mm_corr)
-        return diag
-
-    def tail_bound(self, levels: int) -> float:
-        p = self.params
-        lx = p.lambda_x
-        if lx == 0:
-            return 0.0
-        geo = 2 * (lx ** (2 * (self.cap + 1)) + lx ** (2 * levels)) / (1 - lx**2) ** 2
-        pref = 3 * (1 - lx**2) ** 3 * (1 - p.lambda_y**2)
-        return pref * self._gamma_max * 32 * geo + lx ** (2 * levels)
-
-    def number_element(self, a: int, b: int, cutoff) -> FockOperator:
-        cutoff = as_cutoff(cutoff)
-        d = cutoff.levels
-        if not (0 <= a < d and 0 <= b < d):
-            raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
-        mat = np.zeros((d, d), dtype=complex)
-        if a != b:
-            mat[a, b] = self.offdiag_coefficient(a, b)
-        else:
-            np.fill_diagonal(mat, self.diagonal_profile(a, d))
-        return FockOperator(mat, 1, cutoff, meta={"tail_bound": self.tail_bound(d), "cap": self.cap})
+def ThreePortChannel(params: ChannelParams, cap: int | None = None) -> NPortChannel:
+    """Three-port channel built from the closed-form sector Gammas, one per
+    unordered level pair, permuted to canonical arrangement coordinates."""
+    if params.ports != 3:
+        raise ValueError("ThreePortChannel requires ports == 3")
+    cap = default_cap(params) if cap is None else int(cap)
+    ly = params.lambda_y
+    arr = Arrangements((0, 1))  # every {l, m} sector with l > m shares this layout
+    order = np.argsort([arr.index[s] for s in _LM_LABEL_ORDER(1, 0)])
+    gammas = {(m, m): gamma_mm_closed(m, ly) for m in range(cap + 1)}
+    gammas.update(
+        {(lo, hi): gamma_lm_closed(hi, lo, ly)[np.ix_(order, order)] for hi in range(cap + 1) for lo in range(hi)}
+    )
+    return NPortChannel(params, cap, gammas=gammas)
 
 
-class TwoPortChannel:
-    """Closed-form two-port channel behind the same evaluator interface."""
-
-    def __init__(self, params: ChannelParams):
-        from .two_port import omega
-
-        if params.ports != 2:
-            raise ValueError("TwoPortChannel requires ports == 2")
-        self.params = params
-        self.cap = None
-        self._omega, self._omega_tail = omega(params)
-
-    def offdiag_coefficient(self, a: int, b: int) -> float:
-        p = self.params
-        return p.g * self._omega * (p.lambda_x * p.lambda_y) ** (a + b)
-
-    def diagonal_profile(self, a: int, levels: int) -> np.ndarray:
-        p = self.params
-        lx, ly = p.lambda_x, p.lambda_y
-        m = np.arange(levels)
-        chi_y = (1 - ly**2) * ly ** (2 * m)
-        inv = 1 / np.sqrt(1 - chi_y**2)
-        scale = (lx * ly) ** (2 * a)
-        diag = (1 - lx**2) * lx ** (2 * m) * (1 - p.g * scale * inv)
-        diag[a] += p.g * self._omega * scale
-        return diag
-
-    def tail_bound(self, levels: int) -> float:
-        from .two_port import _diag_tail_bound
-
-        return _diag_tail_bound(self.params, levels) + self.params.g * self._omega_tail
-
-    def number_element(self, a: int, b: int, cutoff) -> FockOperator:
-        from .two_port import apply_number_element
-
-        return apply_number_element(a, b, self.params, cutoff)
-
-
-def make_channel(params: ChannelParams, cap: int | None = None):
+def make_channel(params: ChannelParams, cap: int | None = None) -> NPortChannel:
+    """Closed forms at two (no cap) and three ports, numeric Gammas beyond."""
     if params.ports == 2:
-        return TwoPortChannel(params)
+        return NPortChannel.closed_two_port(params)
     if params.ports == 3:
         return ThreePortChannel(params, cap)
     return NPortChannel(params, cap)
@@ -642,35 +551,20 @@ def apply_state_nport(
     d_in = rho_in.cutoff.levels
     out_cut = rho_in.cutoff if cutoff is None else as_cutoff(cutoff)
     levels = out_cut.levels
-    if modes == 1:
-        if levels < d_in:
-            raise ValueError("output cutoff must cover the input")
-        rho = rho_in.matrix
-        out = np.zeros((levels, levels), dtype=complex)
-        for p in range(d_in):
-            for q in range(d_in):
-                if p != q and rho[p, q] != 0:
-                    out[p, q] = channel.offdiag_coefficient(p, q) * rho[p, q]
-        for s in range(d_in):
-            out[np.diag_indices(levels)] += rho[s, s].real * channel.diagonal_profile(s, levels)
-        deficit = rho_in.trace_deficit + channel.tail_bound(levels)
-        return DensityOperator(FockOperator(out, 1, out_cut), trace_deficit=deficit)
-    if modes == 2:
-        if levels != d_in:
-            raise ValueError("signal and idler keep a common cutoff for two-mode inputs")
-        rho = rho_in.matrix.reshape(d_in, d_in, d_in, d_in)  # (s, i, s', j)
-        out = np.zeros_like(rho)
-        for p in range(d_in):
-            for q in range(d_in):
-                if p != q:
-                    out[p, :, q, :] = channel.offdiag_coefficient(p, q) * rho[p, :, q, :]
-        profiles = np.stack([channel.diagonal_profile(s, d_in) for s in range(d_in)])
-        for n in range(d_in):
-            out[n, :, n, :] = np.tensordot(profiles[:, n], rho[np.arange(d_in), :, np.arange(d_in), :], axes=(0, 0))
-        deficit = rho_in.trace_deficit + channel.tail_bound(levels)
-        mat = out.reshape(d_in * d_in, d_in * d_in)
-        return DensityOperator(FockOperator(mat, 2, out_cut), trace_deficit=deficit)
-    raise ValueError("apply_state_nport expects a one- or two-mode input")
+    if modes not in (1, 2):
+        raise ValueError("apply_state_nport expects a one- or two-mode input")
+    if levels < d_in or (modes == 2 and levels != d_in):
+        raise ValueError("the output cutoff must cover the input, and equal it for two modes")
+    idler = d_in if modes == 2 else 1
+    rho = np.zeros((levels, idler, levels, idler), dtype=complex)  # (s, i, s', j)
+    rho[:d_in, :, :d_in, :] = rho_in.matrix.reshape(d_in, idler, d_in, idler)
+    c, t = channel.arrays(levels)
+    out = c[:, None, :, None] * rho
+    diag = np.arange(levels)
+    out[diag, :, diag, :] = np.einsum("sn,sij->nij", t, rho[diag, :, diag, :])
+    out = out.reshape(levels * idler, levels * idler)
+    deficit = rho_in.trace_deficit + channel.tail_bound(levels)
+    return DensityOperator(FockOperator(out, modes, out_cut), trace_deficit=deficit)
 
 
 def input_output_fidelity(
@@ -684,36 +578,28 @@ def input_output_fidelity(
     """Fidelity between an entangled input and the output after the signal
     half passes through the channel.
 
-    kind 'tmsv' needs `lambda_in` and an output truncation; 'bell2' and
-    'bell3' compare on the exact code subspace, which the channel maps
-    outside of only diagonally.  Returns (fidelity, metadata).
+    kind 'tmsv' needs `lambda_in` in [0, 1) and an output truncation of at
+    least two levels; 'bell2' and 'bell3' compare on the exact code
+    subspace, which the channel maps outside of only diagonally, and ignore
+    both.  Returns (fidelity, metadata).
     """
-    if channel is None:
-        channel = make_channel(params, cap)
     if kind == "tmsv":
         if lambda_in is None or levels is None:
             raise ValueError("tmsv fidelity needs lambda_in and a level cutoff")
+        if not 0 <= lambda_in < 1:
+            raise ValueError(f"lambda_in must lie in [0, 1), got {lambda_in}")
+        levels = as_cutoff(levels).levels
         lam2 = lambda_in**2
         w = lam2 ** np.arange(levels)
-        total = 0.0
-        for a in range(levels):
-            prof = channel.diagonal_profile(a, levels)
-            total += w[a] * w[a] * prof[a]
-            for b in range(levels):
-                if b != a:
-                    total += w[a] * w[b] * channel.offdiag_coefficient(a, b)
-        fid = (1 - lam2) ** 2 * total
-        meta = {"levels": levels, "cap": channel.cap, "input_tail": lam2**levels}
+        norm, input_tail = (1 - lam2) ** 2, lam2**levels
     elif kind in ("bell2", "bell3"):
-        d = 2 if kind == "bell2" else 3
-        total = 0.0
-        for a in range(d):
-            total += channel.diagonal_profile(a, d)[a]
-            for b in range(d):
-                if b != a:
-                    total += channel.offdiag_coefficient(a, b)
-        fid = total / d**2
-        meta = {"levels": d, "cap": channel.cap, "input_tail": 0.0}
+        levels = 2 if kind == "bell2" else 3
+        w = np.ones(levels)
+        norm, input_tail = 1 / levels**2, 0.0
     else:
         raise ValueError(f"unknown input kind {kind!r}")
-    return float(fid), meta
+    if channel is None:
+        channel = make_channel(params, cap)
+    c, t = channel.arrays(levels)
+    fid = norm * (w @ c @ w + w**2 @ t.diagonal())
+    return float(fid), {"levels": levels, "cap": channel.cap, "input_tail": input_tail}

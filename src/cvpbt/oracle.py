@@ -326,16 +326,9 @@ def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOpera
 
 
 def _analytic_reference(proto: TruncatedProtocol):
-    from . import nport, two_port
+    from . import nport
 
-    cap = proto.levels - 1
-    if proto.ports == 2:
-
-        def element(a, b):
-            return two_port.apply_number_element(a, b, proto.params, proto.cutoff).matrix
-
-        return element
-    channel = nport.make_channel(proto.params, cap=cap)
+    channel = nport.make_channel(proto.params, cap=proto.levels - 1)
 
     def element(a, b):
         return channel.number_element(a, b, proto.cutoff).matrix

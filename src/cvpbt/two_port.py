@@ -79,9 +79,11 @@ def regime(params: ChannelParams) -> Regime:
     return Regime.POSITIVE if lhs >= rhs else Regime.NEGATIVE
 
 
-def _inv_root(lam_y: float, m: int) -> float:
+def _inv_root(lam_y: float, m):
+    """(1 - chi_{y,m}^2)^(-1/2) for a level m or an array of levels."""
     c = (1 - lam_y**2) * lam_y ** (2 * m)
-    return 1.0 / math.sqrt(1.0 - c * c)
+    sqrt = np.sqrt if isinstance(m, np.ndarray) else math.sqrt  # math.sqrt keeps the scalar sum loops fast
+    return 1.0 / sqrt(1.0 - c * c)
 
 
 def _adaptive_sum(params: ChannelParams, tol: float, first_moment: bool):
@@ -92,6 +94,8 @@ def _adaptive_sum(params: ChannelParams, tol: float, first_moment: bool):
     at most the first dropped factor times the remaining geometric mass
     (zeroth or first moment as appropriate).
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"sum tolerance must be finite and positive, got {tol}")
     lx, ly = params.lambda_x, params.lambda_y
     total = 0.0
     m = 0
@@ -180,7 +184,7 @@ def apply_number_element(a: int, b: int, params: ChannelParams, cutoff) -> FockO
     if a != b:
         mat[a, b] = g * om * scale
         return FockOperator(mat, 1, cutoff, meta={"tail_bound": g * om_tail * scale})
-    inv = np.array([_inv_root(ly, m) for m in range(d)])
+    inv = _inv_root(ly, np.arange(d))
     diag = chi_vector(lx, d) * (1 - g * scale * inv)
     diag[a] += g * om * scale
     np.fill_diagonal(mat, diag)
@@ -205,7 +209,7 @@ def apply_coherent(alpha: complex, params: ChannelParams, cutoff) -> DensityOper
     ket = coherent_ket(lx * ly * alpha, cutoff)
     w = damp * g * om
     mat = w * np.outer(ket.amplitudes, ket.amplitudes.conj())
-    inv = np.array([_inv_root(ly, m) for m in range(d)])
+    inv = _inv_root(ly, np.arange(d))
     mat[np.diag_indices(d)] += chi_vector(lx, d) * (1 - damp * g * inv)
     deficit = w * max(0.0, 1 - ket.norm() ** 2) + _diag_tail_bound(params, d) + damp * g * om_tail
     return DensityOperator(FockOperator(mat, 1, cutoff), trace_deficit=deficit)
@@ -213,28 +217,12 @@ def apply_coherent(alpha: complex, params: ChannelParams, cutoff) -> DensityOper
 
 def apply_state(rho_in: DensityOperator, params: ChannelParams, cutoff=None) -> DensityOperator:
     """Linear extension of the number-element action to a full single-mode state."""
+    from .nport import apply_state_nport
+
     _check_two_port(params)
     if rho_in.op.modes != 1:
         raise ValueError("apply_state expects a single-mode input")
-    if not rho_in.op.is_hermitian(tol=1e-10):
-        raise ValueError("input state must be Hermitian")
-    cutoff = rho_in.cutoff if cutoff is None else as_cutoff(cutoff)
-    if cutoff.levels < rho_in.cutoff.levels:
-        raise ValueError("output cutoff must cover the input")
-    d_in, d = rho_in.cutoff.levels, cutoff.levels
-    lx, ly = params.lambda_x, params.lambda_y
-    g = params.g
-    om, om_tail = omega(params)
-    rho = rho_in.op.matrix
-    powers = (lx * ly) ** np.arange(d_in)
-    mat = np.zeros((d, d), dtype=complex)
-    mat[:d_in, :d_in] = g * om * rho * np.outer(powers, powers)
-    total = float(np.trace(rho).real)
-    weighted = float(np.dot(np.diag(rho).real, powers**2))
-    inv = np.array([_inv_root(ly, m) for m in range(d)])
-    mat[np.diag_indices(d)] += chi_vector(lx, d) * (total - g * weighted * inv)
-    deficit = rho_in.trace_deficit + total * _diag_tail_bound(params, d) + g * om_tail
-    return DensityOperator(FockOperator(mat, 1, cutoff), trace_deficit=deficit)
+    return apply_state_nport(rho_in, params, cutoff=cutoff)
 
 
 def output_energy(u: float, params: ChannelParams, tol: float = SUM_TOL) -> float:

@@ -94,6 +94,12 @@ class TestLossyBoundNegative:
             negative_regime_t_bound(e, p), rel=1e-6
         )
 
+    def test_array_input_matches_pointwise(self):
+        p = ChannelParams(0.15, 0.12)
+        us = np.array([0.0, 1e-6, 0.05, 0.7, 3.0, 40.0])
+        pointwise = [negative_regime_t_bound(u, p) for u in us]
+        assert np.allclose(negative_regime_t_bound(us, p), pointwise, rtol=1e-12, atol=0)
+
     def test_rejects_positive_regime(self):
         with pytest.raises(ValueError, match="positive"):
             lossy_diamond_bound_negative(0, ChannelParams(0.5, 0.5))

@@ -75,6 +75,13 @@ class TestEnergy:
         vals = [row[2] for row in table.rows]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    @pytest.mark.parametrize("tol", ["0", "-1e-12", "nan"])
+    def test_bad_tolerance_is_validation_error(self, tmp_path, tol):
+        code, _ = run(
+            tmp_path, "energy", "--lambda-x-range", "0.5:0.5:1", "--lambda-y-range", "0.5:0.5:1", "--tol", tol,
+        )
+        assert code == EXIT_VALIDATION
+
     def test_matches_module(self, tmp_path):
         _, out = run(tmp_path, "energy", "--lambda-x-range", "0.5:0.5:1", "--lambda-y-range", "0.5:0.5:1")
         table = read_table(str(out))
@@ -149,6 +156,30 @@ class TestFidelitySweep:
             "--lambda-x-range", "0.3:0.3:1", "--lambda-y-range", "0.3:0.3:1",
         )
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--lambda-in", "1.5"],
+            ["--lambda-in", "nan"],
+            ["--lambda-in", "0.3", "--cutoff", "0"],
+            ["--lambda-in", "0.3", "--cutoff", "-2"],
+        ],
+    )
+    def test_bad_tmsv_input_is_validation_error(self, tmp_path, extra):
+        code, _ = run(
+            tmp_path, "fidelity-sweep", "--input", "tmsv",
+            "--lambda-x-range", "0.3:0.3:1", "--lambda-y-range", "0.3:0.3:1", *extra,
+        )
+        assert code == EXIT_VALIDATION
+
+    def test_bell_ignores_lambda_in(self, tmp_path):
+        for kind in ("bell2", "bell3"):
+            code, _ = run(
+                tmp_path, "fidelity-sweep", "--input", kind, "--lambda-in", "1.5",
+                "--lambda-x-range", "0.3:0.3:1", "--lambda-y-range", "0.3:0.3:1",
+            )
+            assert code == EXIT_OK
 
 
 class TestOracleVerify:

@@ -11,7 +11,6 @@ from cvpbt.nport import (
     Arrangements,
     NPortChannel,
     ThreePortChannel,
-    TwoPortChannel,
     apply_state_nport,
     default_cap,
     enumerate_multisets,
@@ -24,7 +23,7 @@ from cvpbt.nport import (
     lm_closed_basis,
     sector_matrix,
 )
-from cvpbt.two_port import ChannelParams
+from cvpbt.two_port import ChannelParams, apply_number_element
 
 
 def lm_label_order(l, m):
@@ -227,12 +226,11 @@ class TestGenericChannel:
     def test_two_port_reduction(self):
         p = ChannelParams(0.5, 0.45)
         ch = NPortChannel(p, cap=40)
-        ref = TwoPortChannel(p)
         d = 10
         for a in range(4):
             for b in range(4):
                 got = ch.number_element(a, b, Cutoff(d)).matrix
-                want = ref.number_element(a, b, Cutoff(d)).matrix
+                want = apply_number_element(a, b, p, Cutoff(d)).matrix
                 assert np.abs(got - want).max() < 1e-10
 
     def test_three_port_generic_vs_closed(self):
@@ -302,6 +300,42 @@ class TestGenericChannel:
                     - big.number_element(a, b, Cutoff(d)).matrix
                 ).max()
                 assert delta <= small.tail_bound(d) + 1e-14
+
+    def test_level_sums_match_literal_orbit_sums(self):
+        # four ports, output levels past cap + 1: every element against the
+        # per-sector orbit sums written out one element at a time
+        p = ChannelParams(0.5, 0.45, ports=4)
+        cap, d = 4, 7
+        n, lx, ly = p.ports, p.lambda_x, p.lambda_y
+        channel = NPortChannel(p, cap=cap)
+        for a in range(4):
+            for b in range(4):
+                pref = n * (1 - lx**2) ** n * (1 - ly**2) * (lx * ly) ** (a + b)
+                want = np.zeros((d, d))
+                if a == b:
+                    want[np.diag_indices(d)] = [chi(lx, m) for m in range(d)]
+                for ms in enumerate_multisets(n, cap):
+                    arr = Arrangements(ms)
+                    g = gamma(arr, ly)
+                    w = pref * lx ** (2 * sum(ms))
+
+                    def orbit(t, v):
+                        return [t, *arr.swaps[t][v]] if v in ms else [t]
+
+                    for i in arr.ptilde:
+                        want[a, b] += w * g[np.ix_(orbit(i, b), orbit(i, a))].sum()
+                        if a != b:
+                            continue
+                        seq = arr.seqs[i]
+                        for q in range(1, n):  # the marker moves to slot q, the output gets level seq[q]
+                            if seq[q] == a:
+                                continue
+                            t = list(seq)
+                            t[0], t[q] = t[q], t[0]
+                            t = arr.index[tuple(t)]
+                            want[seq[q], seq[q]] += w * g[t, orbit(t, a)].sum()
+                got = channel.number_element(a, b, Cutoff(d)).matrix
+                assert np.abs(got - want).max() < 1e-12
 
     def test_default_cap_rule(self):
         p = ChannelParams(0.5, 0.5, ports=3)

@@ -48,6 +48,11 @@ class TestOmega:
         assert tail == 0.0
         assert val == pytest.approx(1 / math.sqrt(1 - chi(0.5, 0) ** 2), abs=1e-15)
 
+    def test_rejects_bad_tolerance(self):
+        for tol in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tolerance"):
+                omega(ChannelParams(0.5, 0.5), tol)
+
     def test_strong_measurement_limit(self):
         val, _ = omega(ChannelParams(0.5, 0.999999))
         assert val == pytest.approx(1.0, abs=1e-4)
