@@ -44,8 +44,8 @@ def lossy_diamond_bound_positive(energy: float, params: ChannelParams) -> float:
     Valid in the positive regime only, where the bound is
     2 (1 - exp(-E (1 - tau)) g Omega).
     """
-    if energy < 0:
-        raise ValueError("energy constraint must be nonnegative")
+    if not 0 <= energy < math.inf:
+        raise ValueError(f"energy constraint must be finite and nonnegative, got {energy}")
     if regime(params) is not Regime.POSITIVE:
         raise ValueError(
             "parameters fall in the negative regime; use lossy_diamond_bound_negative"
@@ -108,8 +108,8 @@ def lossy_diamond_bound_negative(
     1e-9 of its asymptote, with the requested energy always included as
     a grid point.
     """
-    if energy < 0:
-        raise ValueError("energy constraint must be nonnegative")
+    if not 0 <= energy < math.inf:
+        raise ValueError(f"energy constraint must be finite and nonnegative, got {energy}")
     if regime(params) is not Regime.NEGATIVE:
         raise ValueError("parameters fall in the positive regime; use lossy_diamond_bound_positive")
     g, tau = params.g, params.tau

@@ -111,6 +111,8 @@ def _parse_range(spec: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:count, got {spec!r}")
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    if not np.isfinite([start, stop]).all():
+        raise ValueError(f"range bounds must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("range count must be positive")
     return np.linspace(start, stop, count)

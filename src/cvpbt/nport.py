@@ -8,6 +8,7 @@ specific Gamma entries over all multisets up to a truncation cap.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ __all__ = [
 
 MARKER = -1  # slot that carries the summed level index in an arrangement
 CLUSTER_TOL = 1e-9  # relative eigenvalue separation treated as degenerate
+_STACK_ELEMS = 1 << 12  # Gamma entries per stacked batch, which bounds its memory
 
 
 def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
@@ -87,6 +89,15 @@ class Arrangements:
     def size(self) -> int:
         return len(self.seqs)
 
+    @functools.cached_property
+    def hops(self) -> np.ndarray:
+        """hops[r]: identity plus the marker swaps with the r-th unique value."""
+        out = np.stack([np.eye(self.size)] * len(set(self.multiset)))
+        for r, v in enumerate(sorted(set(self.multiset))):
+            for i, table in enumerate(self.swaps):
+                out[r, i, list(table[v])] = 1
+        return out
+
     @property
     def ports(self) -> int:
         return len(self.multiset) + 1
@@ -103,19 +114,21 @@ def sector_matrix(multiset, lam_y: float) -> np.ndarray:
     weight (1-lam_y^2) lam_y^(2m) times the sum of c over the marker-swap
     orbit of Phi (identity included).
     """
+    arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
+    return _sector_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y)[0]
+
+
+def _sector_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
+    """Sector matrices stacked along axis 0, one per row of `levels`: the
+    unique levels, ascending, of a sector laid out like `arr`."""
     if not 0 < lam_y < 1:
         raise ValueError("lambda_y must lie in (0, 1)")
-    arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
-    uniq = sorted(set(arr.multiset))
     ly2 = lam_y**2
-    g = 1 - (1 - ly2) * sum(ly2**m for m in uniq)
-    h = g * np.eye(arr.size)
-    for m in uniq:
-        w = (1 - ly2) * ly2**m
-        for i in range(arr.size):
-            h[i, i] += w
-            for j in arr.swaps[i][m]:
-                h[i, j] += w
+    # scalar pow per level: numpy's vector power can differ in the last bit
+    powers = np.array([ly2**m for m in range(int(levels.max()) + 1)])[levels]
+    h = (1 - (1 - ly2) * powers.sum(axis=1))[:, None, None] * np.eye(arr.size)
+    for r, hop in enumerate(arr.hops):
+        h += ((1 - ly2) * powers[:, r])[:, None, None] * hop
     return h
 
 
@@ -207,15 +220,19 @@ def gamma(multiset, lam_y: float) -> np.ndarray:
     degenerate-cluster ambiguity of the pairwise form.
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
-    n = arr.ports
-    h = sector_matrix(arr, lam_y)
-    w, v = np.linalg.eigh(h)
+    return _gamma_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y)[0]
+
+
+def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
+    """`gamma` of every sector of a `_sector_stack`, from one stacked eigh."""
+    w, v = np.linalg.eigh(_sector_stack(arr, levels, lam_y))
     if w.min() <= 0:
-        raise RuntimeError(f"sector matrix for {arr.multiset} is not positive definite")
-    inv_sqrt = (v / np.sqrt(w)) @ v.T
-    inv = (v / w) @ v.T
+        bad = levels[np.argmin(w.min(axis=1))].tolist()
+        raise RuntimeError(f"sector matrix with levels {bad} is not positive definite")
+    vt = v.swapaxes(1, 2)
+    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ vt
     pt = list(arr.ptilde)
-    return inv_sqrt[:, pt] @ inv_sqrt[pt, :] - inv / n
+    return inv_sqrt[:, :, pt] @ inv_sqrt[:, pt, :] - ((v / w[:, None, :]) @ vt) / arr.ports
 
 
 def gamma_from_basis(basis: SectorBasis) -> np.ndarray:
@@ -243,19 +260,18 @@ _MM_NUM = np.array([[4, 1, 1], [1, -2, -2], [1, -2, -2]], dtype=float)
 _MM_DEN = np.array([[2, -1, -1], [-1, -1, 2], [-1, 2, -1]], dtype=float)
 
 
-def gamma_mm_closed(m: int, lam_y: float) -> np.ndarray:
-    """Closed-form Gamma for a repeated-value three-port sector {m, m}."""
-    chi_m = (1 - lam_y**2) * lam_y ** (2 * m)
+def gamma_mm_closed(m, lam_y: float) -> np.ndarray:
+    """Closed-form Gamma for a repeated-value three-port sector {m, m}; an
+    array of levels gives the stack of their Gammas."""
+    chi_m = ((1 - lam_y**2) * lam_y ** (2 * np.asarray(m)))[..., None, None]
     xi1, xi2 = 1 + 2 * chi_m, 1 - chi_m
-    return (_MM_NUM / math.sqrt(xi1 * xi2) + _MM_DEN / xi2) / 9
+    return (_MM_NUM / np.sqrt(xi1 * xi2) + _MM_DEN / xi2) / 9
 
 
-def _lm_phase(l: int, m: int, lam_y: float) -> float:
-    expo = 2.0 * (l - m) * math.log(lam_y)
-    if expo > 300:  # lam_y^(2(l-m)) overflows; the phase saturates
-        return 4 * math.pi / 3 - 2 * math.pi / 3
-    t = math.exp(expo)
-    return 4 * math.pi / 3 - math.atan2(t * math.sin(2 * math.pi / 3), 1 + t * math.cos(2 * math.pi / 3))
+def _lm_phase(l, m, lam_y: float) -> np.ndarray:
+    # lam_y^(2(l-m)) overflows past expo = 300, where the phase has saturated
+    t = np.exp(np.minimum(2.0 * (np.asarray(l) - m) * math.log(lam_y), 300))
+    return 4 * math.pi / 3 - np.arctan2(t * math.sin(2 * math.pi / 3), 1 + t * math.cos(2 * math.pi / 3))
 
 
 _LM_LABEL_ORDER = lambda l, m: [
@@ -268,52 +284,56 @@ _LM_LABEL_ORDER = lambda l, m: [
 ]
 
 
-def _lm_vectors(l: int, m: int, lam_y: float):
-    om = np.exp(2j * np.pi / 3)
-    phi = _lm_phase(l, m, lam_y)
-    e = np.exp(1j * phi)
-    root6 = math.sqrt(6)
-    eta = {
-        1: np.array([1, 1, 1, 1, 1, 1], complex),
-        2: np.array([1, 1, 1, -1, -1, -1], complex),
-        3: np.array([1, om, om**2, e, om * e, om**2 * e]),
-        4: np.array([1, om, om**2, -e, -om * e, -(om**2) * e]),
-        5: np.array([1, om**2, om, e.conjugate(), om**2 * e.conjugate(), om * e.conjugate()]),
-        6: np.array([1, om**2, om, -e.conjugate(), -(om**2) * e.conjugate(), -om * e.conjugate()]),
-    }
-    eta = {k: v / root6 for k, v in eta.items()}
+def _lm_basis(l, m, lam_y: float):
+    """Analytic eigenvectors as the columns of `vecs` (label order), their
+    eigenvalues xi[1..6] and the phase factor e; level arrays give stacks."""
+    e = np.exp(1j * _lm_phase(l, m, lam_y))
+    a = np.exp(2j * np.pi / 3 * np.arange(3)) / math.sqrt(6)
+    top = np.column_stack([np.full(3, 1 / math.sqrt(6))] * 2 + [a, a, a.conj(), a.conj()])
+    sign = np.stack(np.broadcast_arrays(1, -1, e, -e, e.conj(), -e.conj()), axis=-1)
+    vecs = np.concatenate(np.broadcast_arrays(top, top * sign[..., None, :]), axis=-2)
     ly2 = lam_y**2
-    s = math.sqrt(ly2 ** (2 * l) - ly2 ** (l + m) + ly2 ** (2 * m))
+    l, m = np.asarray(l), np.asarray(m)
+    s = np.sqrt(ly2 ** (2 * l) - ly2 ** (l + m) + ly2 ** (2 * m))
     big, small = (1 - ly2) * (ly2**l + ly2**m), (1 - ly2) * s
     xi = {1: 1 + big, 2: 1 - big, 3: 1 + small, 5: 1 + small, 4: 1 - small, 6: 1 - small}
-    return eta, xi, e
+    return vecs, xi, e
 
 
-def gamma_lm_closed(l: int, m: int, lam_y: float) -> np.ndarray:
-    """Closed-form Gamma for a distinct-value three-port sector {l, m}.
+def _lm_vectors(l, m, lam_y: float):
+    vecs, xi, e = _lm_basis(l, m, lam_y)
+    return {k: vecs[..., k - 1] for k in range(1, 7)}, xi, e
+
+
+def gamma_lm_closed(l, m, lam_y: float) -> np.ndarray:
+    """Closed-form Gamma for a distinct-value three-port sector {l, m}; level
+    arrays give the stack of their Gammas.
 
     Assembled from the analytic eigenbasis pair by pair; all twelve
     eigenvector pairs with nonzero marker-first overlap contribute,
     including the pair between the two degenerate minus-branches.
     """
-    if l == m:
+    if np.any(np.asarray(l) == m):
         raise ValueError("use gamma_mm_closed for repeated values")
-    eta, xi, e = _lm_vectors(l, m, lam_y)
-
-    def pair(a, b):  # ordered (alpha, beta) contribution
-        return np.outer(eta[a], eta[b].conj())
-
-    g = (
-        (1 + e) * (pair(1, 3) + pair(5, 1)) / math.sqrt(xi[1] * xi[3])
-        + (1 - e) * (pair(1, 4) + pair(6, 1)) / math.sqrt(xi[1] * xi[4])
-        + (1 - e) * (pair(2, 3) + pair(5, 2)) / math.sqrt(xi[2] * xi[3])
-        + (1 + e) * (pair(2, 4) + pair(6, 2)) / math.sqrt(xi[2] * xi[4])
-        + (1 + e**2) * pair(5, 3) / xi[3]
-        + (1 - e**2) * pair(6, 3) / math.sqrt(xi[3] * xi[4])
-        + (1 + e**2) * pair(6, 4) / xi[4]
-        + (1 - e**2) * pair(5, 4) / math.sqrt(xi[3] * xi[4])
-    ) / 6
-    return g + g.conj().T
+    vecs, xi, e = _lm_basis(l, m, lam_y)  # column k-1 holds eta[k]
+    # coef[alpha-1, beta-1] weighs eta[alpha] eta[beta]^H; beta never exceeds 4
+    coef = np.zeros(vecs.shape[:-1] + (4,), complex)
+    for pairs, c in [
+        (((1, 3), (5, 1)), (1 + e) / np.sqrt(xi[1] * xi[3])),
+        (((1, 4), (6, 1)), (1 - e) / np.sqrt(xi[1] * xi[4])),
+        (((2, 3), (5, 2)), (1 - e) / np.sqrt(xi[2] * xi[3])),
+        (((2, 4), (6, 2)), (1 + e) / np.sqrt(xi[2] * xi[4])),
+        (((5, 3),), (1 + e**2) / xi[3]),
+        (((6, 3), (5, 4)), (1 - e**2) / np.sqrt(xi[3] * xi[4])),
+        (((6, 4),), (1 + e**2) / xi[4]),
+    ]:
+        for a, b in pairs:
+            coef[..., a - 1, b - 1] = c / 6
+    g = vecs @ coef
+    del coef
+    g = g @ vecs[..., :4].conj().swapaxes(-1, -2)
+    g += g.conj().swapaxes(-1, -2)
+    return g
 
 
 def lm_closed_basis(l: int, m: int, lam_y: float) -> SectorBasis:
@@ -396,8 +416,10 @@ class NPortChannel:
         F[a, n]  sums Gamma[t, orbit(t, a)] over t that start with level n
 
     No sector holds a level above the cap, so index cap+1 of the stored
-    sums stands for them all.  Gammas are computed, or taken from `gammas`
-    (keyed by multiset, canonical arrangement coordinates);
+    sums stands for them all.  Sectors sharing a multiplicity pattern share
+    one arrangement layout, so they are handled as stacked batches whose
+    Gammas come from one stacked `eigh` or from `gammas` (keyed by
+    multiset, canonical arrangement coordinates);
     `closed_two_port` builds the sums from the two-port closed form.
     """
 
@@ -406,25 +428,38 @@ class NPortChannel:
         self.cap = default_cap(params) if cap is None else int(cap)
         self.sectors = enumerate_multisets(params.ports, self.cap)
         self._gamma_max = 0.0
-        segments = {}  # multiplicity pattern -> orbit-sum segments
-        s = np.zeros((self.cap + 2, self.cap + 2), dtype=complex)
-        f = np.zeros_like(s)
+        patterns = {}  # multiplicity pattern -> its sectors, in enumeration order
         for ms in self.sectors:
-            uniq = sorted(set(ms))
-            k = len(uniq)
-            pattern = tuple(ms.count(v) for v in uniq)
-            arr = None
-            if pattern not in segments:
-                arr = Arrangements(ms)
-                segments[pattern] = _orbit_segments(arr)
-            g = gammas[ms] if gammas is not None else gamma(ms if arr is None else arr, params.lambda_y)
-            self._gamma_max = max(self._gamma_max, float(np.abs(g).max()))
-            sums = np.add.reduceat(g.reshape(-1)[segments[pattern][0]], segments[pattern][1])
-            slot = np.full(self.cap + 2, k)
-            slot[uniq] = np.arange(k)
-            w = params.lambda_x ** (2 * sum(ms))
-            s += w * sums[: (k + 1) ** 2].reshape(k + 1, k + 1)[np.ix_(slot, slot)]
-            f[:, uniq] += w * sums[(k + 1) ** 2 :].reshape(k + 1, k)[slot]
+            patterns.setdefault(tuple(ms.count(v) for v in sorted(set(ms))), []).append(ms)
+        top = self.cap + 2  # sums in row/column `top` add to every level 0..cap+1
+        s = np.zeros((top + 1, top + 1), dtype=complex)
+        f = np.zeros((top + 1, top), dtype=complex)
+        for pattern, group in patterns.items():
+            k = len(pattern)
+            # levels relabelled 0..k-1 in order keep every sector's arrangement order
+            arr = Arrangements([r for r, c in enumerate(pattern) for _ in range(c)])
+            idx, starts = _orbit_segments(arr)
+            levels = np.array([sorted(set(ms)) for ms in group])
+            weights = np.array([params.lambda_x ** (2 * sum(ms)) for ms in group])
+            step = max(1, _STACK_ELEMS // arr.size**2)
+            for lo in range(0, len(group), step):
+                part = slice(lo, lo + step)
+                g = (_gamma_stack(arr, levels[part], params.lambda_y) if gammas is None
+                     else np.stack([gammas[ms] for ms in group[part]]))
+                self._gamma_max = max(self._gamma_max, float(np.abs(g).max()))
+                sums = np.add.reduceat(g.reshape(len(g), -1)[:, idx], starts, axis=1) * weights[part, None]
+                ss = sums[:, : (k + 1) ** 2].reshape(-1, k + 1, k + 1)
+                sf = sums[:, (k + 1) ** 2 :].reshape(-1, k + 1, k)
+                # slot k (a level the sector lacks) goes to `top`, so the
+                # held slots carry their difference from it
+                ss[:, :k] -= ss[:, k:]
+                ss[:, :, :k] -= ss[:, :, k:]
+                sf[:, :k] -= sf[:, k:]
+                rows = np.column_stack([levels[part], np.full(len(g), top)])
+                np.add.at(s, (rows[:, :, None], rows[:, None, :]), ss)
+                np.add.at(f, (rows[:, :, None], levels[part, None, :]), sf)
+        s = s[:top, :top] + s[:top, top:] + s[top:, :top] + s[top, top]
+        f = f[:top] + f[top]
         if max(np.abs(s.imag).max(), np.abs(f.imag).max()) > 1e-10 * max(1.0, np.abs(s).max()):
             raise RuntimeError("sector orbit sums unexpectedly complex")
         self._s, self._f = s.real, f.real
@@ -500,18 +535,18 @@ class NPortChannel:
 
 
 def ThreePortChannel(params: ChannelParams, cap: int | None = None) -> NPortChannel:
-    """Three-port channel built from the closed-form sector Gammas, one per
-    unordered level pair, permuted to canonical arrangement coordinates."""
+    """Three-port channel built from the closed-form sector Gammas, one stack
+    per multiplicity pattern, permuted to canonical arrangement coordinates."""
     if params.ports != 3:
         raise ValueError("ThreePortChannel requires ports == 3")
     cap = default_cap(params) if cap is None else int(cap)
     ly = params.lambda_y
     arr = Arrangements((0, 1))  # every {l, m} sector with l > m shares this layout
     order = np.argsort([arr.index[s] for s in _LM_LABEL_ORDER(1, 0)])
-    gammas = {(m, m): gamma_mm_closed(m, ly) for m in range(cap + 1)}
-    gammas.update(
-        {(lo, hi): gamma_lm_closed(hi, lo, ly)[np.ix_(order, order)] for hi in range(cap + 1) for lo in range(hi)}
-    )
+    m = np.arange(cap + 1)
+    lo, hi = np.triu_indices(cap + 1, 1)
+    gammas = dict(zip(zip(m.tolist(), m.tolist()), gamma_mm_closed(m, ly)))
+    gammas.update(zip(zip(lo.tolist(), hi.tolist()), gamma_lm_closed(hi, lo, ly)[:, order[:, None], order]))
     return NPortChannel(params, cap, gammas=gammas)
 
 

@@ -64,6 +64,11 @@ class TestLossyBoundPositive:
         with pytest.raises(ValueError, match="negative"):
             lossy_diamond_bound_positive(0, p)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_energy(self, energy):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            lossy_diamond_bound_positive(energy, ChannelParams(0.5, 0.5))
+
 
 class TestLossyBoundNegative:
     def test_zero_energy_is_t_at_zero(self):
@@ -103,6 +108,11 @@ class TestLossyBoundNegative:
     def test_rejects_positive_regime(self):
         with pytest.raises(ValueError, match="positive"):
             lossy_diamond_bound_negative(0, ChannelParams(0.5, 0.5))
+
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -1.0])
+    def test_rejects_non_finite_or_negative_energy(self, energy):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            lossy_diamond_bound_negative(energy, ChannelParams(0.1, 0.1))
 
     def test_split_terms_match_direct_trace_norms(self):
         # the three-contribution split behind T(u): both pieces with closed

@@ -138,6 +138,17 @@ class TestBounds:
         code, _ = run(tmp_path, "bounds", "--kind", "lossy", "--lambda-x", "0.5", "--lambda-y", "0.5")
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("spec", ["0:nan:3", "0:inf:2", "nan:1:2", "0:-inf:2"])
+    @pytest.mark.parametrize("lam", ["0.5", "0.1"])  # positive and negative regime
+    def test_non_finite_energy_range_is_validation_error(self, tmp_path, capsys, spec, lam):
+        code, out = run(
+            tmp_path, "bounds", "--kind", "lossy", "--lambda-x", lam, "--lambda-y", lam, "--energy-range", spec,
+        )
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "finite" in err and "Traceback" not in err
+
 
 class TestFidelitySweep:
     def test_values_in_unit_interval(self, tmp_path):

@@ -345,6 +345,87 @@ class TestGenericChannel:
         assert 2 * lx ** (2 * cap) / (1 - lx**2) >= 1e-10
 
 
+def pattern_groups(ports, cap):
+    """Sectors grouped by multiplicity pattern: (layout, levels array, multisets)."""
+    groups = {}
+    for ms in enumerate_multisets(ports, cap):
+        groups.setdefault(tuple(ms.count(v) for v in sorted(set(ms))), []).append(ms)
+    for pattern, sectors in groups.items():
+        arr = Arrangements([r for r, c in enumerate(pattern) for _ in range(c)])
+        yield arr, np.array([sorted(set(ms)) for ms in sectors]), sectors
+
+
+class TestPatternStacks:
+    def test_batched_closed_forms_match_one_pair_calls(self):
+        lam_y = 0.3
+        pairs = [(3, 1), (1, 3), (6, 0), (0, 6), (0, 400), (400, 0), (2, 5), (1, 2)]
+        l, m = np.array(pairs).T
+        stacked = gamma_lm_closed(l, m, lam_y)
+        single = np.stack([gamma_lm_closed(a, b, lam_y) for a, b in pairs])
+        assert stacked.shape == (len(pairs), 6, 6)
+        assert np.abs(stacked - single).max() <= 1e-15
+        assert np.isfinite(stacked).all()  # (0, 400) takes the saturated phase
+        ms = np.array([0, 1, 4, 400])
+        stacked = gamma_mm_closed(ms, lam_y)
+        assert stacked.shape == (4, 3, 3)
+        assert np.abs(stacked - np.stack([gamma_mm_closed(int(v), lam_y) for v in ms])).max() <= 1e-15
+
+    def test_saturated_phase_matches_numeric_gamma(self):
+        # lam_y^(2(l-m)) overflows for (l, m) = (0, 400); the phase saturates at 2 pi / 3
+        assert nport._lm_phase(0, 400, 0.3) == pytest.approx(2 * math.pi / 3, abs=1e-15)
+        arr = Arrangements((0, 400))
+        for l, m in [(0, 400), (400, 0)]:
+            perm = [arr.index[s] for s in lm_label_order(l, m)]
+            want = gamma(arr, 0.3)[np.ix_(perm, perm)]
+            assert np.abs(gamma_lm_closed(l, m, 0.3) - want).max() < 1e-10
+
+    def test_closed_forms_reject_repeated_values_in_a_stack(self):
+        with pytest.raises(ValueError):
+            gamma_lm_closed(np.array([2, 3]), np.array([1, 3]), 0.5)
+
+    def test_three_port_stacks_match_one_pair_dict(self):
+        p = ChannelParams(0.75, 0.4, ports=3)
+        cap = 42
+        arr = Arrangements((0, 1))
+        order = np.argsort([arr.index[s] for s in lm_label_order(1, 0)])
+        gammas = {}
+        for lo, hi in enumerate_multisets(3, cap):
+            if lo == hi:
+                gammas[(lo, hi)] = gamma_mm_closed(lo, p.lambda_y)
+            else:
+                gammas[(lo, hi)] = gamma_lm_closed(hi, lo, p.lambda_y)[np.ix_(order, order)]
+        c1, t1 = ThreePortChannel(p, cap).arrays(12)
+        c2, t2 = NPortChannel(p, cap, gammas=gammas).arrays(12)
+        assert np.abs(c1 - c2).max() <= 1e-13
+        assert np.abs(t1 - t2).max() <= 1e-13
+
+    @pytest.mark.parametrize("ports, cap", [(4, 4), (5, 2)])
+    def test_numeric_stacks_match_eigenbasis_route(self, ports, cap):
+        lam_y = 0.45
+        seen = 0
+        for arr, levels, sectors in pattern_groups(ports, cap):
+            stacked = nport._gamma_stack(arr, levels, lam_y)
+            assert stacked.shape == (len(sectors), arr.size, arr.size)
+            for g, ms in zip(stacked, sectors):
+                assert np.abs(g - gamma_from_basis(eta_basis(ms, lam_y))).max() < 1e-11
+                seen += 1
+        assert seen == len(enumerate_multisets(ports, cap))
+
+    def test_numeric_stacks_equal_one_sector_gammas(self):
+        for arr, levels, sectors in pattern_groups(4, 5):
+            stacked = nport._gamma_stack(arr, levels, 0.6)
+            for g, ms in zip(stacked, sectors):
+                assert np.array_equal(g, gamma(ms, 0.6))
+
+    def test_constructors_are_bitwise_deterministic(self):
+        for build in (
+            lambda: ThreePortChannel(ChannelParams(0.6, 0.35, ports=3)),
+            lambda: NPortChannel(ChannelParams(0.45, 0.5, ports=4)),
+        ):
+            (c1, t1), (c2, t2) = build().arrays(12), build().arrays(12)
+            assert c1.tobytes() == c2.tobytes() and t1.tobytes() == t2.tobytes()
+
+
 class TestApplyState:
     def _bell(self, levels, d):
         amps = np.zeros(levels * levels, complex)
