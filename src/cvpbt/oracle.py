@@ -6,11 +6,18 @@ operator rho, the square-root measurement, and the channel as a
 partial trace.  No closed-form channel expression enters, which makes
 this module the independent ground truth for the analytic ones.
 
+Everything stays sparse.  rho splits into the connected components of its
+sparsity pattern; components of one size share a stacked eigh, and the
+measurement is assembled from those stacks in one COO pass.  Each channel
+element then reads only the measurement entries that the partial trace
+keeps, from a table gathered once per protocol.
+
 Mode order is (C, A_1, ..., A_N), C slowest; the receiver mode B_1
 joins only in the reduced resource.
 """
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -36,6 +43,8 @@ __all__ = [
 
 DEFAULT_BUDGET_MB = 2048.0
 SUSPECT_BAND = 1e-6  # relative; eigenvalues between kernel_tol and this are flagged
+_BYTES_PER_ENTRY = 72  # see TruncatedProtocol.working_set_mb
+_CHUNK_ELEMS = 1 << 18  # block entries per stacked POVM batch, which bounds its temporaries
 
 
 class MemoryBudgetError(RuntimeError):
@@ -80,6 +89,8 @@ class TruncatedProtocol:
             raise ValueError("kernel_tol must lie in (0, 1e-6]")
         if self.mem_budget_mb is None:
             self.mem_budget_mb = _env_budget()
+        if not (math.isfinite(self.mem_budget_mb) and self.mem_budget_mb > 0):
+            raise ValueError(f"memory budget must be finite and > 0 MiB, got {self.mem_budget_mb!r}")
 
     # -- dimensions ---------------------------------------------------------
 
@@ -100,10 +111,18 @@ class TruncatedProtocol:
         return d * d * 8 / 2**20
 
     def working_set_mb(self) -> float:
-        """Rough peak for the sparse-block route: the measurement blocks plus
-        one dense (levels^N)^2 slice during the channel gather."""
-        dn = self.levels**self.ports
-        return 3 * dn * dn * 8 / 2**20
+        """Peak of the sparse-block route, from the component sizes of rho
+        before any eigendecomposition.
+
+        The measurement holds at most sum(s^2) + dim entries over components
+        of sizes s > 1.  Per entry: its COO assembly and the CSR it becomes (28 bytes),
+        the cached eigenvectors (8 bytes), and an allowance for the sparse
+        rho, the component index arrays and the batch temporaries, which
+        weigh most where dim is large against sum(s^2) (36 bytes).
+        """
+        sizes = np.bincount(self._labels())
+        entries = float((sizes[sizes > 1] ** 2).sum()) + self.dim
+        return _BYTES_PER_ENTRY * entries / 2**20
 
     def _require(self, mb: float, what: str):
         if mb > self.mem_budget_mb:
@@ -147,6 +166,8 @@ class TruncatedProtocol:
 
     def rho_sparse(self) -> sp.csr_matrix:
         if "rho" not in self._cache:
+            # at most ports * dim entries, summed from as many cached sigmas
+            self._require(_BYTES_PER_ENTRY * self.ports * self.dim / 2**20, "sparse rho")
             total = self.sigma_sparse(1)
             for i in range(2, self.ports + 1):
                 total = total + self.sigma_sparse(i)
@@ -155,26 +176,59 @@ class TruncatedProtocol:
 
     # -- spectral decomposition over connected components --------------------
 
-    def _components(self):
-        """Invariant blocks of rho discovered from its sparsity pattern alone."""
-        if "components" not in self._cache:
-            rho = self.rho_sparse()
-            pattern = rho.copy()
+    def _labels(self) -> np.ndarray:
+        """Connected-component label of every basis index under rho's sparsity."""
+        if "labels" not in self._cache:
+            pattern = self.rho_sparse().copy()
             pattern.data = np.ones_like(pattern.data)
-            n_comp, labels = csgraph.connected_components(pattern, directed=False)
-            groups: dict[int, list[int]] = {}
-            for idx, lab in enumerate(labels):
-                groups.setdefault(int(lab), []).append(idx)
-            blocks = []
-            max_eig = 0.0
-            for members in groups.values():
-                if len(members) == 1:
-                    continue  # untouched by rho: exact kernel
-                idx = np.asarray(members, dtype=np.int64)
-                sub = rho[idx][:, idx].toarray()
-                w, v = np.linalg.eigh(sub)
-                blocks.append((idx, w, v))
-                max_eig = max(max_eig, float(w.max()))
+            self._cache["labels"] = csgraph.connected_components(pattern, directed=False)[1]
+        return self._cache["labels"]
+
+    def _dense_blocks(self, mat: sp.csr_matrix, members: np.ndarray) -> np.ndarray:
+        """Stack of mat[idx][:, idx] for the equal-size components whose
+        ascending members are the rows of `members`, shape (k, s, s)."""
+        labels = self._labels()
+        k, s = members.shape
+        slot = np.full(labels.max() + 1, -1)
+        slot[labels[members[:, 0]]] = np.arange(k)
+        pos = np.empty(self.dim, dtype=np.int64)
+        pos[members.ravel()] = np.tile(np.arange(s), k)
+        coo = mat.tocoo()
+        owner = slot[labels[coo.row]]
+        hit = (owner >= 0) & (labels[coo.row] == labels[coo.col])
+        out = np.zeros((k, s, s))
+        out[owner[hit], pos[coo.row[hit]], pos[coo.col[hit]]] = coo.data[hit]
+        return out
+
+    def _components(self):
+        """Invariant blocks of rho discovered from its sparsity pattern alone.
+
+        Returns ([(idx, w, v), ...], max_eig): one entry per component of more
+        than one index, ordered by smallest member, each with its ascending
+        members and eigendecomposition.  Components of equal size share one
+        stacked eigh; the stacks are kept for `povm_sparse`.
+        """
+        if "components" not in self._cache:
+            labels = self._labels()
+            order = np.argsort(labels, kind="stable")  # members of each label, ascending
+            sizes = np.bincount(labels)
+            starts = np.cumsum(sizes) - sizes
+            comps = np.argsort(order[starts], kind="stable")  # by smallest member
+            comps = comps[sizes[comps] > 1]  # singletons are untouched by rho: exact kernel
+            rank = np.empty(len(sizes), dtype=np.int64)
+            rank[comps] = np.arange(len(comps))
+            rho = self.rho_sparse()
+            blocks = [None] * len(comps)
+            stacks = []
+            for s in np.unique(sizes[comps]):
+                group = comps[sizes[comps] == s]
+                members = order[starts[group][:, None] + np.arange(s)]
+                w, v = np.linalg.eigh(self._dense_blocks(rho, members))
+                stacks.append((members, w, v))
+                for j, c in enumerate(group):
+                    blocks[rank[c]] = (members[j], w[j], v[j])
+            max_eig = max((float(w.max()) for _, w, _ in stacks), default=0.0)
+            self._cache["stacks"] = stacks
             self._cache["components"] = (blocks, max_eig)
         return self._cache["components"]
 
@@ -193,30 +247,74 @@ class TruncatedProtocol:
 
     def povm_sparse(self) -> sp.csr_matrix:
         """First measurement element: inverse-root sandwich of sigma_1 plus the
-        uniform kernel share, assembled block by block."""
+        uniform kernel share, assembled from the block stacks in one COO pass."""
         if "povm" not in self._cache:
-            blocks, max_eig = self._components()
+            _, max_eig = self._components()
+            stacks = self._cache["stacks"]
             s1 = self.sigma_sparse(1)
-            n = self.ports
-            rows, cols, vals = [], [], []
-            for idx, w, v in blocks:
-                keep = w > self.kernel_tol * max_eig
-                vk = v[:, keep]
-                inv_root = (vk / np.sqrt(w[keep])) @ vk.T
-                support = vk @ vk.T
-                s1_block = s1[idx][:, idx].toarray()
-                block = inv_root @ s1_block @ inv_root - support / n
-                rr, cc = np.meshgrid(idx, idx, indexing="ij")
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-                vals.append(block.ravel())
-            mat = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self.dim, self.dim),
-            ).tocsr()
-            mat = mat + sp.identity(self.dim, format="csr") / n
+            n, dim = self.ports, self.dim
+            labels = self._labels()
+            lone = np.flatnonzero(np.bincount(labels)[labels] == 1)  # untouched by rho
+            total = sum(members.size * members.shape[1] for members, _, _ in stacks) + lone.size
+            rows = np.empty(total, dtype=np.int32)
+            cols = np.empty(total, dtype=np.int32)
+            vals = np.empty(total)
+            at = 0
+            for members, w, v in stacks:
+                k, s = members.shape
+                kept = (w > self.kernel_tol * max_eig).sum(axis=1)  # w ascends: kernel first
+                step = max(1, _CHUNK_ELEMS // (s * s))
+                for lo in range(0, k, step):
+                    part = slice(lo, lo + step)
+                    idx, wp, vp, kp = members[part], w[part], v[part], kept[part]
+                    s1_blocks = self._dense_blocks(s1, idx)
+                    span = slice(at, at + idx.size * s)
+                    rows[span].reshape(-1, s, s)[:] = idx[:, :, None]
+                    cols[span].reshape(-1, s, s)[:] = idx[:, None, :]
+                    block = vals[span].reshape(-1, s, s)
+                    for r in np.unique(kp):
+                        sel = kp == r
+                        # each (s, r) slice column-major, as v[:, keep] is for
+                        # one block, so that BLAS sums in the same order
+                        vk_t = np.ascontiguousarray(vp[sel][:, :, s - r :].transpose(0, 2, 1))
+                        vk = vk_t.transpose(0, 2, 1)
+                        inv_root = (vk / np.sqrt(wp[sel][:, None, s - r :])) @ vk_t
+                        block[sel] = inv_root @ s1_blocks[sel] @ inv_root - (vk @ vk_t) / n
+                    block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
+                    at = span.stop
+            rows[at:] = cols[at:] = lone
+            vals[at:] = 1 / n
+            mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
+            mat.eliminate_zeros()
             self._cache["povm"] = mat
         return self._cache["povm"]
+
+    def _gather_table(self):
+        """POVM entries whose row and column spectator digits (A_2..A_N) agree.
+
+        Sorted by (row C digit b, column C digit a), with offsets per (b, a);
+        each entry keeps its A_1 digits (p of the row, q of the column) and its
+        value times the spectator thermal product prod_k chi_x(r_k).
+        """
+        if "gather" not in self._cache:
+            m = self.povm_sparse()
+            d, n = self.levels, self.ports
+            dn, ds = d**n, d ** (n - 1)
+            rows = np.repeat(np.arange(self.dim, dtype=np.int32), np.diff(m.indptr))
+            hit = rows % ds == m.indices % ds
+            rows, cols = rows[hit], m.indices[hit]
+            chi_x = chi_vector(self.params.lambda_x, d)
+            thermal = np.ones(1)
+            for _ in range(n - 1):
+                thermal = np.multiply.outer(thermal, chi_x).ravel()
+            vals = m.data[hit] * thermal[rows % ds]
+            key = (rows // dn) * d + cols // dn
+            order = np.argsort(key, kind="stable")
+            offsets = np.searchsorted(key[order], np.arange(d * d + 1))
+            p = (rows[order] // ds) % d
+            q = (cols[order] // ds) % d
+            self._cache["gather"] = (offsets, p, q, vals[order])
+        return self._cache["gather"]
 
 
 # ---------------------------------------------------------------------------
@@ -293,33 +391,25 @@ def reduced_resource(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     return FockOperator(permute_modes(mat, perm, d), n + 2, proto.cutoff)
 
 
-def _gather_subscripts(n: int) -> str:
-    rest = "".join(chr(ord("r") + k) for k in range(n - 1))
-    return f"p{rest}q{rest},{','.join(rest)}->qp" if rest else "pq->qp"
-
-
 def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     """Channel output for |a><b| straight from the protocol: N times the
     partial trace of the measurement against the reduced resource.
 
-    The spectator thermal factors are contracted index-wise instead of
-    materializing the resource on all N+2 modes, which is the same trace
-    evaluated in a fixed basis.
+    The resource fixes C to (a, b), ties A_1 to the output mode, and is
+    diagonal in the spectators A_2..A_N with thermal weights chi_x.  So the
+    trace reads only the measurement entries with row C = b, column C = a
+    and equal spectator digits; these come from the sparse measurement's
+    gather table and are summed into the output with no dense slice made.
     """
     d, n = proto.levels, proto.ports
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
     proto._require(proto.working_set_mb(), "channel gather")
-    m = proto.povm_sparse()
-    dn = d**n
-    block = m[b * dn : (b + 1) * dn, a * dn : (a + 1) * dn].toarray()
-    tensor = block.reshape((d,) * (2 * n))
+    offsets, p, q, vals = proto._gather_table()
+    span = slice(offsets[b * d + a], offsets[b * d + a + 1])
+    gathered = np.zeros((d, d))
+    np.add.at(gathered, (q[span], p[span]), vals[span])
     lx = proto.params.lambda_x
-    chi_x = chi_vector(lx, d)
-    if n == 1:
-        raise ValueError("at least two ports are required")
-    operands = [tensor] + [chi_x] * (n - 1)
-    gathered = np.einsum(_gather_subscripts(n), *operands)
     signs = (-lx) ** np.arange(d)
     out = n * (1 - lx**2) * np.outer(signs, signs) * gathered
     return FockOperator(out.astype(complex), 1, proto.cutoff, meta=proto.eigenvalue_census())
@@ -344,6 +434,10 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
     """
     if a_max >= proto.levels or b_max >= proto.levels:
         raise ValueError("element range exceeds the cutoff")
+    if a_max < 0 or b_max < 0:
+        raise ValueError(f"element range must be non-negative, got a_max={a_max}, b_max={b_max}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
     t0 = time.perf_counter()
     analytic = _analytic_reference(proto)
     rows = []

@@ -229,6 +229,29 @@ class TestOracleVerify:
         )
         assert code == EXIT_BUDGET
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--a-max", "-1"],
+            ["--b-max", "-1"],
+            ["--tol", "nan"],
+            ["--tol", "-1"],
+            ["--mem-budget", "nan"],
+            ["--mem-budget", "-5"],
+        ],
+    )
+    def test_bad_input_is_validation_error(self, tmp_path, extra):
+        code, out = run(
+            tmp_path, "oracle-verify", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "4", *extra,
+        )
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+
+    def test_non_finite_budget_from_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "nan")
+        code, _ = run(tmp_path, "oracle-verify", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "4")
+        assert code == EXIT_VALIDATION
+
 
 class TestTableFormat:
     def test_deterministic_modulo_timestamp(self, tmp_path):

@@ -1,11 +1,15 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
-from cvpbt.fock import Cutoff, chi, permute_modes
+from cvpbt.fock import Cutoff, chi, chi_vector, permute_modes
 from cvpbt.nport import ThreePortChannel
 from cvpbt.oracle import (
+    DEFAULT_BUDGET_MB,
     MemoryBudgetError,
     TruncatedProtocol,
     brute_channel_element,
@@ -249,3 +253,168 @@ class TestReport:
         proto = TruncatedProtocol(ChannelParams(0.5, 0.5), Cutoff(4))
         report = verification_report(proto, 2, 2, tol=1e-6)
         assert not report["passed"]
+
+
+# -- per-block references for the stacked oracle stages ----------------------
+
+
+def components_per_block(proto):
+    """One eigh per component, components in order of their smallest member."""
+    rho = proto.rho_sparse()
+    pattern = rho.copy()
+    pattern.data = np.ones_like(pattern.data)
+    _, labels = csgraph.connected_components(pattern, directed=False)
+    groups = {}
+    for idx, lab in enumerate(labels):
+        groups.setdefault(int(lab), []).append(idx)
+    blocks, max_eig = [], 0.0
+    for members in groups.values():
+        if len(members) == 1:
+            continue
+        idx = np.asarray(members, dtype=np.int64)
+        w, v = np.linalg.eigh(rho[idx][:, idx].toarray())
+        blocks.append((idx, w, v))
+        max_eig = max(max_eig, float(w.max()))
+    return blocks, max_eig
+
+
+def povm_per_block(proto, blocks, max_eig):
+    s1 = proto.sigma_sparse(1)
+    n = proto.ports
+    rows, cols, vals = [], [], []
+    for idx, w, v in blocks:
+        keep = w > proto.kernel_tol * max_eig
+        vk = v[:, keep]
+        inv_root = (vk / np.sqrt(w[keep])) @ vk.T
+        block = inv_root @ s1[idx][:, idx].toarray() @ inv_root - (vk @ vk.T) / n
+        rr, cc = np.meshgrid(idx, idx, indexing="ij")
+        rows.append(rr.ravel())
+        cols.append(cc.ravel())
+        vals.append(block.ravel())
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(proto.dim, proto.dim),
+    ).tocsr()
+    return mat + sp.identity(proto.dim, format="csr") / n
+
+
+def census_per_block(proto, blocks, max_eig):
+    lo, hi = proto.kernel_tol * max_eig, 1e-6 * max_eig
+    kernel = proto.dim - sum(len(idx) for idx, _, _ in blocks)
+    kernel += sum(int((w <= lo).sum()) for _, w, _ in blocks)
+    suspect = sum(int(((w > lo) & (w <= hi)).sum()) for _, w, _ in blocks)
+    support = sum(int((w > hi).sum()) for _, w, _ in blocks)
+    return {"kernel": kernel, "suspect": suspect, "support": support, "max_eigenvalue": max_eig}
+
+
+def element_from_dense_slice(a, b, proto):
+    """The channel element from a dense (D^N)^2 slice of the measurement."""
+    d, n = proto.levels, proto.ports
+    dn = d**n
+    lx = proto.params.lambda_x
+    block = proto.povm_sparse()[b * dn : (b + 1) * dn, a * dn : (a + 1) * dn].toarray()
+    rest = "".join(chr(ord("r") + k) for k in range(n - 1))
+    gathered = np.einsum(
+        f"p{rest}q{rest},{','.join(rest)}->qp", block.reshape((d,) * (2 * n)), *[chi_vector(lx, d)] * (n - 1)
+    )
+    signs = (-lx) ** np.arange(d)
+    return n * (1 - lx**2) * np.outer(signs, signs) * gathered
+
+
+STACK_POINTS = [(3, 6, 0.5, 0.4), (4, 4, 0.3, 0.35)]
+
+
+@pytest.mark.parametrize("ports,d,lx,ly", STACK_POINTS)
+class TestStackedStages:
+    def test_components_bitwise_per_block(self, ports, d, lx, ly):
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        ref, ref_max = components_per_block(proto)
+        blocks, max_eig = proto._components()
+        assert max_eig == ref_max
+        assert len(blocks) == len(ref)
+        for (idx, w, v), (ridx, rw, rv) in zip(blocks, ref):
+            assert np.array_equal(idx, ridx)
+            assert np.array_equal(w, rw)
+            assert np.array_equal(v, rv)
+
+    def test_povm_bitwise_per_block(self, ports, d, lx, ly):
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        ref = povm_per_block(proto, *components_per_block(proto))
+        mat = proto.povm_sparse()
+        assert np.array_equal(mat.indptr, ref.indptr)
+        assert np.array_equal(mat.indices, ref.indices)
+        assert np.array_equal(mat.data, ref.data)
+
+    def test_census_unchanged(self, ports, d, lx, ly):
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        assert proto.eigenvalue_census() == census_per_block(proto, *components_per_block(proto))
+
+    def test_gather_matches_dense_slice(self, ports, d, lx, ly):
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        for a in range(d):
+            for b in range(d):
+                gathered = brute_channel_element(a, b, proto).matrix
+                assert np.abs(gathered - element_from_dense_slice(a, b, proto)).max() < 1e-14
+
+
+# -- reach and the declared working set ---------------------------------------
+
+
+@pytest.fixture(scope="module")
+def traced_report():
+    """verification_report(proto, 3, 3) under tracemalloc, once per point."""
+    runs = {}
+
+    def run(ports, d, lam):
+        if (ports, d, lam) not in runs:
+            proto = TruncatedProtocol(ChannelParams(lam, lam, ports=ports), Cutoff(d))
+            tracemalloc.start()
+            try:
+                report = verification_report(proto, 3, 3)
+                peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            runs[ports, d, lam] = (proto, report, peak_mb)
+        return runs[ports, d, lam]
+
+    return run
+
+
+def test_five_ports_within_default_budget(traced_report, monkeypatch):
+    monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+    proto, report, _ = traced_report(5, 6, 0.25)
+    assert proto.mem_budget_mb == DEFAULT_BUDGET_MB
+    assert report["passed"]
+    assert report["max_deviation"] < 1e-6
+
+
+@pytest.mark.parametrize("ports,d,lam", [(3, 16, 0.3), (4, 9, 0.25), (5, 6, 0.25)])
+def test_working_set_bounds_traced_peak(traced_report, ports, d, lam):
+    proto, _, peak_mb = traced_report(ports, d, lam)
+    declared = proto.working_set_mb()
+    assert peak_mb <= declared <= 4 * peak_mb
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("a_max,b_max", [(-1, 1), (1, -1)])
+    def test_negative_element_range(self, a_max, b_max):
+        proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4))
+        with pytest.raises(ValueError):
+            verification_report(proto, a_max, b_max)
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_bad_tolerance(self, tol):
+        proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4))
+        with pytest.raises(ValueError):
+            verification_report(proto, 1, 1, tol=tol)
+
+    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -5.0, 0.0])
+    def test_bad_budget(self, budget):
+        with pytest.raises(ValueError):
+            TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4), mem_budget_mb=budget)
+
+    @pytest.mark.parametrize("raw", ["nan", "-5", "inf"])
+    def test_bad_budget_from_environment(self, raw, monkeypatch):
+        monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", raw)
+        with pytest.raises(ValueError):
+            TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4))
