@@ -7,12 +7,23 @@ and the two-channel discrimination bound built from channel simulation.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, FockOperator, as_cutoff, chi, coherent_ket, pure_density, thermal_state
+from .fock import (
+    DensityOperator,
+    FockOperator,
+    _abs2,
+    _per_point,
+    as_cutoff,
+    chi,
+    coherent_ket,
+    pure_density,
+    thermal_state,
+)
 from .two_port import ChannelParams, Regime, _inv_root, omega, regime
 
 __all__ = [
@@ -38,33 +49,34 @@ def lossy_apply(alpha: complex, transmissivity: float, cutoff) -> DensityOperato
     return pure_density(coherent_ket(math.sqrt(transmissivity) * alpha, cutoff))
 
 
-def lossy_diamond_bound_positive(energy: float, params: ChannelParams) -> float:
+def _check_energies(energy):
+    values = np.asarray(energy)
+    bad = ~((0 <= values) & (values < math.inf))
+    if bad.any():
+        raise ValueError(f"energy constraint must be finite and nonnegative, got {values[bad].flat[0]}")
+
+
+def lossy_diamond_bound_positive(energy, params: ChannelParams):
     """Energy-constrained diamond-norm bound against the matched lossy channel.
 
     Valid in the positive regime only, where the bound is
-    2 (1 - exp(-E (1 - tau)) g Omega).
+    2 (1 - exp(-E (1 - tau)) g Omega).  An array of energies shares one
+    evaluation of Omega.
     """
-    if not 0 <= energy < math.inf:
-        raise ValueError(f"energy constraint must be finite and nonnegative, got {energy}")
+    _check_energies(energy)
     if regime(params) is not Regime.POSITIVE:
         raise ValueError(
             "parameters fall in the negative regime; use lossy_diamond_bound_negative"
         )
     om, _ = omega(params)
-    return 2 * (1 - math.exp(-energy * (1 - params.tau)) * params.g * om)
+    g, tau = params.g, params.tau
+    return _per_point(lambda e: 2 * (1 - math.exp(-e * (1 - tau)) * g * om), energy)
 
 
-def negative_regime_t_bound(u, params: ChannelParams):
-    """Radial trace-norm bound T(u), u = r^2, from the three-term split.
-
-    The m = 0 diagonal term is carried separately so the bound stays
-    finite for small lambda_y; the price is an extra pure-state distance
-    term that vanishes at u = 0.  `u` may be an array, whose points share
-    one evaluation of Omega.
-    """
+def _t_bound(u, params: ChannelParams, om: float):
+    """T(u) of `negative_regime_t_bound` for a given Omega."""
     lx = params.lambda_x
     g, tau = params.g, params.tau
-    om, _ = omega(params)
     chi0 = chi(lx, 0)
     inv0 = _inv_root(params.lambda_y, 0)
     om_prime = om - chi0 * inv0
@@ -76,28 +88,59 @@ def negative_regime_t_bound(u, params: ChannelParams):
     return t if t.ndim else float(t)
 
 
+def negative_regime_t_bound(u, params: ChannelParams):
+    """Radial trace-norm bound T(u), u = r^2, from the three-term split.
+
+    The m = 0 diagonal term is carried separately so the bound stays
+    finite for small lambda_y; the price is an extra pure-state distance
+    term that vanishes at u = 0.  `u` may be an array, whose points share
+    one evaluation of Omega.
+    """
+    om, _ = omega(params)
+    return _t_bound(u, params, om)
+
+
+def _pops(x1, y1, x2, y2, x3, y3) -> bool:
+    """Whether the middle point lies on or below the chord of its neighbours."""
+    return (y2 - y1) * (x3 - x2) <= (y3 - y2) * (x2 - x1)
+
+
 def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray):
     """Vertices of the upper concave hull of the sampled points."""
     order = np.argsort(xs)
     xs, ys = xs[order], ys[order]
+    px, py = xs.tolist(), ys.tolist()
     hull = []  # indices into sorted arrays
-    for i in range(len(xs)):
-        while len(hull) >= 2:
-            x1, y1 = xs[hull[-2]], ys[hull[-2]]
-            x2, y2 = xs[hull[-1]], ys[hull[-1]]
-            x3, y3 = xs[i], ys[i]
-            # pop middle point when it lies on or below the chord
-            if (y2 - y1) * (x3 - x2) <= (y3 - y2) * (x2 - x1):
-                hull.pop()
-            else:
-                break
+    for i in range(len(px)):
+        while len(hull) >= 2 and _pops(px[hull[-2]], py[hull[-2]], px[hull[-1]], py[hull[-1]], px[i], py[i]):
+            hull.pop()
         hull.append(i)
     return xs[hull], ys[hull]
 
 
-def lossy_diamond_bound_negative(
-    energy: float, params: ChannelParams, grid_points: int = 4096
-) -> float:
+def _inserted_vertex(e: float, t: float, hx: list, hy: list):
+    """Where (e, t) sits once it joins samples with upper hull (hx, hy) that
+    lack e: the number of vertices kept left of it, or None when a vertex
+    to its right pops it, which leaves the hull as it was.
+
+    The point goes in where the monotone chain would put it, and the
+    chain's own test decides which neighbours it pops and whether it is
+    popped; vertices farther out are never touched.
+    """
+    k = bisect.bisect_left(hx, e)  # hx[k - 1] < e < hx[k]
+    left = k
+    while left >= 2 and _pops(hx[left - 2], hy[left - 2], hx[left - 1], hy[left - 1], e, t):
+        left -= 1
+    right = k
+    while not _pops(hx[left - 1], hy[left - 1], e, t, hx[right], hy[right]):
+        if right + 1 < len(hx) and _pops(e, t, hx[right], hy[right], hx[right + 1], hy[right + 1]):
+            right += 1
+        else:
+            return left
+    return None
+
+
+def lossy_diamond_bound_negative(energy, params: ChannelParams, grid_points: int = 4096):
     """Negative-regime energy-constrained bound against the matched lossy channel.
 
     The admissible radial distributions are mean-constrained in u = r^2
@@ -107,9 +150,13 @@ def lossy_diamond_bound_negative(
     envelope is built on a geometric grid extended until T sits within
     1e-9 of its asymptote, with the requested energy always included as
     a grid point.
+
+    An array of energies shares one evaluation of Omega and one envelope
+    per distinct grid (an energy above the asymptote term ends its own
+    grid).  Each energy then joins its grid's envelope by a local
+    insertion, which gives the same bits as a rebuild with it included.
     """
-    if not 0 <= energy < math.inf:
-        raise ValueError(f"energy constraint must be finite and nonnegative, got {energy}")
+    _check_energies(energy)
     if regime(params) is not Regime.NEGATIVE:
         raise ValueError("parameters fall in the positive regime; use lossy_diamond_bound_positive")
     g, tau = params.g, params.tau
@@ -119,16 +166,28 @@ def lossy_diamond_bound_negative(
     om_prime = om - chi0 * inv0
     # |T(u) - 2| <= exp(-u (1 - tau)) * amp
     amp = 2 * g * (abs(om_prime) + chi0 * inv0)
-    u_max = max(1.0, energy, math.log(max(amp, 1e-12) / 1e-9) / (1 - tau))
-    grid = np.concatenate(
-        ([0.0], np.geomspace(u_max * 1e-8, u_max, grid_points), [energy])
-    )
-    grid = np.unique(grid)
-    values = negative_regime_t_bound(grid, params)
-    hx, hy = _upper_concave_envelope(grid, values)
-    at_energy = float(np.interp(energy, hx, hy))
-    before = hy[hx <= energy]
-    return max(at_energy, float(before.max())) if before.size else at_energy
+    floor = max(1.0, math.log(max(amp, 1e-12) / 1e-9) / (1 - tau))
+    energies = np.asarray(energy, dtype=float)
+    flat = energies.ravel()
+    at = np.atleast_1d(_t_bound(flat, params, om)).tolist()
+    u_max = np.maximum(floor, flat)
+    out = np.empty(flat.shape)
+    for top in np.unique(u_max).tolist():
+        grid = np.unique(np.concatenate(([0.0], np.geomspace(top * 1e-8, top, grid_points))))
+        hx, hy = _upper_concave_envelope(grid, _t_bound(grid, params, om))
+        peak = np.maximum.accumulate(hy).tolist()  # running maximum over the vertices
+        px, py = hx.tolist(), hy.tolist()
+        mine = np.flatnonzero(u_max == top)
+        lines = np.interp(flat[mine], hx, hy).tolist()  # the hull at e, where e is no vertex
+        on_grid = np.isin(flat[mine], grid).tolist()
+        for i, line, known in zip(mine.tolist(), lines, on_grid):
+            e, t = float(flat[i]), at[i]
+            left = None if known else _inserted_vertex(e, t, px, py)
+            if left is None:
+                out[i] = max(line, peak[bisect.bisect_right(px, e) - 1])
+            else:  # the envelope passes through (e, t) after px[:left]
+                out[i] = max(t, peak[left - 1])
+    return out.reshape(energies.shape) if energies.ndim else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -158,7 +217,7 @@ class EdrcParams:
 
 def edrc_apply(alpha: complex, p: EdrcParams, cutoff) -> DensityOperator:
     cutoff = as_cutoff(cutoff)
-    w = math.exp(-p.kappa * abs(alpha) ** 2) * p.f
+    w = math.exp(-p.kappa * _abs2(alpha)) * p.f
     if w > 1 + 1e-12:
         raise ValueError(f"replacement weight {w:.6f} outside [0, 1]; parameters are unphysical")
     w = min(w, 1.0)

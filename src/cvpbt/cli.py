@@ -156,13 +156,9 @@ def cmd_twoport_coherent(args) -> tuple[ResultTable, int]:
 
 
 def cmd_energy(args) -> tuple[ResultTable, int]:
-    lx_grid = _parse_range(args.lambda_x_range)
-    ly_grid = _parse_range(args.lambda_y_range)
-    rows = [
-        [lx, ly, two_port.max_output_energy(two_port.ChannelParams(lx, ly), tol=args.tol)]
-        for lx in lx_grid
-        for ly in ly_grid
-    ]
+    grid = two_port.ChannelParams.grid(_parse_range(args.lambda_x_range), _parse_range(args.lambda_y_range))
+    energies = two_port.max_output_energy(grid, tol=args.tol)
+    rows = [list(row) for row in zip(grid.lambda_x, grid.lambda_y, energies)]
     table = ResultTable(
         ["lambda_x", "lambda_y", "max_energy"],
         rows,
@@ -191,10 +187,10 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
             raise ValueError("--energy-range is required for the lossy bound")
         energies = _parse_range(args.energy_range)
         if reg is two_port.Regime.POSITIVE:
-            values = [bounds.lossy_diamond_bound_positive(e, params) for e in energies]
+            values = bounds.lossy_diamond_bound_positive(energies, params)
             meta["variant"] = "positive"
         else:
-            values = [bounds.lossy_diamond_bound_negative(e, params) for e in energies]
+            values = bounds.lossy_diamond_bound_negative(energies, params)
             meta["variant"] = "negative-envelope"
         rows = [[e, v] for e, v in zip(energies, values)]
         return ResultTable(["energy", "bound"], rows, meta), EXIT_OK
@@ -215,20 +211,17 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
 
 
 def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
-    lx_grid = _parse_range(args.lambda_x_range)
-    ly_grid = _parse_range(args.lambda_y_range)
-    rows = []
-    for lx in lx_grid:
-        for ly in ly_grid:
-            params = two_port.ChannelParams(lx, ly, ports=args.ports)
-            fid, meta = nport.input_output_fidelity(
-                args.input,
-                params,
-                lambda_in=args.lambda_in,
-                levels=args.cutoff,
-                cap=args.cap,
-            )
-            rows.append([lx, ly, fid, meta["cap"]])
+    grid = two_port.ChannelParams.grid(
+        _parse_range(args.lambda_x_range), _parse_range(args.lambda_y_range), ports=args.ports
+    )
+    options = {"lambda_in": args.lambda_in, "levels": args.cutoff, "cap": args.cap}
+    if args.ports == 2:  # the closed form takes the whole grid at once
+        fids, meta = nport.input_output_fidelity(args.input, grid, **options)
+        caps = [meta["cap"]] * len(fids)
+    else:
+        results = [nport.input_output_fidelity(args.input, p, **options) for p in grid.points()]
+        fids, caps = [fid for fid, _ in results], [meta["cap"] for _, meta in results]
+    rows = [list(row) for row in zip(grid.lambda_x, grid.lambda_y, fids, caps)]
     table = ResultTable(
         ["lambda_x", "lambda_y", "fidelity", "cap"],
         rows,

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import DensityOperator, FockOperator, as_cutoff, chi_vector
-from .two_port import ChannelParams, _diag_tail_bound, _inv_root, omega
+from .fock import DensityOperator, FockOperator, _per_point, as_cutoff, chi_vector
+from .two_port import _BLOCK_ELEMS, ChannelParams, _diag_tail_bound, _inv_root, omega
 
 __all__ = [
     "MARKER",
@@ -420,7 +420,8 @@ class NPortChannel:
     one arrangement layout, so they are handled as stacked batches whose
     Gammas come from one stacked `eigh` or from `gammas` (keyed by
     multiset, canonical arrangement coordinates);
-    `closed_two_port` builds the sums from the two-port closed form.
+    `closed_two_port` builds the sums from the two-port closed form, which
+    also takes a parameter grid: `arrays` then stacks C and T over it.
     """
 
     def __init__(self, params: ChannelParams, cap: int | None = None, gammas=None):
@@ -467,35 +468,52 @@ class NPortChannel:
     @classmethod
     def closed_two_port(cls, params: ChannelParams) -> "NPortChannel":
         """Two-port channel from the closed form: no cap, Omega for the sum
-        shared by all levels and one analytic term per level."""
+        shared by all levels and one analytic term per level.  `params` may
+        be a parameter grid, whose Omegas come from one pass."""
         if params.ports != 2:
             raise ValueError("the closed form is the two-port case")
         channel = cls.__new__(cls)
         channel.params, channel.cap, channel.sectors = params, None, []
         om, channel._omega_tail = omega(params)
-        channel._base = om / (2 * (1 - params.lambda_x**2))
+        channel._base = om / _per_point(lambda lx: 2 * (1 - lx**2), params.lambda_x)
+        return channel
+
+    def _subgrid(self, index) -> "NPortChannel":
+        """The closed-form channel on the points `index` of the flattened
+        parameter grid, sharing the grid's Omegas."""
+        p = self.params
+        channel = self.__class__.__new__(self.__class__)
+        channel.params = ChannelParams(np.ravel(p.lambda_x)[index], np.ravel(p.lambda_y)[index], p.ports)
+        channel.cap, channel.sectors = None, []
+        channel._base, channel._omega_tail = np.ravel(self._base)[index], np.ravel(self._omega_tail)[index]
         return channel
 
     def _sums(self, levels: int):
-        """S and F on levels 0..levels-1, F with its diagonal unset."""
+        """S and F on levels 0..levels-1, F with its diagonal unset; stacked
+        over the leading axes of a parameter grid."""
         if self.cap is None:  # two-port closed form: sector {m} adds only to level m
             m = np.arange(levels)
-            own = -0.5 * self.params.lambda_x ** (2 * m) * _inv_root(self.params.lambda_y, m)
-            return self._base + np.diag(own), np.tile(own, (levels, 1))
+            lx, ly = (np.expand_dims(v, -1) for v in (self.params.lambda_x, self.params.lambda_y))
+            own = -0.5 * lx ** (2 * m) * _inv_root(ly, m)
+            s = np.expand_dims(self._base, (-2, -1)) + own[..., None] * np.eye(levels)
+            return s, np.repeat(own[..., None, :], levels, axis=-2)
         ix = np.ix_(*[np.minimum(np.arange(levels), self.cap + 1)] * 2)
         return self._s[ix], self._f[ix]
 
     def arrays(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
-        """(C, T) on levels 0..levels-1, with a zero diagonal in C."""
+        """(C, T) on levels 0..levels-1, with a zero diagonal in C; over a
+        parameter grid, stacks of them along its leading axes."""
         p = self.params
-        lx, n = p.lambda_x, p.ports
+        n = p.ports
         s, f = self._sums(levels)
-        np.fill_diagonal(f, np.diag(s))
-        c0 = n * (1 - lx**2) ** n * (1 - p.lambda_y**2)
-        q = (lx * p.lambda_y) ** np.arange(levels)
-        c = c0 * np.outer(q, q) * s
-        np.fill_diagonal(c, 0.0)
-        return c, chi_vector(lx, levels) + c0 * (q * q)[:, None] * f
+        diag = np.arange(levels)
+        f[..., diag, diag] = s[..., diag, diag]
+        c0 = _per_point(lambda lx, ly: n * (1 - lx**2) ** n * (1 - ly**2), p.lambda_x, p.lambda_y)
+        c0 = np.expand_dims(c0, (-2, -1))
+        q = np.expand_dims(p.lambda_x * p.lambda_y, -1) ** np.arange(levels)
+        c = c0 * (q[..., :, None] * q[..., None, :]) * s
+        c[..., diag, diag] = 0.0
+        return c, np.expand_dims(chi_vector(p.lambda_x, levels), -2) + c0 * (q * q)[..., :, None] * f
 
     def offdiag_coefficient(self, a: int, b: int) -> float:
         """Real scaling of |a><b| in the output for an |a><b| input, a != b."""
@@ -551,9 +569,12 @@ def ThreePortChannel(params: ChannelParams, cap: int | None = None) -> NPortChan
 
 
 def make_channel(params: ChannelParams, cap: int | None = None) -> NPortChannel:
-    """Closed forms at two (no cap) and three ports, numeric Gammas beyond."""
+    """Closed forms at two (no cap) and three ports, numeric Gammas beyond.
+    Only the two-port closed form takes a parameter grid."""
     if params.ports == 2:
         return NPortChannel.closed_two_port(params)
+    if np.ndim(params.lambda_x):
+        raise ValueError("a parameter grid is evaluated by the two-port closed form only")
     if params.ports == 3:
         return ThreePortChannel(params, cap)
     return NPortChannel(params, cap)
@@ -616,7 +637,8 @@ def input_output_fidelity(
     kind 'tmsv' needs `lambda_in` in [0, 1) and an output truncation of at
     least two levels; 'bell2' and 'bell3' compare on the exact code
     subspace, which the channel maps outside of only diagonally, and ignore
-    both.  Returns (fidelity, metadata).
+    both.  Returns (fidelity, metadata); over a two-port parameter grid the
+    fidelity is an array, each entry bitwise the one its point gets alone.
     """
     if kind == "tmsv":
         if lambda_in is None or levels is None:
@@ -635,6 +657,24 @@ def input_output_fidelity(
         raise ValueError(f"unknown input kind {kind!r}")
     if channel is None:
         channel = make_channel(params, cap)
-    c, t = channel.arrays(levels)
-    fid = norm * (w @ c @ w + w**2 @ t.diagonal())
-    return float(fid), {"levels": levels, "cap": channel.cap, "input_tail": input_tail}
+    shape = np.shape(channel.params.lambda_x)
+    if shape:  # slices of the grid, so the stacked level x level arrays stay small
+        step = max(1, _BLOCK_ELEMS // levels**2)
+        parts = [_fidelity(channel._subgrid(slice(i, i + step)), w, norm) for i in range(0, math.prod(shape), step)]
+        fid = np.concatenate(parts).reshape(shape)
+    else:
+        fid = float(_fidelity(channel, w, norm))
+    return fid, {"levels": levels, "cap": channel.cap, "input_tail": input_tail}
+
+
+def _fidelity(channel: NPortChannel, w: np.ndarray, norm: float):
+    """norm * (w C w + w^2 . diag T) on the levels of w."""
+    c, t = channel.arrays(len(w))
+    return norm * (_dot(np.matmul(w, c), w) + _dot(w**2, np.diagonal(t, axis1=-2, axis2=-1)))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u . v along the last axis, stacked over the leading ones.  Each is a
+    row-times-column matmul, which numpy sums as a one-point dot product
+    does; a stacked matrix-vector product can sum in another order."""
+    return np.matmul(u[..., None, :], v[..., :, None])[..., 0, 0]

@@ -119,10 +119,13 @@ class TruncatedProtocol:
         the cached eigenvectors (8 bytes), and an allowance for the sparse
         rho, the component index arrays and the batch temporaries, which
         weigh most where dim is large against sum(s^2) (36 bytes).
+        Computed once per protocol.
         """
-        sizes = np.bincount(self._labels())
-        entries = float((sizes[sizes > 1] ** 2).sum()) + self.dim
-        return _BYTES_PER_ENTRY * entries / 2**20
+        if "working_set_mb" not in self._cache:
+            sizes = np.bincount(self._labels())
+            entries = float((sizes[sizes > 1] ** 2).sum()) + self.dim
+            self._cache["working_set_mb"] = _BYTES_PER_ENTRY * entries / 2**20
+        return self._cache["working_set_mb"]
 
     def _require(self, mb: float, what: str):
         if mb > self.mem_budget_mb:
@@ -233,17 +236,23 @@ class TruncatedProtocol:
         return self._cache["components"]
 
     def eigenvalue_census(self) -> dict:
-        """Counts of kernel / suspect-band / support eigenvalues of rho."""
-        blocks, max_eig = self._components()
-        kernel = suspect = support = 0
-        for _, w, _ in blocks:
-            kernel += int((w <= self.kernel_tol * max_eig).sum())
-            band = (w > self.kernel_tol * max_eig) & (w <= SUSPECT_BAND * max_eig)
-            suspect += int(band.sum())
-            support += int((w > SUSPECT_BAND * max_eig).sum())
-        explicit = sum(len(idx) for idx, _, _ in blocks)
-        kernel += self.dim - explicit  # singleton components
-        return {"kernel": kernel, "suspect": suspect, "support": support, "max_eigenvalue": max_eig}
+        """Counts of kernel / suspect-band / support eigenvalues of rho.
+
+        Counted once per protocol; each call returns its own copy."""
+        if "census" not in self._cache:
+            blocks, max_eig = self._components()
+            kernel = suspect = support = 0
+            for _, w, _ in blocks:
+                kernel += int((w <= self.kernel_tol * max_eig).sum())
+                band = (w > self.kernel_tol * max_eig) & (w <= SUSPECT_BAND * max_eig)
+                suspect += int(band.sum())
+                support += int((w > SUSPECT_BAND * max_eig).sum())
+            explicit = sum(len(idx) for idx, _, _ in blocks)
+            kernel += self.dim - explicit  # singleton components
+            self._cache["census"] = {
+                "kernel": kernel, "suspect": suspect, "support": support, "max_eigenvalue": max_eig
+            }
+        return dict(self._cache["census"])
 
     def povm_sparse(self) -> sp.csr_matrix:
         """First measurement element: inverse-root sandwich of sigma_1 plus the

@@ -188,6 +188,11 @@ class TestEdrc:
 
         assert np.abs(out.matrix - thermal_state(0.5, Cutoff(20)).matrix).max() < 1e-12
 
+    def test_overflowing_amplitude_is_refused(self):
+        ep = EdrcParams.matched(ChannelParams(0.5, 0.5))
+        with pytest.raises(ValueError, match="overflows"):
+            edrc_apply(1e200, ep, Cutoff(5))
+
     def test_rejects_superunit_weight(self):
         ep = EdrcParams(kappa=0.0, f=1.5, tau=0.1, h=0.1)
         with pytest.raises(ValueError):

@@ -57,6 +57,15 @@ class TestTwoPortCoherent:
         code, _ = run(tmp_path, "twoport-coherent", "--lambda-x", "1.5", "--lambda-y", "0.5")
         assert code == EXIT_VALIDATION
 
+    def test_overflowing_amplitude_is_validation_error(self, tmp_path, capsys):
+        code, out = run(
+            tmp_path, "twoport-coherent", "--lambda-x", "0.5", "--lambda-y", "0.5", "--alpha", "1e200", "--cutoff", "5",
+        )
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "overflows" in err and "Traceback" not in err
+
 
 class TestEnergy:
     def test_zero_resource_row(self, tmp_path):

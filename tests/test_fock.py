@@ -74,6 +74,11 @@ class TestStates:
         assert k.amplitudes[0] == 1.0
         assert np.all(k.amplitudes[1:] == 0)
 
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308)])
+    def test_coherent_overflowing_amplitude_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="overflows"):
+            coherent_ket(alpha, Cutoff(5))
+
     def test_coherent_norm_and_amplitude(self):
         k = coherent_ket(1.0, Cutoff(30))
         assert k.norm() ** 2 == pytest.approx(1.0, abs=1e-12)

@@ -349,6 +349,26 @@ class TestStackedStages:
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         assert proto.eigenvalue_census() == census_per_block(proto, *components_per_block(proto))
 
+    def test_cached_census_and_elements_bitwise(self, ports, d, lx, ly):
+        params = ChannelParams(lx, ly, ports=ports)
+        proto = TruncatedProtocol(params, Cutoff(d))
+        census = census_per_block(proto, *components_per_block(proto))
+        sizes = np.bincount(proto._labels())
+        working_set = 72 * (float((sizes[sizes > 1] ** 2).sum()) + proto.dim) / 2**20
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            assert proto.eigenvalue_census() == census
+            assert proto.working_set_mb() == working_set
+        elements = []
+        for a in range(2):
+            for b in range(2):
+                cached = brute_channel_element(a, b, proto)
+                fresh = brute_channel_element(a, b, TruncatedProtocol(params, Cutoff(d)))
+                assert np.array_equal(cached.matrix, fresh.matrix)
+                assert cached.meta == fresh.meta == census
+                elements.append(cached)
+        elements[0].meta["kernel"] = -1  # each element holds its own copy
+        assert elements[1].meta == proto.eigenvalue_census() == census
+
     def test_gather_matches_dense_slice(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         for a in range(d):

@@ -139,6 +139,10 @@ class TestNumberElement:
 
 
 class TestCoherent:
+    def test_overflowing_amplitude_is_refused(self):
+        with pytest.raises(ValueError, match="overflows"):
+            apply_coherent(1e200, ChannelParams(0.5, 0.5), Cutoff(5))
+
     def test_alpha_zero_structure(self):
         p = ChannelParams(0.5, 0.5)
         st = apply_coherent(0, p, Cutoff(25))
