@@ -41,14 +41,12 @@ from .bounds import (
 from .nport import (
     NPortChannel,
     ThreePortChannel,
-    apply_number_element_nport,
     apply_state_nport,
     enumerate_multisets,
     eta_basis,
     gamma,
     input_output_fidelity,
     sector_matrix,
-    three_port_apply_number_element,
 )
 from .oracle import (
     TruncatedProtocol,

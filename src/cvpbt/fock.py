@@ -8,6 +8,7 @@ throughout is (C, A_1, ..., A_N, B_1).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +32,7 @@ __all__ = [
     "mean_photon_number",
     "partial_trace",
     "permute_modes",
-    "hermitian_sqrt",
-    "hermitian_inv_sqrt",
 ]
-
-KERNEL_TOL = 1e-10  # relative eigenvalue threshold below which a mode counts as kernel
 
 
 @dataclass(frozen=True)
@@ -64,14 +61,25 @@ def adaptive_cutoff(lam: float, tol: float = 1e-12, minimum: int = 2) -> Cutoff:
 
 
 def coherent_cutoff(alpha: complex, tol: float = 1e-12, minimum: int = 2) -> Cutoff:
-    """Smallest cutoff whose Poisson tail for |alpha|**2 falls below tol."""
+    """Smallest cutoff whose Poisson tail for |alpha|**2 falls below tol.
+
+    Raises ValueError where double precision cannot tell: when the first
+    Poisson weight exp(-|alpha|^2) is not a normal float (|alpha|^2 above
+    about 708), or when the tail 1 - sum never falls below tol.
+    """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tail tolerance must be finite and positive, got {tol}")
     mu = _abs2(alpha)
     if mu == 0:
         return Cutoff(minimum)
     term = math.exp(-mu)
+    if term < sys.float_info.min:
+        raise ValueError(f"|alpha|^2 = {mu:.6g} is too large: its first Poisson weight exp(-|alpha|^2) underflows")
     cum = term
     k = 0
-    while 1 - cum >= tol and k < 100_000:
+    while 1 - cum >= tol:
+        if k == 100_000:
+            raise ValueError(f"the Poisson tail for |alpha|^2 = {mu:.6g} stays above {tol:g} in double precision")
         k += 1
         term *= mu / k
         cum += term
@@ -316,26 +324,3 @@ def permute_modes(matrix: np.ndarray, perm, levels: int) -> np.ndarray:
     dim = levels**k
     return np.ascontiguousarray(out.reshape(dim, dim))
 
-
-def hermitian_sqrt(mat: np.ndarray, kernel_tol: float = KERNEL_TOL) -> np.ndarray:
-    """PSD square root via eigendecomposition; eigenvalues below the relative
-    kernel threshold are treated as exact zeros."""
-    w, v = np.linalg.eigh(mat)
-    scale = max(w.max(), 0.0)
-    w = np.where(w > kernel_tol * scale, w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def hermitian_inv_sqrt(mat: np.ndarray, kernel_tol: float = KERNEL_TOL):
-    """Pseudo-inverse square root and kernel projector of a PSD matrix.
-
-    Returns (inv_sqrt, kernel_projector); the kernel share is decided by
-    the same relative threshold used everywhere in the package.
-    """
-    w, v = np.linalg.eigh(mat)
-    scale = max(w.max(), 0.0)
-    support = w > kernel_tol * scale
-    inv = np.where(support, 1.0 / np.sqrt(np.where(support, w, 1.0)), 0.0)
-    inv_sqrt = (v * inv) @ v.conj().T
-    kernel = (v * (~support)) @ v.conj().T
-    return inv_sqrt, kernel

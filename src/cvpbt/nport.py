@@ -35,8 +35,6 @@ __all__ = [
     "NPortChannel",
     "ThreePortChannel",
     "make_channel",
-    "apply_number_element_nport",
-    "three_port_apply_number_element",
     "apply_state_nport",
     "input_output_fidelity",
 ]
@@ -515,12 +513,6 @@ class NPortChannel:
         c[..., diag, diag] = 0.0
         return c, np.expand_dims(chi_vector(p.lambda_x, levels), -2) + c0 * (q * q)[..., :, None] * f
 
-    def offdiag_coefficient(self, a: int, b: int) -> float:
-        """Real scaling of |a><b| in the output for an |a><b| input, a != b."""
-        if a == b:
-            raise ValueError("offdiag_coefficient requires a != b")
-        return float(self.arrays(max(a, b) + 1)[0][a, b])
-
     def diagonal_profile(self, a: int, levels: int) -> np.ndarray:
         """Diagonal of the output for an |a><a| input, truncated to `levels`."""
         return self.arrays(levels)[1][a]
@@ -578,16 +570,6 @@ def make_channel(params: ChannelParams, cap: int | None = None) -> NPortChannel:
     if params.ports == 3:
         return ThreePortChannel(params, cap)
     return NPortChannel(params, cap)
-
-
-def apply_number_element_nport(a: int, b: int, params: ChannelParams, cap: int | None, cutoff) -> FockOperator:
-    """Generic-N channel action on |a><b| (multiset sums truncated at `cap`)."""
-    return NPortChannel(params, cap).number_element(a, b, cutoff)
-
-
-def three_port_apply_number_element(a: int, b: int, params: ChannelParams, cap: int | None, cutoff) -> FockOperator:
-    """Three-port channel action on |a><b| via the closed sector forms."""
-    return ThreePortChannel(params, cap).number_element(a, b, cutoff)
 
 
 def apply_state_nport(

@@ -8,9 +8,9 @@ this module the independent ground truth for the analytic ones.
 
 Everything stays sparse.  rho splits into the connected components of its
 sparsity pattern; components of one size share a stacked eigh, and the
-measurement is assembled from those stacks in one COO pass.  Each channel
-element then reads only the measurement entries that the partial trace
-keeps, from a table gathered once per protocol.
+measurement comes from those stacks one batch of blocks at a time.  Each
+channel element reads only the measurement entries that the partial trace
+keeps, from a table gathered once per protocol out of those batches.
 
 Mode order is (C, A_1, ..., A_N), C slowest; the receiver mode B_1
 joins only in the reduced resource.
@@ -43,7 +43,7 @@ __all__ = [
 
 DEFAULT_BUDGET_MB = 2048.0
 SUSPECT_BAND = 1e-6  # relative; eigenvalues between kernel_tol and this are flagged
-_BYTES_PER_ENTRY = 72  # see TruncatedProtocol.working_set_mb
+_BYTES_PER_ENTRY = 24  # see TruncatedProtocol.working_set_mb
 _CHUNK_ELEMS = 1 << 18  # block entries per stacked POVM batch, which bounds its temporaries
 
 
@@ -114,16 +114,18 @@ class TruncatedProtocol:
         """Peak of the sparse-block route, from the component sizes of rho
         before any eigendecomposition.
 
-        The measurement holds at most sum(s^2) + dim entries over components
-        of sizes s > 1.  Per entry: its COO assembly and the CSR it becomes (28 bytes),
-        the cached eigenvectors (8 bytes), and an allowance for the sparse
-        rho, the component index arrays and the batch temporaries, which
-        weigh most where dim is large against sum(s^2) (36 bytes).
-        Computed once per protocol.
+        Counted in entries of _BYTES_PER_ENTRY bytes over components of
+        sizes s > 1: sum(s^2) for the eigenvector stacks, the stacked eigh
+        input of one size group and eigh's own copies; min(sum(s^2),
+        _CHUNK_ELEMS) for the temporaries of one measurement batch; and per
+        basis index 2 * ports for the sparse rho and its sigmas, plus 8 for
+        the component labels and the gather table.  Computed once per
+        protocol.
         """
         if "working_set_mb" not in self._cache:
             sizes = np.bincount(self._labels())
-            entries = float((sizes[sizes > 1] ** 2).sum()) + self.dim
+            blocks = float((sizes[sizes > 1] ** 2).sum())
+            entries = blocks + min(blocks, _CHUNK_ELEMS) + (2 * self.ports + 8) * self.dim
             self._cache["working_set_mb"] = _BYTES_PER_ENTRY * entries / 2**20
         return self._cache["working_set_mb"]
 
@@ -170,7 +172,7 @@ class TruncatedProtocol:
     def rho_sparse(self) -> sp.csr_matrix:
         if "rho" not in self._cache:
             # at most ports * dim entries, summed from as many cached sigmas
-            self._require(_BYTES_PER_ENTRY * self.ports * self.dim / 2**20, "sparse rho")
+            self._require(_BYTES_PER_ENTRY * 2 * self.ports * self.dim / 2**20, "sparse rho")
             total = self.sigma_sparse(1)
             for i in range(2, self.ports + 1):
                 total = total + self.sigma_sparse(i)
@@ -209,7 +211,7 @@ class TruncatedProtocol:
         Returns ([(idx, w, v), ...], max_eig): one entry per component of more
         than one index, ordered by smallest member, each with its ascending
         members and eigendecomposition.  Components of equal size share one
-        stacked eigh; the stacks are kept for `povm_sparse`.
+        stacked eigh; the stacks are kept for `_povm_blocks`.
         """
         if "components" not in self._cache:
             labels = self._labels()
@@ -254,75 +256,69 @@ class TruncatedProtocol:
             }
         return dict(self._cache["census"])
 
-    def povm_sparse(self) -> sp.csr_matrix:
-        """First measurement element: inverse-root sandwich of sigma_1 plus the
-        uniform kernel share, assembled from the block stacks in one COO pass."""
-        if "povm" not in self._cache:
-            _, max_eig = self._components()
-            stacks = self._cache["stacks"]
-            s1 = self.sigma_sparse(1)
-            n, dim = self.ports, self.dim
-            labels = self._labels()
-            lone = np.flatnonzero(np.bincount(labels)[labels] == 1)  # untouched by rho
-            total = sum(members.size * members.shape[1] for members, _, _ in stacks) + lone.size
-            rows = np.empty(total, dtype=np.int32)
-            cols = np.empty(total, dtype=np.int32)
-            vals = np.empty(total)
-            at = 0
-            for members, w, v in stacks:
-                k, s = members.shape
-                kept = (w > self.kernel_tol * max_eig).sum(axis=1)  # w ascends: kernel first
-                step = max(1, _CHUNK_ELEMS // (s * s))
-                for lo in range(0, k, step):
-                    part = slice(lo, lo + step)
-                    idx, wp, vp, kp = members[part], w[part], v[part], kept[part]
-                    s1_blocks = self._dense_blocks(s1, idx)
-                    span = slice(at, at + idx.size * s)
-                    rows[span].reshape(-1, s, s)[:] = idx[:, :, None]
-                    cols[span].reshape(-1, s, s)[:] = idx[:, None, :]
-                    block = vals[span].reshape(-1, s, s)
-                    for r in np.unique(kp):
-                        sel = kp == r
-                        # each (s, r) slice column-major, as v[:, keep] is for
-                        # one block, so that BLAS sums in the same order
-                        vk_t = np.ascontiguousarray(vp[sel][:, :, s - r :].transpose(0, 2, 1))
-                        vk = vk_t.transpose(0, 2, 1)
-                        inv_root = (vk / np.sqrt(wp[sel][:, None, s - r :])) @ vk_t
-                        block[sel] = inv_root @ s1_blocks[sel] @ inv_root - (vk @ vk_t) / n
-                    block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
-                    at = span.stop
-            rows[at:] = cols[at:] = lone
-            vals[at:] = 1 / n
-            mat = sp.coo_matrix((vals, (rows, cols)), shape=(dim, dim)).tocsr()
-            mat.eliminate_zeros()
-            self._cache["povm"] = mat
-        return self._cache["povm"]
+    def _povm_blocks(self):
+        """First measurement element, one batch at a time, as (members, blocks):
+        blocks[j] is the element on the ascending indices members[j].
+
+        Each batch holds components of one size: the inverse-root sandwich of
+        sigma_1 plus the uniform kernel share, from the stacked eigenvectors.
+        The indices rho does not touch come last, as 1x1 blocks holding 1/N.
+        """
+        _, max_eig = self._components()
+        s1 = self.sigma_sparse(1)
+        n = self.ports
+        for members, w, v in self._cache["stacks"]:
+            k, s = members.shape
+            kept = (w > self.kernel_tol * max_eig).sum(axis=1)  # w ascends: kernel first
+            step = max(1, _CHUNK_ELEMS // (s * s))
+            for lo in range(0, k, step):
+                part = slice(lo, lo + step)
+                idx, wp, vp, kp = members[part], w[part], v[part], kept[part]
+                s1_blocks = self._dense_blocks(s1, idx)
+                block = np.empty((len(idx), s, s))
+                for r in np.unique(kp):
+                    sel = kp == r
+                    # each (s, r) slice column-major, as v[:, keep] is for
+                    # one block, so that BLAS sums in the same order
+                    vk_t = np.ascontiguousarray(vp[sel][:, :, s - r :].transpose(0, 2, 1))
+                    vk = vk_t.transpose(0, 2, 1)
+                    inv_root = (vk / np.sqrt(wp[sel][:, None, s - r :])) @ vk_t
+                    block[sel] = inv_root @ s1_blocks[sel] @ inv_root - (vk @ vk_t) / n
+                block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
+                yield idx, block
+        labels = self._labels()
+        lone = np.flatnonzero(np.bincount(labels)[labels] == 1)  # untouched by rho
+        yield lone[:, None], np.full((lone.size, 1, 1), 1 / n)
 
     def _gather_table(self):
-        """POVM entries whose row and column spectator digits (A_2..A_N) agree.
+        """Measurement entries whose row and column spectator digits (A_2..A_N) agree.
 
-        Sorted by (row C digit b, column C digit a), with offsets per (b, a);
-        each entry keeps its A_1 digits (p of the row, q of the column) and its
-        value times the spectator thermal product prod_k chi_x(r_k).
+        Sorted by (row C digit b, column C digit a), then row, then column,
+        with offsets per (b, a); each entry keeps its A_1 digits (p of the
+        row, q of the column) and its value times the spectator thermal
+        product prod_k chi_x(r_k).
         """
         if "gather" not in self._cache:
-            m = self.povm_sparse()
             d, n = self.levels, self.ports
             dn, ds = d**n, d ** (n - 1)
-            rows = np.repeat(np.arange(self.dim, dtype=np.int32), np.diff(m.indptr))
-            hit = rows % ds == m.indices % ds
-            rows, cols = rows[hit], m.indices[hit]
+            parts = []
+            for members, blocks in self._povm_blocks():
+                spectators = members % ds
+                hit = spectators[:, :, None] == spectators[:, None, :]
+                rows = np.broadcast_to(members[:, :, None], blocks.shape)[hit]
+                cols = np.broadcast_to(members[:, None, :], blocks.shape)[hit]
+                parts.append((rows, cols, blocks[hit]))
+            rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
             chi_x = chi_vector(self.params.lambda_x, d)
             thermal = np.ones(1)
             for _ in range(n - 1):
                 thermal = np.multiply.outer(thermal, chi_x).ravel()
-            vals = m.data[hit] * thermal[rows % ds]
             key = (rows // dn) * d + cols // dn
-            order = np.argsort(key, kind="stable")
+            order = np.lexsort((cols, rows, key))
             offsets = np.searchsorted(key[order], np.arange(d * d + 1))
-            p = (rows[order] // ds) % d
-            q = (cols[order] // ds) % d
-            self._cache["gather"] = (offsets, p, q, vals[order])
+            rows, cols = rows[order], cols[order]
+            vals = vals[order] * thermal[rows % ds]
+            self._cache["gather"] = (offsets, (rows // ds) % d, (cols // ds) % d, vals)
         return self._cache["gather"]
 
 
@@ -347,7 +343,9 @@ def build_rho(proto: TruncatedProtocol) -> FockOperator:
 def build_povm_element(proto: TruncatedProtocol) -> FockOperator:
     """First POVM element, dense, with the eigenvalue census in `meta`."""
     proto._require(proto.dense_mb(), "dense measurement element")
-    mat = proto.povm_sparse().toarray()
+    mat = np.zeros((proto.dim, proto.dim))
+    for members, blocks in proto._povm_blocks():
+        mat[members[:, :, None], members[:, None, :]] = blocks
     return FockOperator(mat, proto.ports + 1, proto.cutoff, meta=proto.eigenvalue_census())
 
 

@@ -248,32 +248,16 @@ def _diag_tail_bound(params: ChannelParams, levels: int) -> float:
 
 
 def apply_number_element(a: int, b: int, params: ChannelParams, cutoff) -> FockOperator:
-    """Channel action on the number-basis element |a><b|.
+    """Channel action on the number-basis element |a><b|, from the two-port
+    closed form of `nport.make_channel`.
 
     For a != b the output is a single real multiple of |a><b|; for a == b
-    it is diagonal with trace one up to the declared tail.  The level sums
-    are evaluated with the combined exponent lambda_x^(a+b+2m), so no
-    negative powers appear for a > b.
+    it is diagonal with trace one up to the declared tail.
     """
+    from .nport import make_channel
+
     _check_two_port(params)
-    cutoff = as_cutoff(cutoff)
-    d = cutoff.levels
-    if not (0 <= a < d and 0 <= b < d):
-        raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
-    lx, ly = params.lambda_x, params.lambda_y
-    g = params.g
-    om, om_tail = omega(params)
-    mat = np.zeros((d, d), dtype=complex)
-    scale = (lx * ly) ** (a + b)
-    if a != b:
-        mat[a, b] = g * om * scale
-        return FockOperator(mat, 1, cutoff, meta={"tail_bound": g * om_tail * scale})
-    inv = _inv_root(ly, np.arange(d))
-    diag = chi_vector(lx, d) * (1 - g * scale * inv)
-    diag[a] += g * om * scale
-    np.fill_diagonal(mat, diag)
-    tail = _diag_tail_bound(params, d) + g * om_tail * scale
-    return FockOperator(mat, 1, cutoff, meta={"tail_bound": tail})
+    return make_channel(params).number_element(a, b, cutoff)
 
 
 def apply_coherent(alpha: complex, params: ChannelParams, cutoff) -> DensityOperator:

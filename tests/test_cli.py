@@ -223,6 +223,14 @@ class TestOracleVerify:
         assert meta["passed"] is True
         assert meta["max_deviation"] <= 1e-5
 
+    def test_six_ports_within_default_budget(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+        code, _ = run(
+            tmp_path, "oracle-verify", "--ports", "6", "--cutoff", "5",
+            "--lambda-x", "0.1", "--lambda-y", "0.1",
+        )
+        assert code == EXIT_OK
+
     def test_negative_control_small_cutoff(self, tmp_path):
         code, _ = run(
             tmp_path, "oracle-verify", "--lambda-x", "0.5", "--lambda-y", "0.5",

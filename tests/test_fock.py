@@ -67,6 +67,20 @@ class TestCutoffs:
         k = coherent_ket(2.0, c)
         assert 1 - k.norm() ** 2 < 1e-10
 
+    def test_coherent_underflow_fails_loudly(self):
+        # exp(-1600) underflows, so the Poisson sum could never reach tol
+        with pytest.raises(ValueError, match="underflows"):
+            coherent_cutoff(40.0)
+
+    def test_coherent_tol_below_float_resolution_fails_loudly(self):
+        with pytest.raises(ValueError, match="double precision"):
+            coherent_cutoff(2.0, 1e-20)
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-6])
+    def test_coherent_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            coherent_cutoff(2.0, tol)
+
 
 class TestStates:
     def test_coherent_vacuum(self):

@@ -312,13 +312,47 @@ def element_from_dense_slice(a, b, proto):
     d, n = proto.levels, proto.ports
     dn = d**n
     lx = proto.params.lambda_x
-    block = proto.povm_sparse()[b * dn : (b + 1) * dn, a * dn : (a + 1) * dn].toarray()
+    block = build_povm_element(proto).matrix[b * dn : (b + 1) * dn, a * dn : (a + 1) * dn]
     rest = "".join(chr(ord("r") + k) for k in range(n - 1))
     gathered = np.einsum(
         f"p{rest}q{rest},{','.join(rest)}->qp", block.reshape((d,) * (2 * n)), *[chi_vector(lx, d)] * (n - 1)
     )
     signs = (-lx) ** np.arange(d)
     return n * (1 - lx**2) * np.outer(signs, signs) * gathered
+
+
+def csr_gather_table(proto, povm):
+    """The channel-element gather table read off a CSR measurement: the entries
+    whose row and column spectator digits agree, sorted by (b, a) key in CSR
+    (row, then column) order, each times its spectator thermal product."""
+    d, n = proto.levels, proto.ports
+    dn, ds = d**n, d ** (n - 1)
+    rows = np.repeat(np.arange(proto.dim, dtype=np.int32), np.diff(povm.indptr))
+    hit = rows % ds == povm.indices % ds
+    rows, cols = rows[hit], povm.indices[hit]
+    chi_x = chi_vector(proto.params.lambda_x, d)
+    thermal = np.ones(1)
+    for _ in range(n - 1):
+        thermal = np.multiply.outer(thermal, chi_x).ravel()
+    vals = povm.data[hit] * thermal[rows % ds]
+    key = (rows // dn) * d + cols // dn
+    order = np.argsort(key, kind="stable")
+    offsets = np.searchsorted(key[order], np.arange(d * d + 1))
+    p = (rows[order] // ds) % d
+    q = (cols[order] // ds) % d
+    return offsets, p, q, vals[order]
+
+
+def element_from_table(a, b, proto, table):
+    """The channel element summed from a gather table as brute_channel_element does."""
+    d, n = proto.levels, proto.ports
+    offsets, p, q, vals = table
+    span = slice(offsets[b * d + a], offsets[b * d + a + 1])
+    gathered = np.zeros((d, d))
+    np.add.at(gathered, (q[span], p[span]), vals[span])
+    lx = proto.params.lambda_x
+    signs = (-lx) ** np.arange(d)
+    return (n * (1 - lx**2) * np.outer(signs, signs) * gathered).astype(complex)
 
 
 STACK_POINTS = [(3, 6, 0.5, 0.4), (4, 4, 0.3, 0.35)]
@@ -339,11 +373,17 @@ class TestStackedStages:
 
     def test_povm_bitwise_per_block(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
-        ref = povm_per_block(proto, *components_per_block(proto))
-        mat = proto.povm_sparse()
-        assert np.array_equal(mat.indptr, ref.indptr)
-        assert np.array_equal(mat.indices, ref.indices)
-        assert np.array_equal(mat.data, ref.data)
+        ref = povm_per_block(proto, *components_per_block(proto)).toarray()
+        mat = build_povm_element(proto).matrix
+        assert mat.tobytes() == ref.tobytes()
+
+    def test_elements_bitwise_csr_gather(self, ports, d, lx, ly):
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        table = csr_gather_table(proto, povm_per_block(proto, *components_per_block(proto)))
+        for a in range(d):
+            for b in range(d):
+                element = brute_channel_element(a, b, proto).matrix
+                assert element.tobytes() == element_from_table(a, b, proto, table).tobytes()
 
     def test_census_unchanged(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
@@ -354,7 +394,8 @@ class TestStackedStages:
         proto = TruncatedProtocol(params, Cutoff(d))
         census = census_per_block(proto, *components_per_block(proto))
         sizes = np.bincount(proto._labels())
-        working_set = 72 * (float((sizes[sizes > 1] ** 2).sum()) + proto.dim) / 2**20
+        blocks = float((sizes[sizes > 1] ** 2).sum())
+        working_set = 24 * (blocks + min(blocks, 1 << 18) + (2 * ports + 8) * proto.dim) / 2**20
         for _ in range(2):  # the first call fills the cache, the second reads it
             assert proto.eigenvalue_census() == census
             assert proto.working_set_mb() == working_set
@@ -408,7 +449,15 @@ def test_five_ports_within_default_budget(traced_report, monkeypatch):
     assert report["max_deviation"] < 1e-6
 
 
-@pytest.mark.parametrize("ports,d,lam", [(3, 16, 0.3), (4, 9, 0.25), (5, 6, 0.25)])
+def test_six_ports_within_default_budget(traced_report, monkeypatch):
+    monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+    proto, report, _ = traced_report(6, 5, 0.1)
+    assert proto.mem_budget_mb == DEFAULT_BUDGET_MB
+    assert report["passed"]
+    assert proto.working_set_mb() < DEFAULT_BUDGET_MB
+
+
+@pytest.mark.parametrize("ports,d,lam", [(3, 16, 0.3), (4, 9, 0.25), (5, 6, 0.25), (6, 5, 0.1)])
 def test_working_set_bounds_traced_peak(traced_report, ports, d, lam):
     proto, _, peak_mb = traced_report(ports, d, lam)
     declared = proto.working_set_mb()
