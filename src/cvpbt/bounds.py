@@ -7,7 +7,6 @@ and the two-channel discrimination bound built from channel simulation.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -40,6 +39,7 @@ __all__ = [
 ]
 
 MC_SCAN_CAP = 10_000
+GRID_POINTS = 4096  # geometric points of the negative-regime envelope grid, besides zero
 
 
 def lossy_apply(alpha: complex, transmissivity: float, cutoff) -> DensityOperator:
@@ -100,47 +100,26 @@ def negative_regime_t_bound(u, params: ChannelParams):
     return _t_bound(u, params, om)
 
 
-def _pops(x1, y1, x2, y2, x3, y3) -> bool:
-    """Whether the middle point lies on or below the chord of its neighbours."""
-    return (y2 - y1) * (x3 - x2) <= (y3 - y2) * (x2 - x1)
+def _grid(top: float) -> np.ndarray:
+    """Zero and GRID_POINTS geometric points over [1e-8 top, top], sorted and unique."""
+    return np.unique(np.concatenate(([0.0], np.geomspace(top * 1e-8, top, GRID_POINTS))))
 
 
 def _upper_concave_envelope(xs: np.ndarray, ys: np.ndarray):
-    """Vertices of the upper concave hull of the sampled points."""
-    order = np.argsort(xs)
-    xs, ys = xs[order], ys[order]
+    """Vertices of the upper concave hull of samples sorted by unique x."""
     px, py = xs.tolist(), ys.tolist()
-    hull = []  # indices into sorted arrays
-    for i in range(len(px)):
-        while len(hull) >= 2 and _pops(px[hull[-2]], py[hull[-2]], px[hull[-1]], py[hull[-1]], px[i], py[i]):
-            hull.pop()
+    hull = []  # indices into xs
+    for i, (x3, y3) in enumerate(zip(px, py)):
+        while len(hull) >= 2:
+            x1, y1, x2, y2 = px[hull[-2]], py[hull[-2]], px[hull[-1]], py[hull[-1]]
+            if (y2 - y1) * (x3 - x2) > (y3 - y2) * (x2 - x1):
+                break
+            hull.pop()  # the middle point lies on or below the chord of its neighbours
         hull.append(i)
     return xs[hull], ys[hull]
 
 
-def _inserted_vertex(e: float, t: float, hx: list, hy: list):
-    """Where (e, t) sits once it joins samples with upper hull (hx, hy) that
-    lack e: the number of vertices kept left of it, or None when a vertex
-    to its right pops it, which leaves the hull as it was.
-
-    The point goes in where the monotone chain would put it, and the
-    chain's own test decides which neighbours it pops and whether it is
-    popped; vertices farther out are never touched.
-    """
-    k = bisect.bisect_left(hx, e)  # hx[k - 1] < e < hx[k]
-    left = k
-    while left >= 2 and _pops(hx[left - 2], hy[left - 2], hx[left - 1], hy[left - 1], e, t):
-        left -= 1
-    right = k
-    while not _pops(hx[left - 1], hy[left - 1], e, t, hx[right], hy[right]):
-        if right + 1 < len(hx) and _pops(e, t, hx[right], hy[right], hx[right + 1], hy[right + 1]):
-            right += 1
-        else:
-            return left
-    return None
-
-
-def lossy_diamond_bound_negative(energy, params: ChannelParams, grid_points: int = 4096):
+def lossy_diamond_bound_negative(energy, params: ChannelParams):
     """Negative-regime energy-constrained bound against the matched lossy channel.
 
     The admissible radial distributions are mean-constrained in u = r^2
@@ -151,10 +130,14 @@ def lossy_diamond_bound_negative(energy, params: ChannelParams, grid_points: int
     1e-9 of its asymptote, with the requested energy always included as
     a grid point.
 
-    An array of energies shares one evaluation of Omega and one envelope
-    per distinct grid (an energy above the asymptote term ends its own
-    grid).  Each energy then joins its grid's envelope by a local
-    insertion, which gives the same bits as a rebuild with it included.
+    Adding the sample (E, T(E)) to a grid changes its upper hull at E to
+    max(hull(E), T(E)), and every vertex the new sample pops lies on or
+    below a chord that ends at a kept vertex or at the sample.  So the
+    bound is max(T(E), hull(E), the largest hull vertex at or left of E),
+    taken on the hull of the grid without E.  Energies up to the
+    asymptote term share one grid, one hull and one evaluation of Omega.
+    An energy above that term is the last point of its own grid, where
+    the running maximum is the largest sample, so it needs no hull.
     """
     _check_energies(energy)
     if regime(params) is not Regime.NEGATIVE:
@@ -169,24 +152,17 @@ def lossy_diamond_bound_negative(energy, params: ChannelParams, grid_points: int
     floor = max(1.0, math.log(max(amp, 1e-12) / 1e-9) / (1 - tau))
     energies = np.asarray(energy, dtype=float)
     flat = energies.ravel()
-    at = np.atleast_1d(_t_bound(flat, params, om)).tolist()
-    u_max = np.maximum(floor, flat)
     out = np.empty(flat.shape)
-    for top in np.unique(u_max).tolist():
-        grid = np.unique(np.concatenate(([0.0], np.geomspace(top * 1e-8, top, grid_points))))
+    shared = flat <= floor
+    if shared.any():
+        low = flat[shared]
+        grid = _grid(floor)
         hx, hy = _upper_concave_envelope(grid, _t_bound(grid, params, om))
-        peak = np.maximum.accumulate(hy).tolist()  # running maximum over the vertices
-        px, py = hx.tolist(), hy.tolist()
-        mine = np.flatnonzero(u_max == top)
-        lines = np.interp(flat[mine], hx, hy).tolist()  # the hull at e, where e is no vertex
-        on_grid = np.isin(flat[mine], grid).tolist()
-        for i, line, known in zip(mine.tolist(), lines, on_grid):
-            e, t = float(flat[i]), at[i]
-            left = None if known else _inserted_vertex(e, t, px, py)
-            if left is None:
-                out[i] = max(line, peak[bisect.bisect_right(px, e) - 1])
-            else:  # the envelope passes through (e, t) after px[:left]
-                out[i] = max(t, peak[left - 1])
+        # the running maximum of the vertices at or left of each energy
+        peak = np.maximum.accumulate(hy)[np.searchsorted(hx, low, side="right") - 1]
+        out[shared] = np.maximum(np.maximum(_t_bound(low, params, om), np.interp(low, hx, hy)), peak)
+    for i in np.flatnonzero(~shared):
+        out[i] = _t_bound(_grid(flat[i]), params, om).max()
     return out.reshape(energies.shape) if energies.ndim else float(out[0])
 
 
@@ -228,7 +204,7 @@ def edrc_apply(alpha: complex, p: EdrcParams, cutoff) -> DensityOperator:
     return DensityOperator(FockOperator(mat, 1, cutoff), trace_deficit=deficit)
 
 
-def critical_index(params: ChannelParams, scan_cap: int = MC_SCAN_CAP) -> int:
+def critical_index(params: ChannelParams) -> int:
     """Largest m with (1 - chi_{y,m}^2)^(-1/2) > Omega; -1 when no level qualifies.
 
     The inverse-root factor decreases to one while Omega > 1, so the scan
@@ -237,12 +213,12 @@ def critical_index(params: ChannelParams, scan_cap: int = MC_SCAN_CAP) -> int:
     """
     om, _ = omega(params)
     m_c = -1
-    for m in range(scan_cap + 1):
+    for m in range(MC_SCAN_CAP + 1):
         if _inv_root(params.lambda_y, m) > om:
             m_c = m
         else:
             return m_c
-    raise RuntimeError(f"critical-index predicate still holds at the scan cap {scan_cap}")
+    raise RuntimeError(f"critical-index predicate still holds at the scan cap {MC_SCAN_CAP}")
 
 
 def edrc_diamond_norm(params: ChannelParams) -> float:

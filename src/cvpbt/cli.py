@@ -321,6 +321,21 @@ def _build_parser():
     return parser, subparsers
 
 
+def _with_config_flags(argv: list, config: dict, subparsers: dict) -> list:
+    """argv with the config values the chosen subcommand knows written as
+    flags right after its name, so they meet the same type and choices
+    checks as typed flags, and flags typed later win."""
+    at = next((i for i, a in enumerate(argv) if a in subparsers), None)
+    if at is None:
+        return argv
+    flags = []
+    for action in subparsers[argv[at]]._actions:
+        if action.dest in config and action.option_strings and action.nargs is None:
+            value = config[action.dest]
+            flags.append(f"{action.option_strings[0]}={value if isinstance(value, str) else json.dumps(value)}")
+    return argv[: at + 1] + flags + argv[at + 1 :]
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, subparsers = _build_parser()
@@ -338,25 +353,20 @@ def main(argv=None) -> int:
         if not isinstance(config, dict):
             print("error: config file must hold a JSON object", file=sys.stderr)
             return EXIT_VALIDATION
-        for p in subparsers.values():
-            dests = {a.dest: a for a in p._actions}
-            covered = {k: v for k, v in config.items() if k in dests}
-            for k in covered:
-                dests[k].required = False
-            p.set_defaults(**covered)
+        argv = _with_config_flags(argv, config, subparsers)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_VALIDATION if exc.code not in (0, None) else EXIT_OK
     try:
         table, code = args.func(args)
+        table.finalize().write(args.out, args.format)
     except oracle.MemoryBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    table.finalize().write(args.out, args.format)
     return code
 
 

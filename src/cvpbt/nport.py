@@ -23,7 +23,6 @@ __all__ = [
     "Arrangements",
     "SectorBasis",
     "enumerate_multisets",
-    "arrangements",
     "sector_matrix",
     "eta_basis",
     "gamma",
@@ -99,10 +98,6 @@ class Arrangements:
     @property
     def ports(self) -> int:
         return len(self.multiset) + 1
-
-
-def arrangements(multiset) -> Arrangements:
-    return Arrangements(multiset)
 
 
 def sector_matrix(multiset, lam_y: float) -> np.ndarray:

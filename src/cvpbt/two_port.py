@@ -25,12 +25,10 @@ from .fock import (
 
 __all__ = [
     "ChannelParams",
-    "DerivedScalars",
     "Regime",
     "regime",
     "omega",
     "energy_weighted_omega",
-    "derived_scalars",
     "apply_number_element",
     "apply_coherent",
     "apply_state",
@@ -219,21 +217,6 @@ def omega(params: ChannelParams, tol: float = SUM_TOL):
 def energy_weighted_omega(params: ChannelParams, tol: float = SUM_TOL):
     """First-moment variant sum_m m chi_{x,m} (1 - chi_{y,m}^2)^(-1/2)."""
     return _adaptive_sum(params, tol, first_moment=True)
-
-
-@dataclass(frozen=True)
-class DerivedScalars:
-    """Frequently reused combinations of the channel parameters."""
-
-    tau: float
-    g: float
-    omega: float
-    omega_tail: float
-
-
-def derived_scalars(params: ChannelParams, tol: float = SUM_TOL) -> DerivedScalars:
-    om, om_tail = omega(params, tol)
-    return DerivedScalars(tau=params.tau, g=params.g, omega=om, omega_tail=om_tail)
 
 
 def _check_two_port(params: ChannelParams):

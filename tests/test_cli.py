@@ -14,6 +14,9 @@ def run(tmp_path, *argv, name="out.csv"):
     return code, out
 
 
+SWEEP_RANGES = ["--lambda-x-range", "0.3:0.4:2", "--lambda-y-range", "0.5:0.5:1"]
+
+
 def strip_timestamp(text: str) -> str:
     return "\n".join(
         line for line in text.splitlines() if not line.startswith("# timestamp=") and '"timestamp"' not in line
@@ -297,6 +300,13 @@ class TestTableFormat:
         assert table.rows[0][2] == direct  # bit-exact through the text round trip
 
 
+    def test_unwritable_output_is_validation_error(self, tmp_path, capsys):
+        code = main(["energy", *SWEEP_RANGES, "--out", str(tmp_path / "missing" / "x.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -315,3 +325,32 @@ class TestConfigFile:
         cfg.write_text("[1, 2]")
         code = main(["twoport-coherent", "--config", str(cfg), "--lambda-x", "0.4", "--lambda-y", "0.5"])
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "config, argv",
+        [
+            ({"lambda_x": None}, ["bounds", "--kind", "edrc", "--lambda-y", "0.5"]),
+            ({"lambda_x": [0.5]}, ["bounds", "--kind", "edrc", "--lambda-y", "0.5"]),
+            ({"ports": 2.5}, ["oracle-verify", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "4"]),
+            ({"ports": 2.5}, ["fidelity-sweep", "--input", "bell2", *SWEEP_RANGES]),
+            ({"a_max": 1.5}, ["oracle-verify", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "4"]),
+            ({"energy_range": 5}, ["bounds", "--kind", "lossy", "--lambda-x", "0.3", "--lambda-y", "0.2"]),
+            ({"format": "xml"}, ["energy", *SWEEP_RANGES]),
+            ({"ports": 4}, ["fidelity-sweep", "--input", "bell2", *SWEEP_RANGES]),
+        ],
+    )
+    def test_config_values_meet_the_flag_checks(self, tmp_path, capsys, config, argv):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, out = run(tmp_path, "--config", str(cfg), *argv)
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
+    def test_config_value_may_start_with_a_dash(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lambda_x": 0.3, "lambda_y": 0.5, "alpha": "-0.5+0.25j", "cutoff": 8}))
+        code, out = run(tmp_path, "--config", str(cfg), "twoport-coherent")
+        assert code == EXIT_OK
+        assert read_table(str(out)).metadata["alpha"] == [-0.5, 0.25]

@@ -3,7 +3,8 @@
 The references below are the one-point algorithms written out here: the
 level sum one term at a time, and the negative-regime bound rebuilt on a
 grid that includes the requested energy.  The grid paths must give the
-same bits, and each CLI table must sum Omega at most once.
+same bits, and each CLI table must sum Omega at most once and build at
+most one hull.
 """
 import math
 import sys
@@ -117,16 +118,23 @@ class TestNegativeEnvelopeInsertion:
         scale=st.sampled_from([0.5, 1.0, 5.0, 30.0]),
         fractions=st.lists(st.floats(0, 1), min_size=1, max_size=4),
         grid_picks=st.lists(st.integers(0, 4095), min_size=1, max_size=3),
+        vertex_picks=st.lists(st.floats(0, 1), min_size=1, max_size=3),
         beyond=st.lists(st.floats(1.0, 4.0), min_size=1, max_size=2),
+        far=st.lists(st.floats(10.0, 100.0), min_size=1, max_size=2),
     )
-    def test_local_insertion_equals_full_rebuild_bitwise(self, params, scale, fractions, grid_picks, beyond):
+    def test_hull_identity_equals_full_rebuild_bitwise(
+        self, params, scale, fractions, grid_picks, vertex_picks, beyond, far
+    ):
         assume(regime(params) is Regime.NEGATIVE)
         floor = asymptote_floor(params)
         grid = np.geomspace(floor * 1e-8, floor, 4096)
+        hx, _ = reference_upper_hull(grid, bounds.negative_regime_t_bound(grid, params))
+        vertices = [float(hx[int(f * (len(hx) - 1))]) for f in vertex_picks]
         energies = (
             [scale * f for f in fractions]
             + [float(grid[i]) for i in grid_picks]  # energies that equal a grid point
-            + [floor * b for b in beyond]  # energies whose grid ends at themselves
+            + [e for v in vertices for e in (math.nextafter(v, 0), v, math.nextafter(v, math.inf))]
+            + [floor * b for b in beyond + far]  # energies whose grid ends at themselves
             + [0.0, floor]
         )
         got = bounds.lossy_diamond_bound_negative(np.array(energies), params)
@@ -212,6 +220,22 @@ def sum_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
     return calls
+
+
+@pytest.mark.parametrize("spec", ["0:1000:101", "0:10:101", "500:1000:7"])
+def test_negative_lossy_table_builds_at_most_one_hull(tmp_path, monkeypatch, spec):
+    calls = []
+    original = bounds._upper_concave_envelope
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return original(*args)
+
+    monkeypatch.setattr(bounds, "_upper_concave_envelope", counted)
+    table = run_table(tmp_path, ["bounds", "--kind", "lossy", "--lambda-x", "0.3", "--lambda-y", "0.2",
+                                 "--energy-range", spec])
+    assert table.metadata["variant"] == "negative-envelope"
+    assert len(calls) <= 1
 
 
 class TestOneSumPerTable:

@@ -10,7 +10,6 @@ from cvpbt.two_port import (
     apply_coherent,
     apply_number_element,
     apply_state,
-    derived_scalars,
     max_output_energy,
     omega,
     output_energy,
@@ -36,9 +35,8 @@ class TestParams:
 
     def test_scalars(self):
         p = ChannelParams(0.5, 0.5)
-        d = derived_scalars(p)
-        assert d.tau == pytest.approx(0.0625)
-        assert d.g == pytest.approx(0.5625)
+        assert p.tau == pytest.approx(0.0625)
+        assert p.g == pytest.approx(0.5625)
 
 
 class TestOmega:
