@@ -211,7 +211,11 @@ def critical_index(params: ChannelParams) -> int:
     always terminates; the hard cap only guards against parameter corners
     and raises rather than silently truncating.
     """
-    om, _ = omega(params)
+    return _critical_index(params, omega(params)[0])
+
+
+def _critical_index(params: ChannelParams, om: float) -> int:
+    """`critical_index` against an Omega already summed."""
     m_c = -1
     for m in range(MC_SCAN_CAP + 1):
         if _inv_root(params.lambda_y, m) > om:
@@ -230,7 +234,7 @@ def edrc_diamond_norm(params: ChannelParams) -> float:
     if regime(params) is not Regime.POSITIVE:
         raise ValueError("the exact replacement-channel distance assumes the positive regime")
     om, _ = omega(params)
-    m_c = critical_index(params)
+    m_c = _critical_index(params, om)
     if m_c < 0:
         return 0.0
     total = sum(chi(params.lambda_x, m) * (_inv_root(params.lambda_y, m) - om) for m in range(m_c + 1))

@@ -321,16 +321,26 @@ def _build_parser():
     return parser, subparsers
 
 
+def _config_actions(parser):
+    """The flags of a subcommand that a config key can set."""
+    return [a for a in parser._actions if a.option_strings and a.nargs is None]
+
+
 def _with_config_flags(argv: list, config: dict, subparsers: dict) -> list:
     """argv with the config values the chosen subcommand knows written as
     flags right after its name, so they meet the same type and choices
-    checks as typed flags, and flags typed later win."""
+    checks as typed flags, and flags typed later win.  A key that no
+    subcommand knows is a ValueError: one config file serves every
+    subcommand, but a misspelt key would silently keep the default."""
+    unknown = sorted(set(config) - {a.dest for p in subparsers.values() for a in _config_actions(p)})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     at = next((i for i, a in enumerate(argv) if a in subparsers), None)
     if at is None:
         return argv
     flags = []
-    for action in subparsers[argv[at]]._actions:
-        if action.dest in config and action.option_strings and action.nargs is None:
+    for action in _config_actions(subparsers[argv[at]]):
+        if action.dest in config:
             value = config[action.dest]
             flags.append(f"{action.option_strings[0]}={value if isinstance(value, str) else json.dumps(value)}")
     return argv[: at + 1] + flags + argv[at + 1 :]
@@ -347,13 +357,12 @@ def main(argv=None) -> int:
         try:
             with open(known.config, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
+            if not isinstance(config, dict):
+                raise ValueError("the file must hold a JSON object")
+            argv = _with_config_flags(argv, config, subparsers)
+        except (OSError, ValueError) as exc:
+            print(f"error: config: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-        if not isinstance(config, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return EXIT_VALIDATION
-        argv = _with_config_flags(argv, config, subparsers)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

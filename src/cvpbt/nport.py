@@ -63,24 +63,21 @@ class Arrangements:
 
     def __init__(self, multiset):
         self.multiset = tuple(sorted(multiset))
-        base = (MARKER,) + self.multiset
-        self.seqs = tuple(sorted(set(itertools.permutations(base))))
+        self.seqs = tuple(sorted(set(itertools.permutations((MARKER,) + self.multiset))))
         self.index = {s: i for i, s in enumerate(self.seqs)}
         self.ptilde = tuple(i for i, s in enumerate(self.seqs) if s[0] == MARKER)
-        self.marker_pos = tuple(s.index(MARKER) for s in self.seqs)
         # swaps[i][v] = arrangements reached from i by exchanging the marker
         # with one slot holding value v (identity excluded)
-        uniq = set(self.multiset)
-        self.swaps = []
-        for i, s in enumerate(self.seqs):
-            p = self.marker_pos[i]
-            table = {v: [] for v in uniq}
-            for q, v in enumerate(s):
-                if v in table:
-                    t = list(s)
-                    t[p], t[q] = t[q], t[p]
-                    table[v].append(self.index[tuple(t)])
-            self.swaps.append({v: tuple(ix) for v, ix in table.items()})
+        self.swaps = [
+            {v: tuple(self._swap(s, q) for q, x in enumerate(s) if x == v) for v in set(self.multiset)}
+            for s in self.seqs
+        ]
+
+    def _swap(self, seq, q) -> int:
+        """Index of `seq` with its marker and slot q exchanged."""
+        t = list(seq)
+        t[seq.index(MARKER)], t[q] = seq[q], MARKER
+        return self.index[tuple(t)]
 
     @property
     def size(self) -> int:
@@ -268,12 +265,7 @@ def _lm_phase(l, m, lam_y: float) -> np.ndarray:
 
 
 _LM_LABEL_ORDER = lambda l, m: [
-    (MARKER, l, m),
-    (l, m, MARKER),
-    (m, MARKER, l),
-    (MARKER, m, l),
-    (m, l, MARKER),
-    (l, MARKER, m),
+    (MARKER, l, m), (l, m, MARKER), (m, MARKER, l), (MARKER, m, l), (m, l, MARKER), (l, MARKER, m)
 ]
 
 
@@ -335,15 +327,11 @@ def lm_closed_basis(l: int, m: int, lam_y: float) -> SectorBasis:
     if l == m:
         raise ValueError("values must be distinct")
     arr = Arrangements((min(l, m), max(l, m)))
-    eta, xi, _ = _lm_vectors(l, m, lam_y)
-    perm = [arr.index[s] for s in _LM_LABEL_ORDER(l, m)]
+    vecs, xi, _ = _lm_basis(l, m, lam_y)
     order = (1, 3, 5, 4, 6, 2)  # descending eigenvalue, construction order in ties
     etas = np.zeros((6, 6), complex)
-    eigenvalues = np.zeros(6)
-    for col, label in enumerate(order):
-        etas[perm, col] = eta[label]
-        eigenvalues[col] = xi[label]
-    return SectorBasis(arr.multiset, etas, eigenvalues, arr)
+    etas[[arr.index[s] for s in _LM_LABEL_ORDER(l, m)]] = vecs[:, [k - 1 for k in order]]
+    return SectorBasis(arr.multiset, etas, np.array([xi[k] for k in order]), arr)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +383,18 @@ def _orbit_segments(arr: Arrangements):
     return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
 
 
+def _pattern_walk(ports: int, cap: int):
+    """(layout, levels) per multiplicity pattern of the sectors up to `cap`,
+    in the order `enumerate_multisets` first meets them.  The layout is the
+    pattern's first sector, on levels 0..k-1: it starts at 0 and steps by 0
+    or 1, so layouts come in the lexicographic order of those steps.  Row i
+    of `levels` holds the k unique levels of the pattern's i-th sector."""
+    for steps in itertools.product((0, 1), repeat=ports - 2):
+        layout = list(itertools.accumulate(steps, initial=0))
+        if layout[-1] <= cap:
+            yield layout, np.array(list(itertools.combinations(range(cap + 1), layout[-1] + 1)))
+
+
 class NPortChannel:
     """Phase-covariant N-port channel held as level sums.
 
@@ -410,36 +410,34 @@ class NPortChannel:
 
     No sector holds a level above the cap, so index cap+1 of the stored
     sums stands for them all.  Sectors sharing a multiplicity pattern share
-    one arrangement layout, so they are handled as stacked batches whose
-    Gammas come from one stacked `eigh` or from `gammas` (keyed by
-    multiset, canonical arrangement coordinates);
+    one arrangement layout, so the build walks the patterns
+    (`_pattern_walk`) with one array of levels and one gather of weights
+    each.  Every batch's Gammas come as one stack from
+    `gammas(arr, levels, lam_y)`, in the canonical coordinates of the
+    layout `arr`; by default from `_gamma_stack`'s stacked `eigh`.
     `closed_two_port` builds the sums from the two-port closed form, which
     also takes a parameter grid: `arrays` then stacks C and T over it.
     """
 
-    def __init__(self, params: ChannelParams, cap: int | None = None, gammas=None):
+    def __init__(self, params: ChannelParams, cap: int | None = None, gammas=_gamma_stack):
         self.params = params
         self.cap = default_cap(params) if cap is None else int(cap)
         self.sectors = enumerate_multisets(params.ports, self.cap)
         self._gamma_max = 0.0
-        patterns = {}  # multiplicity pattern -> its sectors, in enumeration order
-        for ms in self.sectors:
-            patterns.setdefault(tuple(ms.count(v) for v in sorted(set(ms))), []).append(ms)
+        # lx^(2 t) per level total t, scalar pows: numpy's vector power can differ in the last bit
+        powers = np.array([params.lambda_x ** (2 * t) for t in range((params.ports - 1) * self.cap + 1)])
         top = self.cap + 2  # sums in row/column `top` add to every level 0..cap+1
         s = np.zeros((top + 1, top + 1), dtype=complex)
         f = np.zeros((top + 1, top), dtype=complex)
-        for pattern, group in patterns.items():
-            k = len(pattern)
-            # levels relabelled 0..k-1 in order keep every sector's arrangement order
-            arr = Arrangements([r for r, c in enumerate(pattern) for _ in range(c)])
+        for layout, levels in _pattern_walk(params.ports, self.cap):
+            k = levels.shape[1]
+            arr = Arrangements(layout)  # levels relabelled 0..k-1 in order keep every sector's arrangement order
             idx, starts = _orbit_segments(arr)
-            levels = np.array([sorted(set(ms)) for ms in group])
-            weights = np.array([params.lambda_x ** (2 * sum(ms)) for ms in group])
+            weights = powers[levels[:, layout].sum(axis=1)]
             step = max(1, _STACK_ELEMS // arr.size**2)
-            for lo in range(0, len(group), step):
+            for lo in range(0, len(levels), step):
                 part = slice(lo, lo + step)
-                g = (_gamma_stack(arr, levels[part], params.lambda_y) if gammas is None
-                     else np.stack([gammas[ms] for ms in group[part]]))
+                g = gammas(arr, levels[part], params.lambda_y)
                 self._gamma_max = max(self._gamma_max, float(np.abs(g).max()))
                 sums = np.add.reduceat(g.reshape(len(g), -1)[:, idx], starts, axis=1) * weights[part, None]
                 ss = sums[:, : (k + 1) ** 2].reshape(-1, k + 1, k + 1)
@@ -539,20 +537,21 @@ class NPortChannel:
         return FockOperator(mat, 1, cutoff, meta={"tail_bound": self.tail_bound(d), "cap": self.cap})
 
 
+def _closed_gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
+    """`_gamma_stack` of a three-port pattern from the closed forms: {m, m}
+    sectors, or {l, m} sectors (l < m) permuted from the analytic label order
+    to the canonical arrangement order of `arr`."""
+    if levels.shape[1] == 1:
+        return gamma_mm_closed(levels[:, 0], lam_y)
+    order = np.argsort([arr.index[s] for s in _LM_LABEL_ORDER(1, 0)])
+    return gamma_lm_closed(levels[:, 1], levels[:, 0], lam_y)[:, order[:, None], order]
+
+
 def ThreePortChannel(params: ChannelParams, cap: int | None = None) -> NPortChannel:
-    """Three-port channel built from the closed-form sector Gammas, one stack
-    per multiplicity pattern, permuted to canonical arrangement coordinates."""
+    """Three-port channel built from the closed-form sector Gammas."""
     if params.ports != 3:
         raise ValueError("ThreePortChannel requires ports == 3")
-    cap = default_cap(params) if cap is None else int(cap)
-    ly = params.lambda_y
-    arr = Arrangements((0, 1))  # every {l, m} sector with l > m shares this layout
-    order = np.argsort([arr.index[s] for s in _LM_LABEL_ORDER(1, 0)])
-    m = np.arange(cap + 1)
-    lo, hi = np.triu_indices(cap + 1, 1)
-    gammas = dict(zip(zip(m.tolist(), m.tolist()), gamma_mm_closed(m, ly)))
-    gammas.update(zip(zip(lo.tolist(), hi.tolist()), gamma_lm_closed(hi, lo, ly)[:, order[:, None], order]))
-    return NPortChannel(params, cap, gammas=gammas)
+    return NPortChannel(params, cap, gammas=_closed_gamma_stack)
 
 
 def make_channel(params: ChannelParams, cap: int | None = None) -> NPortChannel:

@@ -191,18 +191,17 @@ class TruncatedProtocol:
 
     def _dense_blocks(self, mat: sp.csr_matrix, members: np.ndarray) -> np.ndarray:
         """Stack of mat[idx][:, idx] for the equal-size components whose
-        ascending members are the rows of `members`, shape (k, s, s)."""
+        ascending members are the rows of `members`, shape (k, s, s), read
+        from the CSR rows of those members alone."""
         labels = self._labels()
         k, s = members.shape
-        slot = np.full(labels.max() + 1, -1)
-        slot[labels[members[:, 0]]] = np.arange(k)
+        flat = members.ravel()
+        sub = mat[flat].tocoo()  # row r of sub is row flat[r] of mat
+        hit = labels[sub.col] == labels[flat[sub.row]]
         pos = np.empty(self.dim, dtype=np.int64)
-        pos[members.ravel()] = np.tile(np.arange(s), k)
-        coo = mat.tocoo()
-        owner = slot[labels[coo.row]]
-        hit = (owner >= 0) & (labels[coo.row] == labels[coo.col])
+        pos[flat] = np.tile(np.arange(s), k)
         out = np.zeros((k, s, s))
-        out[owner[hit], pos[coo.row[hit]], pos[coo.col[hit]]] = coo.data[hit]
+        out[sub.row[hit] // s, sub.row[hit] % s, pos[sub.col[hit]]] = sub.data[hit]
         return out
 
     def _components(self):

@@ -337,6 +337,7 @@ class TestConfigFile:
             ({"energy_range": 5}, ["bounds", "--kind", "lossy", "--lambda-x", "0.3", "--lambda-y", "0.2"]),
             ({"format": "xml"}, ["energy", *SWEEP_RANGES]),
             ({"ports": 4}, ["fidelity-sweep", "--input", "bell2", *SWEEP_RANGES]),
+            ({"lamda_x": 0.3}, ["bounds", "--kind", "edrc", "--lambda-x", "0.5", "--lambda-y", "0.5"]),
         ],
     )
     def test_config_values_meet_the_flag_checks(self, tmp_path, capsys, config, argv):
@@ -347,6 +348,16 @@ class TestConfigFile:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_unknown_key_is_named_and_other_subcommands_keys_pass(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lamda_x": 0.3, "cutoff": 8}))
+        argv = ["bounds", "--kind", "edrc", "--lambda-x", "0.5", "--lambda-y", "0.5"]
+        assert run(tmp_path, "--config", str(cfg), *argv)[0] == EXIT_VALIDATION
+        assert "lamda_x" in capsys.readouterr().err
+        cfg.write_text(json.dumps({"lambda_x": 0.3, "cutoff": 8, "delta_range": "0:1:2"}))  # other subcommands' keys
+        code, out = run(tmp_path, "--config", str(cfg), *argv)
+        assert code == EXIT_OK and read_table(str(out)).metadata["lambda_x"] == 0.5
 
     def test_config_value_may_start_with_a_dash(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -281,7 +281,7 @@ class TestGenericChannel:
                 i = j
             gammas[ms] = gamma_from_basis(nport.SectorBasis(basis.multiset, etas, w, basis.arrangements))
         plain = NPortChannel(p, cap=cap)
-        rotated = NPortChannel(p, cap=cap, gammas=gammas)
+        rotated = NPortChannel(p, cap=cap, gammas=stack_from_dict(gammas))
         for a in range(3):
             for b in range(3):
                 got = rotated.number_element(a, b, Cutoff(7)).matrix
@@ -345,6 +345,30 @@ class TestGenericChannel:
         assert 2 * lx ** (2 * cap) / (1 - lx**2) >= 1e-10
 
 
+def stack_from_dict(gammas):
+    """A Gamma stack function that reads each sector's Gamma from a dict keyed
+    by multiset, as the dict route of the channel build did."""
+
+    def stack(arr, levels, lam_y):
+        return np.stack([gammas[tuple(int(v) for v in row[list(arr.multiset)])] for row in levels])
+
+    return stack
+
+
+def dict_route_gammas(params, cap):
+    """The three-port closed-form Gammas keyed by multiset, as the dict route
+    that the stack interface replaced built them: each pattern's closed form
+    over all its sectors in one call."""
+    ly = params.lambda_y
+    arr = Arrangements((0, 1))
+    order = np.argsort([arr.index[s] for s in lm_label_order(1, 0)])
+    m = np.arange(cap + 1)
+    lo, hi = np.triu_indices(cap + 1, 1)
+    gammas = dict(zip(zip(m.tolist(), m.tolist()), gamma_mm_closed(m, ly)))
+    gammas.update(zip(zip(lo.tolist(), hi.tolist()), gamma_lm_closed(hi, lo, ly)[:, order[:, None], order]))
+    return gammas
+
+
 def pattern_groups(ports, cap):
     """Sectors grouped by multiplicity pattern: (layout, levels array, multisets)."""
     groups = {}
@@ -395,9 +419,25 @@ class TestPatternStacks:
             else:
                 gammas[(lo, hi)] = gamma_lm_closed(hi, lo, p.lambda_y)[np.ix_(order, order)]
         c1, t1 = ThreePortChannel(p, cap).arrays(12)
-        c2, t2 = NPortChannel(p, cap, gammas=gammas).arrays(12)
+        c2, t2 = NPortChannel(p, cap, gammas=stack_from_dict(gammas)).arrays(12)
         assert np.abs(c1 - c2).max() <= 1e-13
         assert np.abs(t1 - t2).max() <= 1e-13
+        for cap in (0, 1, cap):
+            closed = ThreePortChannel(p, cap)
+            route = NPortChannel(p, cap, gammas=stack_from_dict(dict_route_gammas(p, cap)))
+            for got, want in zip(closed.arrays(12), route.arrays(12)):
+                assert np.array_equal(got, want)
+            assert closed.tail_bound(12) == route.tail_bound(12)
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_pattern_walk_meets_the_enumeration_groups(self, ports):
+        for cap in sorted({0, 1, ports - 2, 12}):
+            walk = list(nport._pattern_walk(ports, cap))
+            groups = list(pattern_groups(ports, cap))
+            assert len(walk) == len(groups)
+            for (layout, levels), (arr, want, _) in zip(walk, groups):
+                assert tuple(layout) == arr.multiset
+                assert levels.dtype == want.dtype and np.array_equal(levels, want)
 
     @pytest.mark.parametrize("ports, cap", [(4, 4), (5, 2)])
     def test_numeric_stacks_match_eigenbasis_route(self, ports, cap):
