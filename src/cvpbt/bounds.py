@@ -33,6 +33,7 @@ __all__ = [
     "negative_regime_t_bound",
     "edrc_apply",
     "edrc_diamond_norm",
+    "edrc_distance",
     "critical_index",
     "resource_fidelity",
     "sim_example_bound",
@@ -231,14 +232,19 @@ def edrc_diamond_norm(params: ChannelParams) -> float:
     Equals 2 g sum_{m <= m_c} chi_{x,m} ((1 - chi_{y,m}^2)^(-1/2) - Omega);
     the difference of the two channels is diagonal and largest at alpha = 0.
     """
+    return edrc_distance(params)[1]
+
+
+def edrc_distance(params: ChannelParams) -> tuple[int, float]:
+    """(`critical_index`, `edrc_diamond_norm`) of one point from one Omega sum."""
     if regime(params) is not Regime.POSITIVE:
         raise ValueError("the exact replacement-channel distance assumes the positive regime")
     om, _ = omega(params)
     m_c = _critical_index(params, om)
     if m_c < 0:
-        return 0.0
+        return m_c, 0.0
     total = sum(chi(params.lambda_x, m) * (_inv_root(params.lambda_y, m) - om) for m in range(m_c + 1))
-    return 2 * params.g * total
+    return m_c, 2 * params.g * total
 
 
 def resource_fidelity(lambda_1: float, lambda_2: float, ports: int) -> float:

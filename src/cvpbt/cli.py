@@ -195,8 +195,7 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
         rows = [[e, v] for e, v in zip(energies, values)]
         return ResultTable(["energy", "bound"], rows, meta), EXIT_OK
     if args.kind == "edrc":
-        value = bounds.edrc_diamond_norm(params)
-        m_c = bounds.critical_index(params)
+        m_c, value = bounds.edrc_distance(params)
         meta["m_c"] = m_c
         return ResultTable(["m_c", "diamond_norm"], [[m_c, value]], meta), EXIT_OK
     if args.kind == "sim":

@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +54,33 @@ def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(cap + 1), ports - 1))
 
 
+class Rotations(NamedTuple):
+    """Port-rotation tables of an `Arrangements`, m = size / N.
+
+    perm[j, p]: canonical index of marker-first arrangement p rotated so
+    that its marker sits in slot j; the pair (j, p) is the rotation order.
+    hop[d-1, p']: marker-first arrangement reached from p' by swapping its
+    marker with slot d and rotating the marker back to slot 0.
+    slot[d-1, p']: unique-level index of the value in slot d of p'.
+    """
+
+    perm: np.ndarray
+    hop: np.ndarray
+    slot: np.ndarray
+
+
 class Arrangements:
     """Distinct orderings of the marker slot together with the multiset values.
 
     Arrangements are stored in lexicographic order of their slot
     sequences, with the marker sorting before any level value.  This
     fixes the row/column convention of every Gamma matrix.
+
+    Rotating the ports maps arrangements to arrangements, and since the
+    marker occurs once each rotation orbit has N members, exactly one of
+    them marker-first.  `rotations` holds the tables that relabel every
+    arrangement as (marker slot j, marker-first p) and turn marker swaps
+    into permutations of the marker-first arrangements.
     """
 
     def __init__(self, multiset):
@@ -83,42 +105,77 @@ class Arrangements:
     def size(self) -> int:
         return len(self.seqs)
 
-    @functools.cached_property
-    def hops(self) -> np.ndarray:
-        """hops[r]: identity plus the marker swaps with the r-th unique value."""
-        out = np.stack([np.eye(self.size)] * len(set(self.multiset)))
-        for r, v in enumerate(sorted(set(self.multiset))):
-            for i, table in enumerate(self.swaps):
-                out[r, i, list(table[v])] = 1
-        return out
-
     @property
     def ports(self) -> int:
         return len(self.multiset) + 1
+
+    @functools.cached_property
+    def rotations(self) -> Rotations:
+        """Port-rotation tables (`Rotations`), built once per layout."""
+        n = self.ports
+        first = [self.seqs[i] for i in self.ptilde]
+        rank = {s: p for p, s in enumerate(first)}
+        level = {v: r for r, v in enumerate(sorted(set(self.multiset)))}
+        perm = np.array([[self.index[s[n - j :] + s[: n - j]] for s in first] for j in range(n)])
+        hop = np.empty((n - 1, len(first)), dtype=np.intp)
+        slot = np.empty((n - 1, len(first)), dtype=np.intp)
+        for d in range(1, n):
+            for p, s in enumerate(first):
+                t = (s[d],) + s[1:d] + (MARKER,) + s[d + 1 :]
+                hop[d - 1, p] = rank[t[d:] + t[:d]]
+                slot[d - 1, p] = level[s[d]]
+        return Rotations(perm, hop, slot)
+
+
+def _swap_weights(levels: np.ndarray, lam_y: float) -> np.ndarray:
+    """(1-lam_y^2) lam_y^(2m) for every unique level m of `levels`."""
+    if not 0 < lam_y < 1:
+        raise ValueError("lambda_y must lie in (0, 1)")
+    ly2 = lam_y**2
+    # scalar pow per level: numpy's vector power can differ in the last bit
+    return (1 - ly2) * np.array([ly2**m for m in range(int(levels.max()) + 1)])[levels]
+
+
+def _rotation_blocks(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
+    """Blocks C_d of the sector matrices in rotation order, (b, N, m, m).
+
+    Block (j, j') of H is C_(j-j' mod N): C_0 = I, and for d >= 1 C_d
+    sends marker-first p' to hop[d-1, p'] with the swap weight of the
+    level in slot d of p'."""
+    perm, hop, slot = arr.rotations
+    c = _swap_weights(levels, lam_y)
+    n, m = perm.shape
+    blocks = np.zeros((len(levels), n, m, m))
+    blocks[:, 0] = np.eye(m)
+    cols = np.arange(m)
+    for d in range(1, n):
+        blocks[:, d, hop[d - 1], cols] = c[:, slot[d - 1]]
+    return blocks
+
+
+def _block_circulant(blocks: np.ndarray) -> np.ndarray:
+    """(b, N m, N m) stack whose block (j, j') is blocks[:, (j - j') mod N]."""
+    b, n, m, _ = blocks.shape
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    return blocks[:, lag].swapaxes(2, 3).reshape(b, n * m, n * m)
 
 
 def sector_matrix(multiset, lam_y: float) -> np.ndarray:
     """Finite Hermitian matrix whose spectrum gives the sector eigenvalues.
 
-    Row Phi of H c reads g(M) c_Phi plus, for each unique value m, the
-    weight (1-lam_y^2) lam_y^(2m) times the sum of c over the marker-swap
-    orbit of Phi (identity included).
+    Row Phi of H c reads c_Phi plus, for each unique value m, the weight
+    (1-lam_y^2) lam_y^(2m) times the sum of c over the arrangements
+    reached by swapping the marker of Phi with a slot holding m.  In the
+    rotation order of `Arrangements.rotations` it is I + the swap blocks
+    C_d placed block-circulantly, one scatter per slot d.
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
-    return _sector_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y)[0]
-
-
-def _sector_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
-    """Sector matrices stacked along axis 0, one per row of `levels`: the
-    unique levels, ascending, of a sector laid out like `arr`."""
-    if not 0 < lam_y < 1:
-        raise ValueError("lambda_y must lie in (0, 1)")
-    ly2 = lam_y**2
-    # scalar pow per level: numpy's vector power can differ in the last bit
-    powers = np.array([ly2**m for m in range(int(levels.max()) + 1)])[levels]
-    h = (1 - (1 - ly2) * powers.sum(axis=1))[:, None, None] * np.eye(arr.size)
-    for r, hop in enumerate(arr.hops):
-        h += ((1 - ly2) * powers[:, r])[:, None, None] * hop
+    perm, hop, slot = arr.rotations
+    c = _swap_weights(np.array(sorted(set(arr.multiset))), lam_y)
+    h = np.eye(arr.size)
+    for d in range(1, arr.ports):
+        # block (j, j - d): column (j - d, p') meets row (j, hop[d-1, p'])
+        h[perm[:, hop[d - 1]], np.roll(perm, d, axis=0)] = c[slot[d - 1]]
     return h
 
 
@@ -207,22 +264,37 @@ def gamma(multiset, lam_y: float) -> np.ndarray:
     Basis-free form: H^(-1/2) P~ H^(-1/2) - H^(-1)/N, with P~ the diagonal
     projector onto marker-first arrangements.  This equals the eigenbasis
     contraction for any orthonormal eigenbasis, which resolves the
-    degenerate-cluster ambiguity of the pairwise form.
+    degenerate-cluster ambiguity of the pairwise form.  It is computed
+    from the Fourier blocks of H under port rotation (`_gamma_stack`).
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
     return _gamma_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y)[0]
 
 
 def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
-    """`gamma` of every sector of a `_sector_stack`, from one stacked eigh."""
-    w, v = np.linalg.eigh(_sector_stack(arr, levels, lam_y))
+    """`gamma` of every sector laid out like `arr`, one per row of `levels`
+    (the unique levels, ascending), in canonical coordinates.
+
+    In rotation order H is block-circulant in the swap blocks C_d, so a
+    real FFT over d splits it into floor(N/2)+1 Hermitian m x m blocks
+    H_k (H_(N-k) is their conjugate), diagonalised by one stacked eigh.
+    The inverse FFT gives the blocks S_d of H^(-1/2) in the marker-first
+    column and the blocks of H^(-1); with B the stack of the S_d,
+    Gamma = B B^T - circ(H^(-1))/N, scattered back to canonical order.
+    """
+    n = arr.ports
+    hk = np.fft.rfft(_rotation_blocks(arr, levels, lam_y), axis=1)
+    w, v = np.linalg.eigh(hk)
     if w.min() <= 0:
-        bad = levels[np.argmin(w.min(axis=1))].tolist()
+        bad = levels[np.argmin(w.min(axis=(1, 2)))].tolist()
         raise RuntimeError(f"sector matrix with levels {bad} is not positive definite")
-    vt = v.swapaxes(1, 2)
-    inv_sqrt = (v / np.sqrt(w)[:, None, :]) @ vt
-    pt = list(arr.ptilde)
-    return inv_sqrt[:, :, pt] @ inv_sqrt[:, pt, :] - ((v / w[:, None, :]) @ vt) / arr.ports
+    vh = v.conj().swapaxes(-1, -2)
+    column = np.fft.irfft((v / np.sqrt(w)[..., None, :]) @ vh, n, axis=1)
+    column = column.reshape(len(levels), arr.size, -1)
+    g = column @ column.swapaxes(1, 2)
+    g -= _block_circulant(np.fft.irfft((v / w[..., None, :]) @ vh, n, axis=1)) / n
+    back = np.argsort(arr.rotations.perm, axis=None)
+    return g[:, back[:, None], back]
 
 
 def gamma_from_basis(basis: SectorBasis) -> np.ndarray:

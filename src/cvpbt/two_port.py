@@ -290,8 +290,11 @@ def output_energy(u: float, params: ChannelParams, tol: float = SUM_TOL) -> floa
 
 
 def max_output_energy(params: ChannelParams, tol: float = SUM_TOL) -> float:
-    """Largest output mean photon number over all inputs (the soft energy cap);
-    an array over a parameter grid, from one pass of each level sum."""
+    """Largest output mean photon number over coherent inputs (the coherent
+    energy cap), the maximum of `output_energy` over u; an array over a
+    parameter grid, from one pass of each level sum.  Other inputs can go
+    higher: at lambda_x = lambda_y = 0.5 the number state |1> gives 0.370265
+    against a cap of 0.333835."""
     _check_two_port(params)
     om, _ = omega(params, tol)
     s1, _ = energy_weighted_omega(params, tol)

@@ -135,6 +135,20 @@ class TestBounds:
         ).matrix
         assert value == pytest.approx(trace_norm(delta), abs=1e-10)
 
+    def test_edrc_table_sums_omega_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = bounds.omega
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "omega", counted)
+        code, out = run(tmp_path, "bounds", "--kind", "edrc", "--lambda-x", "0.5", "--lambda-y", "0.5")
+        assert code == EXIT_OK and len(calls) == 1
+        p = two_port.ChannelParams(0.5, 0.5)
+        assert read_table(str(out)).rows[0] == [bounds.critical_index(p), bounds.edrc_diamond_norm(p)]
+
     def test_sim_zero_delta(self, tmp_path):
         lam = 2**-0.25
         code, out = run(

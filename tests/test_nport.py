@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,67 @@ class TestArrangements:
             for v, neighbors in arr.swaps[i].items():
                 for j in neighbors:
                     assert i in arr.swaps[j][v]
+
+
+class TestRotations:
+    @pytest.mark.parametrize("ports", range(2, 7))
+    def test_tables_are_permutations(self, ports):
+        for layout, _ in nport._pattern_walk(ports, ports - 2):
+            arr = Arrangements(layout)
+            perm, hop, slot = arr.rotations
+            m = arr.size // ports
+            assert perm.shape == (ports, m) and hop.shape == slot.shape == (ports - 1, m)
+            assert sorted(perm.ravel().tolist()) == list(range(arr.size))
+            assert perm[0].tolist() == list(arr.ptilde)
+            for j, p in itertools.product(range(ports), range(m)):
+                first = arr.seqs[perm[0, p]]  # rotated so that its marker sits in slot j
+                assert arr.seqs[perm[j, p]] == first[-j:] + first[:-j]
+            for row in hop:
+                assert sorted(row.tolist()) == list(range(m))
+            assert set(slot.ravel().tolist()) == set(range(layout[-1] + 1))
+
+    @pytest.mark.parametrize("ports", range(2, 7))
+    def test_inverse_fft_of_the_blocks_rebuilds_sector_matrix(self, ports):
+        lam_y = 0.45
+        for layout, levels in nport._pattern_walk(ports, ports - 1):
+            arr = Arrangements(layout)
+            blocks = np.fft.irfft(np.fft.rfft(nport._rotation_blocks(arr, levels, lam_y), axis=1), ports, axis=1)
+            order = arr.rotations.perm.ravel()
+            h = np.empty((len(levels), arr.size, arr.size))
+            h[:, order[:, None], order] = nport._block_circulant(blocks)
+            for got, row in zip(h, levels):
+                assert np.abs(got - sector_matrix(tuple(row[layout]), lam_y)).max() <= 1e-15
+
+    @pytest.mark.parametrize("lam_y", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("ports", range(2, 7))
+    def test_gamma_stack_matches_dense_reference(self, ports, lam_y):
+        for layout, levels in nport._pattern_walk(ports, ports - 1 if ports < 6 else ports - 2):
+            arr = Arrangements(layout)
+            stacked = nport._gamma_stack(arr, levels, lam_y)
+            for got, row in zip(stacked, levels):
+                w, v = np.linalg.eigh(sector_matrix(tuple(row[layout]), lam_y))
+                root = (v / np.sqrt(w)) @ v.T
+                pt = list(arr.ptilde)
+                want = root[:, pt] @ root[pt, :] - (v / w) @ v.T / ports
+                assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max()
+
+    def test_indefinite_sector_is_named_by_its_levels(self, monkeypatch):
+        weights = nport._swap_weights
+        # swap weights above one make the second sector's matrix indefinite
+        monkeypatch.setattr(nport, "_swap_weights", lambda levels, lam_y: weights(levels, lam_y) * [[1], [100]])
+        with pytest.raises(RuntimeError, match=r"levels \[2, 3\] is not positive definite"):
+            nport._gamma_stack(Arrangements((0, 1)), np.array([[0, 1], [2, 3]]), 0.5)
+
+    def test_seven_distinct_levels_stay_small(self):
+        tracemalloc.start()
+        try:
+            arr = Arrangements(range(7))
+            perm, hop, slot = arr.rotations
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.size == 40320 and hop.shape == (7, 5040)
+        assert peak < 50 * 2**20
 
 
 class TestSectorMatrix:

@@ -278,6 +278,15 @@ class TestEnergy:
         p = ChannelParams(0.5, 0.5)
         assert output_energy(1e6, p) == pytest.approx(0.25 / 0.75, abs=1e-12)
 
+    def test_number_state_exceeds_the_coherent_cap(self):
+        # the cap is a maximum over coherent inputs only: |1> goes above it
+        p = ChannelParams(0.5, 0.5)
+        out = apply_number_element(1, 1, p, Cutoff(200)).matrix
+        energy = float(np.arange(200) @ np.diag(out).real)
+        assert energy == pytest.approx(0.370265, abs=1e-6)
+        assert max_output_energy(p) == pytest.approx(0.333835, abs=1e-6)
+        assert energy > max_output_energy(p) + 0.03
+
     def test_max_against_grid_and_golden_section(self):
         for lx, ly in [(0.3, 0.5), (0.5, 0.5), (0.7, 0.2)]:
             p = ChannelParams(lx, ly)
