@@ -41,7 +41,7 @@ __all__ = [
 
 MARKER = -1  # slot that carries the summed level index in an arrangement
 CLUSTER_TOL = 1e-9  # relative eigenvalue separation treated as degenerate
-_STACK_ELEMS = 1 << 12  # Gamma entries per stacked batch, which bounds its memory
+_STACK_ELEMS = 1 << 18  # Gamma entries per stacked batch: a (b, size, size) float64 temporary stays within 2 MiB
 
 
 def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
@@ -55,18 +55,45 @@ def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
 
 
 class Rotations(NamedTuple):
-    """Port-rotation tables of an `Arrangements`, m = size / N.
+    """Port-rotation and reflection tables of an `Arrangements`, m = size / N.
 
     perm[j, p]: canonical index of marker-first arrangement p rotated so
     that its marker sits in slot j; the pair (j, p) is the rotation order.
     hop[d-1, p']: marker-first arrangement reached from p' by swapping its
     marker with slot d and rotating the marker back to slot 0.
     slot[d-1, p']: unique-level index of the value in slot d of p'.
+    flip[p]: p = (M, s1..s_(N-1)) with its levels reversed, (M, s_(N-1)..s1).
+    It is an involution, fixed exactly on the palindromic tails, and as the
+    permutation R of the marker-first arrangements it pairs the swap blocks
+    of `_rotation_blocks`: C_(N-d) = R C_d R.  The R-parity basis, the pairs
+    (e_p +- e_Rp)/sqrt2 with fixed points in the + space, makes every
+    Fourier block of a sector matrix real (`_parity_forms`).
     """
 
     perm: np.ndarray
     hop: np.ndarray
     slot: np.ndarray
+    flip: np.ndarray
+
+
+class Parity(NamedTuple):
+    """R-parity tables of an `Arrangements` (see `Rotations.flip`), m = size / N.
+
+    u, norm, scale: the orthonormal parity basis Q = U diag(norm), its +
+    vectors first; row p of U as two terms (i, j, a, b), U[p] = a[p] e_i[p]
+    + b[p] e_j[p], and scale = outer(norm, norm) (`_parity_basis`).
+    half: dimension of the + space.
+    sign: (m, m) mask, +1 on the +- block, -1 on the -+ block, 0 elsewhere.
+    forms[v, k]: real form (`_parity_forms`) of Fourier block k of the swaps
+    of the v-th unique level at unit weight.
+    """
+
+    u: tuple
+    norm: np.ndarray
+    scale: np.ndarray
+    half: int
+    sign: np.ndarray
+    forms: np.ndarray
 
 
 class Arrangements:
@@ -80,7 +107,11 @@ class Arrangements:
     marker occurs once each rotation orbit has N members, exactly one of
     them marker-first.  `rotations` holds the tables that relabel every
     arrangement as (marker slot j, marker-first p) and turn marker swaps
-    into permutations of the marker-first arrangements.
+    into permutations of the marker-first arrangements, with the reversal
+    of the level slots: rotations and that reflection generate the dihedral
+    group under which each sector matrix splits into real parity blocks.
+    Marker swaps of any other arrangement are made on demand (`_swap`), so
+    no per-arrangement table is stored.
     """
 
     def __init__(self, multiset):
@@ -88,12 +119,6 @@ class Arrangements:
         self.seqs = tuple(sorted(set(itertools.permutations((MARKER,) + self.multiset))))
         self.index = {s: i for i, s in enumerate(self.seqs)}
         self.ptilde = tuple(i for i, s in enumerate(self.seqs) if s[0] == MARKER)
-        # swaps[i][v] = arrangements reached from i by exchanging the marker
-        # with one slot holding value v (identity excluded)
-        self.swaps = [
-            {v: tuple(self._swap(s, q) for q, x in enumerate(s) if x == v) for v in set(self.multiset)}
-            for s in self.seqs
-        ]
 
     def _swap(self, seq, q) -> int:
         """Index of `seq` with its marker and slot q exchanged."""
@@ -111,7 +136,7 @@ class Arrangements:
 
     @functools.cached_property
     def rotations(self) -> Rotations:
-        """Port-rotation tables (`Rotations`), built once per layout."""
+        """Port-rotation and reflection tables (`Rotations`), built once per layout."""
         n = self.ports
         first = [self.seqs[i] for i in self.ptilde]
         rank = {s: p for p, s in enumerate(first)}
@@ -124,7 +149,13 @@ class Arrangements:
                 t = (s[d],) + s[1:d] + (MARKER,) + s[d + 1 :]
                 hop[d - 1, p] = rank[t[d:] + t[:d]]
                 slot[d - 1, p] = level[s[d]]
-        return Rotations(perm, hop, slot)
+        flip = np.array([rank[s[:1] + s[:0:-1]] for s in first], dtype=np.intp)
+        return Rotations(perm, hop, slot, flip)
+
+    @functools.cached_property
+    def parity(self) -> Parity:
+        """Parity basis and unit-weight parity forms (`Parity`), built once per layout."""
+        return _parity(self)
 
 
 def _swap_weights(levels: np.ndarray, lam_y: float) -> np.ndarray:
@@ -136,28 +167,21 @@ def _swap_weights(levels: np.ndarray, lam_y: float) -> np.ndarray:
     return (1 - ly2) * np.array([ly2**m for m in range(int(levels.max()) + 1)])[levels]
 
 
-def _rotation_blocks(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
-    """Blocks C_d of the sector matrices in rotation order, (b, N, m, m).
+def _rotation_blocks(arr: Arrangements, weights: np.ndarray) -> np.ndarray:
+    """Blocks C_d of the sector matrices in rotation order, (b, N, m, m), for
+    swap weights (b, k) per unique level (`_swap_weights`).
 
     Block (j, j') of H is C_(j-j' mod N): C_0 = I, and for d >= 1 C_d
     sends marker-first p' to hop[d-1, p'] with the swap weight of the
     level in slot d of p'."""
-    perm, hop, slot = arr.rotations
-    c = _swap_weights(levels, lam_y)
+    perm, hop, slot, _ = arr.rotations
     n, m = perm.shape
-    blocks = np.zeros((len(levels), n, m, m))
+    blocks = np.zeros((len(weights), n, m, m))
     blocks[:, 0] = np.eye(m)
     cols = np.arange(m)
     for d in range(1, n):
-        blocks[:, d, hop[d - 1], cols] = c[:, slot[d - 1]]
+        blocks[:, d, hop[d - 1], cols] = weights[:, slot[d - 1]]
     return blocks
-
-
-def _block_circulant(blocks: np.ndarray) -> np.ndarray:
-    """(b, N m, N m) stack whose block (j, j') is blocks[:, (j - j') mod N]."""
-    b, n, m, _ = blocks.shape
-    lag = (np.arange(n)[:, None] - np.arange(n)) % n
-    return blocks[:, lag].swapaxes(2, 3).reshape(b, n * m, n * m)
 
 
 def sector_matrix(multiset, lam_y: float) -> np.ndarray:
@@ -170,7 +194,7 @@ def sector_matrix(multiset, lam_y: float) -> np.ndarray:
     C_d placed block-circulantly, one scatter per slot d.
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
-    perm, hop, slot = arr.rotations
+    perm, hop, slot, _ = arr.rotations
     c = _swap_weights(np.array(sorted(set(arr.multiset))), lam_y)
     h = np.eye(arr.size)
     for d in range(1, arr.ports):
@@ -271,30 +295,156 @@ def gamma(multiset, lam_y: float) -> np.ndarray:
     return _gamma_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y)[0]
 
 
+def _parity_basis(flip: np.ndarray):
+    """The orthonormal R-parity basis Q = U diag(norm) of the marker-first
+    arrangements, with U made of +-1 entries.
+
+    Columns of Q are (e_p + e_Rp)/sqrt2 for p < Rp and e_p for p = Rp (the
+    + space), then (e_p - e_Rp)/sqrt2 for p < Rp.  Returns U^T and U as
+    two terms (i, j, a, b) per row, row r being a[r] e_i[r] + b[r] e_j[r]
+    (a fixed point as e_p = (e_p + e_p)/2), norm, the scale matrix
+    outer(norm, norm) with exactly 1/2 between two pairs, and the
+    dimension of the + space.
+    Keeping sqrt2 out of U makes Q^T x Q = (U^T x U) . scale exact where
+    the pairs meet, so the parity forms carry no rounding bias there.
+    """
+    p = np.arange(len(flip))
+    plus, minus = p[p <= flip], p[p < flip]
+    rows = np.concatenate([plus, minus])
+    fixed = rows == flip[rows]
+    a = np.where(fixed, 0.5, 1.0)
+    ut = rows, flip[rows], a, np.concatenate([a[: len(plus)], -np.ones(len(minus))])
+    # row p of U is column p of U^T: its + term, then its - term (the + term again at a fixed point)
+    rep = np.minimum(p, flip)
+    col = np.searchsorted(plus, rep)
+    pair = p != flip
+    u = (
+        col,
+        np.where(pair, len(plus) + np.searchsorted(minus, rep), col),
+        np.where(pair, 1.0, 0.5),
+        np.where(pair, np.where(p < flip, 1.0, -1.0), 0.5),
+    )
+    paired = ~fixed
+    norm = np.where(paired, math.sqrt(0.5), 1.0)
+    scale = np.outer(norm, norm)
+    scale[np.ix_(paired, paired)] = 0.5
+    return ut, u, norm, scale, len(plus)
+
+
+def _sandwich(x: np.ndarray, terms) -> np.ndarray:
+    """T x T^T over the last two axes, T given as two terms per row."""
+    i, j, a, b = terms
+    x = a[:, None] * x[..., i, :] + b[:, None] * x[..., j, :]
+    return a * x[..., i] + b * x[..., j]
+
+
+def _dihedral_tables(n: int):
+    """cos and sin of 2 pi k d / N for k = 0..floor(N/2), d = 0..N-1, the
+    sine exactly zero at k = 0 and k = N/2, where it vanishes."""
+    k = np.arange(n // 2 + 1)
+    angle = 2 * np.pi * (np.outer(k, np.arange(n)) % n) / n
+    sin = np.sin(angle)
+    sin[2 * k % n == 0] = 0.0
+    return np.cos(angle), sin
+
+
+def _dihedral_dft(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """Real form of a block DFT over axis 1 of a (b, d, m, m) stack in the
+    parity basis: out_k = sum_d cos[k, d] x_d on the ++ and -- blocks plus
+    sin[k, d] x_d on the +- blocks and -sin[k, d] x_d on the -+ blocks
+    (`sign` is +1, -1 and 0 there)."""
+    b, _, m, _ = x.shape
+    flat = lambda y: y.reshape(b, -1, m * m)
+    return (cos @ flat(x * (sign == 0)) + sin @ flat(x * sign)).reshape(b, -1, m, m)
+
+
+def _parity(arr: Arrangements) -> Parity:
+    """`Arrangements.parity`: the parity forms of each level's swaps at unit
+    weight, one level at a time so the temporaries stay one level's blocks."""
+    ut, u, norm, scale, half = _parity_basis(arr.rotations.flip)
+    m = len(u[0])
+    sign = np.zeros((m, m))
+    sign[:half, half:], sign[half:, :half] = 1.0, -1.0
+    tables = _dihedral_tables(arr.ports)
+    forms = []
+    for unit in np.eye(len(set(arr.multiset))):
+        blocks = _rotation_blocks(arr, unit[None])
+        blocks[:, 0] = 0.0  # C_0 = I is added exactly per sector
+        forms.append(_dihedral_dft(_sandwich(blocks, ut) * scale, *tables, sign)[0])
+    return Parity(u, norm, scale, half, sign, np.array(forms))
+
+
+def _parity_forms(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
+    """Real symmetric forms M_k of the Fourier blocks H_k = sum_d C_d
+    e^(-2 pi i d k/N) of every sector laid out like `arr`, one per row of
+    `levels`: (b, floor(N/2)+1, m, m) in the parity basis Q of `Parity`.
+
+    R H_k R is the conjugate of H_k, so Q^T H_k Q has real ++ and -- blocks
+    and imaginary +- and -+ blocks, and M_k = diag(1, -i) Q^T H_k Q
+    diag(1, i) = sum_d (Q^T C_d Q) . K_(k,d) is real, the kernel K_(k,d)
+    being cos(2 pi d k/N) on the ++ and -- blocks and +-sin(2 pi d k/N) on
+    the +- and -+ blocks.  At k = 0 and k = N/2 the sine vanishes and M_k
+    splits into its + and - halves.  M_k is linear in the swap weights,
+    so it is I plus the weighted sum of the unit forms of `Parity`.
+    """
+    c = _swap_weights(levels, lam_y)
+    unit = arr.parity.forms
+    forms = np.broadcast_to(np.eye(unit.shape[-1]), (len(levels),) + unit.shape[1:]).copy()
+    for v, form in enumerate(unit):
+        forms += c[:, v, None, None, None] * form
+    return forms
+
+
 def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
     """`gamma` of every sector laid out like `arr`, one per row of `levels`
     (the unique levels, ascending), in canonical coordinates.
 
-    In rotation order H is block-circulant in the swap blocks C_d, so a
-    real FFT over d splits it into floor(N/2)+1 Hermitian m x m blocks
-    H_k (H_(N-k) is their conjugate), diagonalised by one stacked eigh.
-    The inverse FFT gives the blocks S_d of H^(-1/2) in the marker-first
-    column and the blocks of H^(-1); with B the stack of the S_d,
-    Gamma = B B^T - circ(H^(-1))/N, scattered back to canonical order.
+    In rotation order H is block-circulant in the swap blocks C_d, and the
+    reflection of the level slots makes each Fourier block H_k unitarily
+    similar to a real symmetric M_k (`_parity_forms`).  One real stacked
+    eigh per size diagonalises the M_k of 0 < k < N/2 and the + and -
+    halves of M_0 and M_(N/2).  The same kernel run backwards (weight 2/N
+    for the k paired with N-k, 1/N otherwise) gives the blocks S_d of
+    H^(-1/2) in the marker-first column and the blocks of H^(-1), in the
+    parity basis.  With B the stack of the S_d, Gamma = B B^T -
+    circ(H^(-1))/N in canonical order; Q on the right of B cancels in
+    B B^T, so only its rows leave the parity basis.
     """
-    n = arr.ports
-    hk = np.fft.rfft(_rotation_blocks(arr, levels, lam_y), axis=1)
-    w, v = np.linalg.eigh(hk)
-    if w.min() <= 0:
-        bad = levels[np.argmin(w.min(axis=(1, 2)))].tolist()
-        raise RuntimeError(f"sector matrix with levels {bad} is not positive definite")
-    vh = v.conj().swapaxes(-1, -2)
-    column = np.fft.irfft((v / np.sqrt(w)[..., None, :]) @ vh, n, axis=1)
-    column = column.reshape(len(levels), arr.size, -1)
+    n, b = arr.ports, len(levels)
+    u, norm, scale, half, sign, _ = arr.parity
+    forms = _parity_forms(arr, levels, lam_y)
+    m = forms.shape[-1]
+    edge = [0, n // 2] if n % 2 == 0 else [0]
+    groups = [(edge, slice(half)), (edge, slice(half, m)), (slice(1, (n + 1) // 2), slice(m))]
+    eig = [np.linalg.eigh(forms[:, k, s, s]) for k, s in groups]
+    low = np.min([w.min(axis=(1, 2)) for w, _ in eig if w.size], axis=0)
+    if low.min() <= 0:
+        raise RuntimeError(f"sector matrix with levels {levels[np.argmin(low)].tolist()} is not positive definite")
+    f = np.zeros((b, 2) + forms.shape[1:])  # M_k^(-1/2) and M_k^(-1)/N
+    for (k, s), (w, v) in zip(groups, eig):
+        vt = v.swapaxes(-1, -2)
+        f[:, 0, k, s, s] = (v / np.sqrt(w)[..., None, :]) @ vt
+        f[:, 1, k, s, s] = (v / (n * w)[..., None, :]) @ vt
+    cos, sin = _dihedral_tables(n)
+    weight = np.where(2 * np.arange(len(cos)) % n == 0, 1.0, 2.0) / n
+    blocks = _dihedral_dft(f.reshape(2 * b, -1, m, m), cos.T * weight, sin.T * weight, sign)
+    root, inv = blocks.reshape(b, 2, n, m, m).swapaxes(0, 1)
+    back = np.argsort(arr.rotations.perm, axis=None)  # rotation position j m + p of each canonical index
+    j, p = np.divmod(back, m)
+    i1, i2, a1, a2 = (t[p] for t in u)
+    a1, a2 = a1 * norm[i1], a2 * norm[i2]  # row p of Q
+    root = root.reshape(b, n * m, m)
+    column = a1[:, None] * root[:, j * m + i1] + a2[:, None] * root[:, j * m + i2]
     g = column @ column.swapaxes(1, 2)
-    g -= _block_circulant(np.fft.irfft((v / w[..., None, :]) @ vh, n, axis=1)) / n
-    back = np.argsort(arr.rotations.perm, axis=None)
-    return g[:, back[:, None], back]
+    # circ(H^(-1))/N in canonical order: block (j, j') is the block j - j' mod N;
+    # int32 keeps the size x size index small (N m^2 < 2^31 for every layout up to N = 8)
+    j, p = j.astype(np.int32), p.astype(np.int32)
+    lag = ((np.arange(n)[:, None] - np.arange(n)) % n * m * m).astype(np.int32)
+    index = lag[j][:, j]
+    index += (p * m)[:, None]
+    index += p
+    g -= _sandwich(inv * scale, u).reshape(b, -1)[:, index]
+    return g
 
 
 def gamma_from_basis(basis: SectorBasis) -> np.ndarray:
@@ -429,18 +579,22 @@ def _orbit_segments(arr: Arrangements):
     are the orbit sums of a sector with this multiplicity pattern.
 
     Slot r < k stands for the r-th unique level and slot k for a level the
-    sector does not hold; orbit(t, v) is t plus the arrangements reached by
-    swapping its marker with a slot holding v (t alone in slot k).  The
-    segments give, row-major, Gamma[orbit(i, b), orbit(i, a)] summed over
-    marker-first i for slots a, b, then Gamma[t, orbit(t, a)] summed over
-    the t starting with level n for slots a and levels n.
+    sector does not hold; orbit(t, v) is t followed by the arrangements
+    reached by swapping its marker with each slot holding v, in slot order
+    (t alone in slot k).  The segments give, row-major,
+    Gamma[orbit(i, b), orbit(i, a)] summed over marker-first i for slots
+    a, b, then Gamma[t, orbit(t, a)] summed over the t starting with level
+    n for slots a and levels n.  Orbits are made on demand and kept only
+    for this call.
     """
     size = arr.size
     uniq = sorted(set(arr.multiset))
     slots = uniq + [None]
 
+    @functools.cache
     def orbit(t, v):
-        return (t,) if v is None else (t, *arr.swaps[t][v])
+        seq = arr.seqs[t]
+        return (t,) if v is None else (t, *(arr._swap(seq, q) for q, x in enumerate(seq) if x == v))
 
     segments = [
         [r * size + c for i in arr.ptilde for r in orbit(i, b) for c in orbit(i, a)]

@@ -277,16 +277,21 @@ def apply_state(rho_in: DensityOperator, params: ChannelParams, cutoff=None) -> 
 
 
 def output_energy(u: float, params: ChannelParams, tol: float = SUM_TOL) -> float:
-    """Mean photon number of the output for a coherent input with |alpha|^2 = u."""
+    """Mean photon number of the output for a coherent input with |alpha|^2 = u.
+
+    An array of u gives the array of its outputs from one sum of Omega and
+    of `energy_weighted_omega`, each entry bitwise its scalar call."""
     _check_two_port(params)
-    if u < 0:
+    if np.any(np.asarray(u) < 0):
         raise ValueError("input energy must be nonnegative")
-    lx = params.lambda_x
-    g, tau = params.g, params.tau
     om, _ = omega(params, tol)
     s1, _ = energy_weighted_omega(params, tol)
-    thermal = lx**2 / (1 - lx**2)
-    return math.exp(-(1 - tau) * u) * g * (tau * om * u - s1) + thermal
+
+    def point(u, lx, g, tau, om, s1):
+        thermal = lx**2 / (1 - lx**2)
+        return math.exp(-(1 - tau) * u) * g * (tau * om * u - s1) + thermal
+
+    return _per_point(point, u, params.lambda_x, params.g, params.tau, om, s1)
 
 
 def max_output_energy(params: ChannelParams, tol: float = SUM_TOL) -> float:

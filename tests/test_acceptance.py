@@ -167,9 +167,9 @@ class TestCriterion05:
         for lx, ly in [(0.3, 0.5), (0.5, 0.5), (0.7, 0.2)]:
             p = ChannelParams(lx, ly)
             us = np.linspace(0, 80, 8001)
-            grid_best = max(two_port.output_energy(u, p) for u in us)
+            grid_best = max(two_port.output_energy(us, p))
             # refine around the winner with a golden-section pass
-            k = int(np.argmax([two_port.output_energy(u, p) for u in us]))
+            k = int(np.argmax(two_port.output_energy(us, p)))
             a, b = us[max(0, k - 1)], us[min(len(us) - 1, k + 1)]
             invphi = (math.sqrt(5) - 1) / 2
             c, d = b - invphi * (b - a), a + invphi * (b - a)

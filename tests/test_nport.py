@@ -31,6 +31,25 @@ def lm_label_order(l, m):
     return [(MARKER, l, m), (l, m, MARKER), (m, MARKER, l), (MARKER, m, l), (m, l, MARKER), (l, MARKER, m)]
 
 
+def swapped(arr, t, q):
+    """Index of arrangement t with its marker and slot q exchanged."""
+    seq = list(arr.seqs[t])
+    seq[seq.index(MARKER)], seq[q] = seq[q], MARKER
+    return arr.index[tuple(seq)]
+
+
+def orbit(arr, t, v):
+    """t, then the arrangements reached by swapping its marker with each slot holding v."""
+    return [t] + [swapped(arr, t, q) for q, x in enumerate(arr.seqs[t]) if x == v]
+
+
+def block_circulant(blocks):
+    """(b, N m, N m) stack whose block (j, j') is blocks[:, (j - j') mod N]."""
+    b, n, m, _ = blocks.shape
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    return blocks[:, lag].swapaxes(2, 3).reshape(b, n * m, n * m)
+
+
 class TestMultisets:
     def test_two_ports(self):
         assert enumerate_multisets(2, 2) == [(0,), (1,), (2,)]
@@ -69,9 +88,9 @@ class TestArrangements:
     def test_swap_tables_are_involutive(self):
         arr = Arrangements((0, 2, 2))
         for i in range(arr.size):
-            for v, neighbors in arr.swaps[i].items():
-                for j in neighbors:
-                    assert i in arr.swaps[j][v]
+            for v in set(arr.multiset):
+                for j in orbit(arr, i, v)[1:]:
+                    assert i in orbit(arr, j, v)
 
 
 class TestRotations:
@@ -79,7 +98,7 @@ class TestRotations:
     def test_tables_are_permutations(self, ports):
         for layout, _ in nport._pattern_walk(ports, ports - 2):
             arr = Arrangements(layout)
-            perm, hop, slot = arr.rotations
+            perm, hop, slot, _ = arr.rotations
             m = arr.size // ports
             assert perm.shape == (ports, m) and hop.shape == slot.shape == (ports - 1, m)
             assert sorted(perm.ravel().tolist()) == list(range(arr.size))
@@ -96,10 +115,11 @@ class TestRotations:
         lam_y = 0.45
         for layout, levels in nport._pattern_walk(ports, ports - 1):
             arr = Arrangements(layout)
-            blocks = np.fft.irfft(np.fft.rfft(nport._rotation_blocks(arr, levels, lam_y), axis=1), ports, axis=1)
+            blocks = nport._rotation_blocks(arr, nport._swap_weights(levels, lam_y))
+            blocks = np.fft.irfft(np.fft.rfft(blocks, axis=1), ports, axis=1)
             order = arr.rotations.perm.ravel()
             h = np.empty((len(levels), arr.size, arr.size))
-            h[:, order[:, None], order] = nport._block_circulant(blocks)
+            h[:, order[:, None], order] = block_circulant(blocks)
             for got, row in zip(h, levels):
                 assert np.abs(got - sector_matrix(tuple(row[layout]), lam_y)).max() <= 1e-15
 
@@ -127,12 +147,66 @@ class TestRotations:
         tracemalloc.start()
         try:
             arr = Arrangements(range(7))
-            perm, hop, slot = arr.rotations
+            perm, hop, slot, flip = arr.rotations
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert arr.size == 40320 and hop.shape == (7, 5040)
+        assert arr.size == 40320 and hop.shape == (7, 5040) and flip.shape == (5040,)
         assert peak < 50 * 2**20
+
+
+class TestDihedral:
+    """The port reflection (M, s1..s_(N-1)) -> (M, s_(N-1)..s1) that the
+    numeric Gammas rely on, at every layout up to seven ports."""
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_reflection_is_an_involution_fixed_on_palindromes(self, ports):
+        for layout, _ in nport._pattern_walk(ports, ports - 2):
+            arr = Arrangements(layout)
+            flip = arr.rotations.flip
+            assert np.array_equal(flip[flip], np.arange(len(flip)))
+            for p, i in enumerate(arr.ptilde):
+                tail = arr.seqs[i][1:]
+                assert arr.seqs[arr.ptilde[flip[p]]] == (MARKER,) + tail[::-1]
+                assert (flip[p] == p) == (tail == tail[::-1])
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_reflection_pairs_the_swap_blocks(self, ports):
+        for layout, levels in nport._pattern_walk(ports, ports - 1):
+            arr = Arrangements(layout)
+            flip = arr.rotations.flip
+            blocks = nport._rotation_blocks(arr, nport._swap_weights(levels[:2], 0.45))
+            for d in range(1, ports):
+                assert np.array_equal(blocks[:, ports - d], blocks[:, d][:, flip[:, None], flip])
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_parity_forms_have_the_fourier_spectra(self, ports):
+        lam_y = 0.45
+        edge = {0, ports // 2} if ports % 2 == 0 else {0}
+        for layout, levels in nport._pattern_walk(ports, ports - 1):
+            arr = Arrangements(layout)
+            half = arr.parity.half
+            forms = nport._parity_forms(arr, levels[:1], lam_y)
+            fourier = np.fft.rfft(nport._rotation_blocks(arr, nport._swap_weights(levels[:1], lam_y)), axis=1)
+            assert np.abs(forms - forms.swapaxes(-1, -2)).max() <= 1e-15
+            for k in range(ports // 2 + 1):
+                want = np.linalg.eigvalsh(fourier[:, k])
+                if k in edge:  # real blocks: the parity halves decouple
+                    assert not forms[:, k, :half, half:].any()
+                    got = np.sort(np.concatenate([np.linalg.eigvalsh(forms[:, k, :half, :half]),
+                                                  np.linalg.eigvalsh(forms[:, k, half:, half:])], axis=1))
+                else:
+                    got = np.linalg.eigvalsh(forms[:, k])
+                assert np.abs(got - want).max() <= 1e-13
+
+    def test_two_ports_have_real_blocks_and_no_minus_space(self):
+        arr = Arrangements((0,))
+        assert arr.parity.half == 1 and arr.rotations.flip.tolist() == [0]
+        assert not np.fft.rfft(nport._rotation_blocks(arr, np.array([[0.3]])), axis=1).imag.any()
+
+    def test_parity_halves_can_differ(self):
+        arr = Arrangements((0, 0, 1, 1))  # tails 0011, 0101, 0110, 1001, 1010, 1100: two palindromes
+        assert arr.size // arr.ports == 6 and arr.parity.half == 4
 
 
 class TestSectorMatrix:
@@ -381,11 +455,11 @@ class TestGenericChannel:
                     g = gamma(arr, ly)
                     w = pref * lx ** (2 * sum(ms))
 
-                    def orbit(t, v):
-                        return [t, *arr.swaps[t][v]] if v in ms else [t]
+                    def orbit_of(t, v):
+                        return orbit(arr, t, v) if v in ms else [t]
 
                     for i in arr.ptilde:
-                        want[a, b] += w * g[np.ix_(orbit(i, b), orbit(i, a))].sum()
+                        want[a, b] += w * g[np.ix_(orbit_of(i, b), orbit_of(i, a))].sum()
                         if a != b:
                             continue
                         seq = arr.seqs[i]
@@ -395,7 +469,7 @@ class TestGenericChannel:
                             t = list(seq)
                             t[0], t[q] = t[q], t[0]
                             t = arr.index[tuple(t)]
-                            want[seq[q], seq[q]] += w * g[t, orbit(t, a)].sum()
+                            want[seq[q], seq[q]] += w * g[t, orbit_of(t, a)].sum()
                 got = channel.number_element(a, b, Cutoff(d)).matrix
                 assert np.abs(got - want).max() < 1e-12
 

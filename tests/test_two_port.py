@@ -287,6 +287,16 @@ class TestEnergy:
         assert max_output_energy(p) == pytest.approx(0.333835, abs=1e-6)
         assert energy > max_output_energy(p) + 0.03
 
+    def test_array_of_inputs_matches_scalar_calls_bitwise(self):
+        for lx, ly in [(0.0, 0.5), (0.3, 0.5), (0.7, 0.2)]:
+            p = ChannelParams(lx, ly)
+            us = np.concatenate([np.linspace(0, 80, 801), [1e6]])
+            got = output_energy(us, p)
+            assert got.shape == us.shape
+            assert got.tobytes() == np.array([output_energy(u, p) for u in us]).tobytes()
+        with pytest.raises(ValueError, match="nonnegative"):
+            output_energy(np.array([1.0, -0.5]), ChannelParams(0.5, 0.5))
+
     def test_max_against_grid_and_golden_section(self):
         for lx, ly in [(0.3, 0.5), (0.5, 0.5), (0.7, 0.2)]:
             p = ChannelParams(lx, ly)
