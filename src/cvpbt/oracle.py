@@ -6,11 +6,17 @@ operator rho, the square-root measurement, and the channel as a
 partial trace.  No closed-form channel expression enters, which makes
 this module the independent ground truth for the analytic ones.
 
-Everything stays sparse.  rho splits into the connected components of its
-sparsity pattern; components of one size share a stacked eigh, and the
-measurement comes from those stacks one batch of blocks at a time.  Each
-channel element reads only the measurement entries that the partial trace
-keeps, from a table gathered once per protocol out of those batches.
+Everything stays sparse.  Each sigma_i is a sum of rank-one terms over the
+port states phi_(i,x), so rho = Phi Phi^T, and the Gram matrix
+G = Phi^T Phi has exactly rho's nonzero spectrum.  rho splits into the
+connected components of its sparsity pattern, and each port state lies
+inside one of them, so G splits by the same labels into blocks of r port
+states, far fewer than the s indices of the rho block they stand for.
+Components of one (s, r) share a stacked eigh of their Gram blocks, and
+the square-root measurement comes from those stacks one batch of blocks
+at a time.  Each channel element reads only the measurement entries that
+the partial trace keeps, from a table gathered once per protocol out of
+those batches.
 
 Mode order is (C, A_1, ..., A_N), C slowest; the receiver mode B_1
 joins only in the reduced resource.
@@ -111,21 +117,29 @@ class TruncatedProtocol:
         return d * d * 8 / 2**20
 
     def working_set_mb(self) -> float:
-        """Peak of the sparse-block route, from the component sizes of rho
-        before any eigendecomposition.
+        """Peak of the Gram route, from the component sizes before any eigh.
 
-        Counted in entries of _BYTES_PER_ENTRY bytes over components of
-        sizes s > 1: sum(s^2) for the eigenvector stacks, the stacked eigh
-        input of one size group and eigh's own copies; min(sum(s^2),
-        _CHUNK_ELEMS) for the temporaries of one measurement batch; and per
-        basis index 2 * ports for the sparse rho and its sigmas, plus 8 for
-        the component labels and the gather table.  Computed once per
-        protocol.
+        Counted in entries of _BYTES_PER_ENTRY bytes over the components of
+        s > 1 indices and r port states: sum(r^2) for the Gram eigenvector
+        stacks, one (s, r) group's stacked eigh input and eigh's own copies;
+        b (s^2 + s r) for the largest measurement batch, b components with
+        b s^2 <= _CHUNK_ELEMS or one larger component (its Phi block, support
+        basis and blocks, and the copies the gather takes of them); 8 per
+        basis index for the component labels and the gather table; and the
+        entries of the sparse Phi and G.  The route builds no sparse rho or
+        sigma.  Computed once per protocol.
         """
         if "working_set_mb" not in self._cache:
             sizes = np.bincount(self._labels())
-            blocks = float((sizes[sizes > 1] ** 2).sum())
-            entries = blocks + min(blocks, _CHUNK_ELEMS) + (2 * self.ports + 8) * self.dim
+            ranks = np.bincount(self._state_labels(), minlength=sizes.size)
+            pairs, count = np.unique(
+                np.stack([sizes, ranks], axis=1)[sizes > 1], axis=0, return_counts=True
+            )
+            s, r = pairs.T.astype(float)
+            gram = float((count * r**2).sum())
+            batch = np.minimum(count, np.maximum(1, _CHUNK_ELEMS // s**2)) * (s**2 + s * r)
+            sparse = self._port_states().nnz + self._gram().nnz
+            entries = gram + batch.max(initial=0.0) + 8 * self.dim + sparse
             self._cache["working_set_mb"] = _BYTES_PER_ENTRY * entries / 2**20
         return self._cache["working_set_mb"]
 
@@ -179,38 +193,86 @@ class TruncatedProtocol:
             self._cache["rho"] = total.tocsr()
         return self._cache["rho"]
 
+    def _port_states(self) -> sp.csr_matrix:
+        """Phi, whose columns are the port states
+        phi_(i,x) = sqrt(1 - ly^2) sum_c (-ly)^c |C = c, A_i = c, spectators = x>,
+        port i slowest, then the spectator digits x; sigma_i = sum_x
+        phi_(i,x) phi_(i,x)^T, so rho = Phi Phi^T."""
+        if "phi" not in self._cache:
+            d, n = self.levels, self.ports
+            ds = d ** (n - 1)
+            c = np.arange(d)
+            amps = np.sqrt(1 - self.params.lambda_y**2) * (-self.params.lambda_y) ** c
+            rows = []
+            for i in range(1, n + 1):
+                offs, w_i = self._port_layout(i)
+                rows.append(offs[:, None] + c * (d**n + w_i))  # (x, c)
+            rows = np.concatenate(rows).ravel()
+            cols = np.repeat(np.arange(n * ds), d)
+            vals = np.tile(amps, n * ds)
+            self._cache["phi"] = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, n * ds))
+        return self._cache["phi"]
+
+    def _gram(self) -> sp.csr_matrix:
+        """G = Phi^T Phi, the overlaps of the port states."""
+        if "gram" not in self._cache:
+            phi = self._port_states()
+            self._cache["gram"] = (phi.T @ phi).tocsr()
+        return self._cache["gram"]
+
     # -- spectral decomposition over connected components --------------------
 
     def _labels(self) -> np.ndarray:
-        """Connected-component label of every basis index under rho's sparsity."""
+        """Connected-component label of every basis index under rho's sparsity.
+
+        rho = Phi Phi^T links two indices exactly when a chain of overlapping
+        port states joins them, so the components are those of G's pattern,
+        carried to the indices each port state touches; the indices no port
+        state touches are singletons."""
         if "labels" not in self._cache:
-            pattern = self.rho_sparse().copy()
-            pattern.data = np.ones_like(pattern.data)
-            self._cache["labels"] = csgraph.connected_components(pattern, directed=False)[1]
+            count, state_labels = csgraph.connected_components(self._gram(), directed=False)
+            phi = self._port_states().tocoo()
+            labels = np.full(self.dim, -1, dtype=np.int64)
+            labels[phi.row] = state_labels[phi.col]
+            lone = labels < 0
+            labels[lone] = count + np.arange(lone.sum())
+            self._cache["labels"] = labels
+            self._cache["state_labels"] = state_labels
         return self._cache["labels"]
 
-    def _dense_blocks(self, mat: sp.csr_matrix, members: np.ndarray) -> np.ndarray:
-        """Stack of mat[idx][:, idx] for the equal-size components whose
-        ascending members are the rows of `members`, shape (k, s, s), read
-        from the CSR rows of those members alone."""
-        labels = self._labels()
-        k, s = members.shape
-        flat = members.ravel()
-        sub = mat[flat].tocoo()  # row r of sub is row flat[r] of mat
-        hit = labels[sub.col] == labels[flat[sub.row]]
-        pos = np.empty(self.dim, dtype=np.int64)
-        pos[flat] = np.tile(np.arange(s), k)
-        out = np.zeros((k, s, s))
-        out[sub.row[hit] // s, sub.row[hit] % s, pos[sub.col[hit]]] = sub.data[hit]
+    def _state_labels(self) -> np.ndarray:
+        """Component label of every port state, in the numbering of `_labels`."""
+        self._labels()
+        return self._cache["state_labels"]
+
+    @staticmethod
+    def _dense_blocks(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Stack of mat[rows[j]][:, cols[j]], shape (k, s, r), read from the CSR
+        rows of `rows` alone.  Every entry of those rows must lie in the
+        columns of its own block, as it does for Phi and G, whose entries never
+        join two components."""
+        k, s = rows.shape
+        r = cols.shape[1]
+        sub = mat[rows.ravel()].tocoo()  # row t of sub is row rows.flat[t] of mat
+        pos = np.empty(mat.shape[1], dtype=np.int64)
+        pos[cols.ravel()] = np.tile(np.arange(r), k)
+        out = np.zeros((k, s, r))
+        out[sub.row // s, sub.row % s, pos[sub.col]] = sub.data
         return out
 
     def _components(self):
-        """Invariant blocks of rho discovered from its sparsity pattern alone.
+        """Invariant blocks of rho discovered from its sparsity pattern alone,
+        each diagonalised through the Gram matrix of its port states.
 
-        Returns ([(idx, w, v), ...], max_eig): one entry per component of more
-        than one index, ordered by smallest member, each with its ascending
-        members and eigendecomposition.  Components of equal size share one
-        stacked eigh; the stacks are kept for `_povm_blocks`.
+        rho = Phi Phi^T, so on the r port states of a component of s indices
+        the Gram block G = Phi^T Phi (r x r) carries all of rho's nonzero
+        spectrum there; the other s - r eigenvalues are exact zeros.
+
+        Returns ([(idx, states, g, V), ...], max_eig): one entry per component
+        of more than one index, ordered by smallest member, each with its
+        ascending members, ascending port-state columns and the
+        eigendecomposition of its Gram block.  Components of equal (s, r)
+        share one stacked eigh; the stacks are kept for `_povm_blocks`.
         """
         if "components" not in self._cache:
             labels = self._labels()
@@ -219,19 +281,24 @@ class TruncatedProtocol:
             starts = np.cumsum(sizes) - sizes
             comps = np.argsort(order[starts], kind="stable")  # by smallest member
             comps = comps[sizes[comps] > 1]  # singletons are untouched by rho: exact kernel
-            rank = np.empty(len(sizes), dtype=np.int64)
-            rank[comps] = np.arange(len(comps))
-            rho = self.rho_sparse()
-            blocks = [None] * len(comps)
+            state_labels = self._state_labels()
+            state_order = np.argsort(state_labels, kind="stable")
+            ranks = np.bincount(state_labels, minlength=sizes.size)
+            state_starts = np.cumsum(ranks) - ranks
+            position = np.empty(sizes.size, dtype=np.int64)
+            position[comps] = np.arange(comps.size)
+            gram = self._gram()
+            blocks = [None] * comps.size
             stacks = []
-            for s in np.unique(sizes[comps]):
-                group = comps[sizes[comps] == s]
+            for s, r in np.unique(np.stack([sizes[comps], ranks[comps]], axis=1), axis=0):
+                group = comps[(sizes[comps] == s) & (ranks[comps] == r)]
                 members = order[starts[group][:, None] + np.arange(s)]
-                w, v = np.linalg.eigh(self._dense_blocks(rho, members))
-                stacks.append((members, w, v))
+                states = state_order[state_starts[group][:, None] + np.arange(r)]
+                w, v = np.linalg.eigh(self._dense_blocks(gram, states, states))
+                stacks.append((members, states, w, v))
                 for j, c in enumerate(group):
-                    blocks[rank[c]] = (members[j], w[j], v[j])
-            max_eig = max((float(w.max()) for _, w, _ in stacks), default=0.0)
+                    blocks[position[c]] = (members[j], states[j], w[j], v[j])
+            max_eig = max((float(w.max()) for _, _, w, _ in stacks), default=0.0)
             self._cache["stacks"] = stacks
             self._cache["components"] = (blocks, max_eig)
         return self._cache["components"]
@@ -239,17 +306,19 @@ class TruncatedProtocol:
     def eigenvalue_census(self) -> dict:
         """Counts of kernel / suspect-band / support eigenvalues of rho.
 
-        Counted once per protocol; each call returns its own copy."""
+        A component of s indices and r port states has s - r exact zeros
+        beside its r Gram eigenvalues, which are classified against the cut;
+        untouched indices are kernel.  Counted once per protocol; each call
+        returns its own copy."""
         if "census" not in self._cache:
             blocks, max_eig = self._components()
-            kernel = suspect = support = 0
-            for _, w, _ in blocks:
-                kernel += int((w <= self.kernel_tol * max_eig).sum())
-                band = (w > self.kernel_tol * max_eig) & (w <= SUSPECT_BAND * max_eig)
+            kernel = self.dim - sum(len(g) for _, _, g, _ in blocks)
+            suspect = support = 0
+            for _, _, g, _ in blocks:
+                kernel += int((g <= self.kernel_tol * max_eig).sum())
+                band = (g > self.kernel_tol * max_eig) & (g <= SUSPECT_BAND * max_eig)
                 suspect += int(band.sum())
-                support += int((w > SUSPECT_BAND * max_eig).sum())
-            explicit = sum(len(idx) for idx, _, _ in blocks)
-            kernel += self.dim - explicit  # singleton components
+                support += int((g > SUSPECT_BAND * max_eig).sum())
             self._cache["census"] = {
                 "kernel": kernel, "suspect": suspect, "support": support, "max_eigenvalue": max_eig
             }
@@ -259,32 +328,36 @@ class TruncatedProtocol:
         """First measurement element, one batch at a time, as (members, blocks):
         blocks[j] is the element on the ascending indices members[j].
 
-        Each batch holds components of one size: the inverse-root sandwich of
-        sigma_1 plus the uniform kernel share, from the stacked eigenvectors.
-        The indices rho does not touch come last, as 1x1 blocks holding 1/N.
+        With G = V g V^T and V_k its k eigenvectors above the cut, the columns
+        of B = Phi V_k g_k^(-1/2) are an orthonormal basis of rho's support,
+        and rho^(-1/2) sigma_1 rho^(-1/2) = B V_k^T E_1 V_k B^T, where E_1
+        masks the port-1 states.  So each block is
+        B (V_k^T E_1 V_k - I/N) B^T + I/N.  Each column Phi v_j of B is
+        divided by its computed norm, which is sqrt(g_j) in exact arithmetic
+        but carries none of the eigenvalue error of a small g_j.  Each batch
+        holds components of one (s, r) and one k.  The indices rho does not
+        touch come last, as 1x1 blocks holding 1/N.
         """
         _, max_eig = self._components()
-        s1 = self.sigma_sparse(1)
+        phi = self._port_states()
         n = self.ports
-        for members, w, v in self._cache["stacks"]:
-            k, s = members.shape
+        first_port = self.levels ** (n - 1)  # port-1 states are Phi's first columns
+        for members, states, w, v in self._cache["stacks"]:
+            s, r = members.shape[1], states.shape[1]
             kept = (w > self.kernel_tol * max_eig).sum(axis=1)  # w ascends: kernel first
             step = max(1, _CHUNK_ELEMS // (s * s))
-            for lo in range(0, k, step):
-                part = slice(lo, lo + step)
-                idx, wp, vp, kp = members[part], w[part], v[part], kept[part]
-                s1_blocks = self._dense_blocks(s1, idx)
-                block = np.empty((len(idx), s, s))
-                for r in np.unique(kp):
-                    sel = kp == r
-                    # each (s, r) slice column-major, as v[:, keep] is for
-                    # one block, so that BLAS sums in the same order
-                    vk_t = np.ascontiguousarray(vp[sel][:, :, s - r :].transpose(0, 2, 1))
-                    vk = vk_t.transpose(0, 2, 1)
-                    inv_root = (vk / np.sqrt(wp[sel][:, None, s - r :])) @ vk_t
-                    block[sel] = inv_root @ s1_blocks[sel] @ inv_root - (vk @ vk_t) / n
-                block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
-                yield idx, block
+            for k in np.unique(kept):
+                same = np.flatnonzero(kept == k)
+                for lo in range(0, same.size, step):
+                    part = same[lo : lo + step]
+                    idx, st, vk = members[part], states[part], v[part][:, :, r - k :]
+                    basis = self._dense_blocks(phi, idx, st) @ vk
+                    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+                    port1 = vk * (st < first_port)[:, :, None]
+                    inner = vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n
+                    block = (basis @ inner) @ basis.transpose(0, 2, 1)
+                    block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
+                    yield idx, block
         labels = self._labels()
         lone = np.flatnonzero(np.bincount(labels)[labels] == 1)  # untouched by rho
         yield lone[:, None], np.full((lone.size, 1, 1), 1 / n)

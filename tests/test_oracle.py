@@ -358,28 +358,42 @@ def element_from_table(a, b, proto, table):
 STACK_POINTS = [(3, 6, 0.5, 0.4), (4, 4, 0.3, 0.35)]
 
 
+COUNTS = ("kernel", "suspect", "support")
+
+
+def port_state_columns(proto, idx):
+    """Ascending columns of Phi whose support lies in the component idx."""
+    phi = proto._port_states().tocsc()
+    inside = np.isin(phi.indices, idx)
+    return np.flatnonzero(np.add.reduceat(inside, phi.indptr[:-1]) == np.diff(phi.indptr))
+
+
 @pytest.mark.parametrize("ports,d,lx,ly", STACK_POINTS)
 class TestStackedStages:
     def test_components_bitwise_per_block(self, ports, d, lx, ly):
+        # the components are the dense reference's; each stacked Gram eigh is
+        # bitwise one eigh of that component's Gram block alone
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
-        ref, ref_max = components_per_block(proto)
-        blocks, max_eig = proto._components()
-        assert max_eig == ref_max
+        ref, _ = components_per_block(proto)
+        blocks, _ = proto._components()
+        gram = proto._gram()
         assert len(blocks) == len(ref)
-        for (idx, w, v), (ridx, rw, rv) in zip(blocks, ref):
+        for (idx, states, g, v), (ridx, _, _) in zip(blocks, ref):
             assert np.array_equal(idx, ridx)
-            assert np.array_equal(w, rw)
+            assert np.array_equal(states, port_state_columns(proto, idx))
+            rg, rv = np.linalg.eigh(proto._dense_blocks(gram, states[None], states[None])[0])
+            assert np.array_equal(g, rg)
             assert np.array_equal(v, rv)
 
-    def test_povm_bitwise_per_block(self, ports, d, lx, ly):
+    def test_povm_matches_per_block(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         ref = povm_per_block(proto, *components_per_block(proto)).toarray()
         mat = build_povm_element(proto).matrix
-        assert mat.tobytes() == ref.tobytes()
+        assert np.abs(mat - ref).max() < 1e-13
 
     def test_elements_bitwise_csr_gather(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
-        table = csr_gather_table(proto, povm_per_block(proto, *components_per_block(proto)))
+        table = csr_gather_table(proto, sp.csr_matrix(build_povm_element(proto).matrix))
         for a in range(d):
             for b in range(d):
                 element = brute_channel_element(a, b, proto).matrix
@@ -387,15 +401,25 @@ class TestStackedStages:
 
     def test_census_unchanged(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
-        assert proto.eigenvalue_census() == census_per_block(proto, *components_per_block(proto))
+        census = proto.eigenvalue_census()
+        ref = census_per_block(proto, *components_per_block(proto))
+        assert {key: census[key] for key in COUNTS} == {key: ref[key] for key in COUNTS}
+        assert census["max_eigenvalue"] == pytest.approx(ref["max_eigenvalue"], rel=1e-14, abs=0)
 
     def test_cached_census_and_elements_bitwise(self, ports, d, lx, ly):
         params = ChannelParams(lx, ly, ports=ports)
         proto = TruncatedProtocol(params, Cutoff(d))
-        census = census_per_block(proto, *components_per_block(proto))
+        census = TruncatedProtocol(params, Cutoff(d)).eigenvalue_census()
+        ref = census_per_block(proto, *components_per_block(proto))
+        assert {key: census[key] for key in COUNTS} == {key: ref[key] for key in COUNTS}
         sizes = np.bincount(proto._labels())
-        blocks = float((sizes[sizes > 1] ** 2).sum())
-        working_set = 24 * (blocks + min(blocks, 1 << 18) + (2 * ports + 8) * proto.dim) / 2**20
+        ranks = np.bincount(proto._state_labels(), minlength=sizes.size)
+        pairs, count = np.unique(np.stack([sizes, ranks], axis=1)[sizes > 1], axis=0, return_counts=True)
+        s, r = pairs.T.astype(float)
+        batch = np.minimum(count, np.maximum(1, (1 << 18) // s**2)) * (s**2 + s * r)
+        sparse = proto._port_states().nnz + proto._gram().nnz
+        entries = (count * r**2).sum() + batch.max() + 8 * proto.dim + sparse
+        working_set = 24 * entries / 2**20
         for _ in range(2):  # the first call fills the cache, the second reads it
             assert proto.eigenvalue_census() == census
             assert proto.working_set_mb() == working_set
@@ -416,6 +440,38 @@ class TestStackedStages:
             for b in range(d):
                 gathered = brute_channel_element(a, b, proto).matrix
                 assert np.abs(gathered - element_from_dense_slice(a, b, proto)).max() < 1e-14
+
+
+# -- the Gram route against dense references ----------------------------------
+
+
+@pytest.mark.parametrize("ports,d", [(3, 5), (4, 4)])
+def test_completeness_beyond_two_ports(ports, d):
+    # sum_i Pi_i = I, each Pi_i the first element with A_1 and A_i exchanged
+    proto = TruncatedProtocol(ChannelParams(0.5, 0.5, ports=ports), Cutoff(d))
+    first = build_povm_element(proto).matrix
+    total = first.copy()
+    for i in range(2, ports + 1):
+        perm = list(range(ports + 1))
+        perm[1], perm[i] = i, 1
+        total += permute_modes(first, perm, d)
+    assert np.abs(total - np.eye(proto.dim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("ports,d,ly", [(2, 8, 0.5), (3, 6, 0.4), (4, 4, 0.35), (5, 3, 0.3), (6, 5, 0.1)])
+def test_gram_spectra_are_rho_spectra(ports, d, ly):
+    # each Gram block carries the nonzero spectrum of its dense rho block;
+    # the rest of rho's spectrum there lies under the kernel cut.  One
+    # component of every (s, r) is checked.
+    proto = TruncatedProtocol(ChannelParams(0.3, ly, ports=ports), Cutoff(d))
+    blocks, max_eig = proto._components()
+    rho = proto.rho_sparse()
+    shapes = {(len(idx), len(states)): (idx, states, g) for idx, states, g, _ in blocks}
+    for idx, states, g in shapes.values():
+        spectrum = np.linalg.eigvalsh(rho[idx][:, idx].toarray())
+        r = len(states)
+        assert np.abs(spectrum[len(idx) - r :] - g).max() <= 1e-13 * max_eig
+        assert np.abs(spectrum[: len(idx) - r]).max(initial=0.0) <= proto.kernel_tol * max_eig
 
 
 # -- reach and the declared working set ---------------------------------------
@@ -455,6 +511,15 @@ def test_six_ports_within_default_budget(traced_report, monkeypatch):
     assert proto.mem_budget_mb == DEFAULT_BUDGET_MB
     assert report["passed"]
     assert proto.working_set_mb() < DEFAULT_BUDGET_MB
+
+
+@pytest.mark.parametrize("ports,d,lam", [(6, 6, 0.1), (7, 4, 0.1)])
+def test_reach_within_default_budget(traced_report, monkeypatch, ports, d, lam):
+    monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+    proto, report, peak_mb = traced_report(ports, d, lam)
+    assert proto.mem_budget_mb == DEFAULT_BUDGET_MB
+    assert report["passed"]
+    assert peak_mb <= proto.working_set_mb() <= min(4 * peak_mb, DEFAULT_BUDGET_MB)
 
 
 @pytest.mark.parametrize("ports,d,lam", [(3, 16, 0.3), (4, 9, 0.25), (5, 6, 0.25), (6, 5, 0.1)])
