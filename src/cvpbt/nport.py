@@ -17,6 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import DensityOperator, FockOperator, _per_point, as_cutoff, chi_vector
+from .oracle import MemoryBudgetError, memory_budget
 from .two_port import _BLOCK_ELEMS, ChannelParams, _diag_tail_bound, _inv_root, omega
 
 __all__ = [
@@ -96,6 +97,30 @@ class Parity(NamedTuple):
     forms: np.ndarray
 
 
+class GammaTables(NamedTuple):
+    """Layout-only tables of `_gamma_stack` for an `Arrangements`, m = size / N.
+
+    groups: (Fourier indices, parity slice) of each stacked eigh: the + and
+    - halves of M_0 and M_(N/2), then the M_k of 0 < k < N/2.
+    cos, sin: the dihedral kernel run backwards, (N, floor(N/2)+1), weighted
+    2/N for the k paired with N-k and 1/N otherwise.
+    lo, hi, a, b: row t of B in canonical order is a[t] times row lo[t] plus
+    b[t] times row hi[t] of the rotation-order stack of the S_d (row t of Q
+    placed in the marker slot of t).
+    j, p: marker slot and marker-first arrangement of each canonical index.
+    """
+
+    groups: list
+    cos: np.ndarray
+    sin: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    j: np.ndarray
+    p: np.ndarray
+
+
 class Arrangements:
     """Distinct orderings of the marker slot together with the multiset values.
 
@@ -156,6 +181,11 @@ class Arrangements:
     def parity(self) -> Parity:
         """Parity basis and unit-weight parity forms (`Parity`), built once per layout."""
         return _parity(self)
+
+    @functools.cached_property
+    def gamma_tables(self) -> GammaTables:
+        """Index and kernel tables of `_gamma_stack` (`GammaTables`), built once per layout."""
+        return _gamma_tables(self)
 
 
 def _swap_weights(levels: np.ndarray, lam_y: float) -> np.ndarray:
@@ -292,7 +322,8 @@ def gamma(multiset, lam_y: float) -> np.ndarray:
     from the Fourier blocks of H under port rotation (`_gamma_stack`).
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
-    return _gamma_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y)[0]
+    size = arr.size
+    return _gamma_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y, np.arange(size**2)).reshape(size, size)
 
 
 def _parity_basis(flip: np.ndarray):
@@ -395,9 +426,27 @@ def _parity_forms(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.nda
     return forms
 
 
-def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
+def _gamma_tables(arr: Arrangements) -> GammaTables:
+    """`Arrangements.gamma_tables`."""
+    n = arr.ports
+    u, norm, _, half, _, _ = arr.parity
+    m = len(norm)
+    edge = [0, n // 2] if n % 2 == 0 else [0]
+    groups = [(edge, slice(half)), (edge, slice(half, m)), (slice(1, (n + 1) // 2), slice(m))]
+    cos, sin = _dihedral_tables(n)
+    weight = np.where(2 * np.arange(len(cos)) % n == 0, 1.0, 2.0) / n
+    back = np.argsort(arr.rotations.perm, axis=None)  # rotation position j m + p of each canonical index
+    j, p = np.divmod(back, m)
+    i1, i2, a1, a2 = (t[p] for t in u)
+    return GammaTables(
+        groups, cos.T * weight, sin.T * weight, j * m + i1, j * m + i2, a1 * norm[i1], a2 * norm[i2], j, p
+    )
+
+
+def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: np.ndarray) -> np.ndarray:
     """`gamma` of every sector laid out like `arr`, one per row of `levels`
-    (the unique levels, ascending), in canonical coordinates.
+    (the unique levels, ascending), at the flat canonical indices `entries`
+    only: (b, len(entries)).
 
     In rotation order H is block-circulant in the swap blocks C_d, and the
     reflection of the level slots makes each Fourier block H_k unitarily
@@ -408,14 +457,16 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndar
     H^(-1/2) in the marker-first column and the blocks of H^(-1), in the
     parity basis.  With B the stack of the S_d, Gamma = B B^T -
     circ(H^(-1))/N in canonical order; Q on the right of B cancels in
-    B B^T, so only its rows leave the parity basis.
+    B B^T, so only its rows leave the parity basis.  B B^T is formed whole,
+    since the entries a channel build reads meet every row, and
+    circ(H^(-1))/N is read at `entries` alone.  The layout-only tables
+    come from `Arrangements.gamma_tables`.
     """
     n, b = arr.ports, len(levels)
-    u, norm, scale, half, sign, _ = arr.parity
+    u, _, scale, _, sign, _ = arr.parity
+    groups, cos, sin, lo, hi, a1, a2, j, p = arr.gamma_tables
     forms = _parity_forms(arr, levels, lam_y)
     m = forms.shape[-1]
-    edge = [0, n // 2] if n % 2 == 0 else [0]
-    groups = [(edge, slice(half)), (edge, slice(half, m)), (slice(1, (n + 1) // 2), slice(m))]
     eig = [np.linalg.eigh(forms[:, k, s, s]) for k, s in groups]
     low = np.min([w.min(axis=(1, 2)) for w, _ in eig if w.size], axis=0)
     if low.min() <= 0:
@@ -425,24 +476,15 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndar
         vt = v.swapaxes(-1, -2)
         f[:, 0, k, s, s] = (v / np.sqrt(w)[..., None, :]) @ vt
         f[:, 1, k, s, s] = (v / (n * w)[..., None, :]) @ vt
-    cos, sin = _dihedral_tables(n)
-    weight = np.where(2 * np.arange(len(cos)) % n == 0, 1.0, 2.0) / n
-    blocks = _dihedral_dft(f.reshape(2 * b, -1, m, m), cos.T * weight, sin.T * weight, sign)
+    blocks = _dihedral_dft(f.reshape(2 * b, -1, m, m), cos, sin, sign)
     root, inv = blocks.reshape(b, 2, n, m, m).swapaxes(0, 1)
-    back = np.argsort(arr.rotations.perm, axis=None)  # rotation position j m + p of each canonical index
-    j, p = np.divmod(back, m)
-    i1, i2, a1, a2 = (t[p] for t in u)
-    a1, a2 = a1 * norm[i1], a2 * norm[i2]  # row p of Q
     root = root.reshape(b, n * m, m)
-    column = a1[:, None] * root[:, j * m + i1] + a2[:, None] * root[:, j * m + i2]
-    g = column @ column.swapaxes(1, 2)
-    # circ(H^(-1))/N in canonical order: block (j, j') is the block j - j' mod N;
-    # int32 keeps the size x size index small (N m^2 < 2^31 for every layout up to N = 8)
-    j, p = j.astype(np.int32), p.astype(np.int32)
-    lag = ((np.arange(n)[:, None] - np.arange(n)) % n * m * m).astype(np.int32)
-    index = lag[j][:, j]
-    index += (p * m)[:, None]
-    index += p
+    column = a1[:, None] * root[:, lo] + a2[:, None] * root[:, hi]
+    g = (column @ column.swapaxes(1, 2)).reshape(b, -1)
+    # circ(H^(-1))/N in canonical order: block (j, j') is the block j - j' mod N
+    r, c = np.divmod(entries, arr.size)
+    index = ((j[r] - j[c]) % n * m + p[r]) * m + p[c]
+    g = g[:, entries]
     g -= _sandwich(inv * scale, u).reshape(b, -1)[:, index]
     return g
 
@@ -609,6 +651,22 @@ def _orbit_segments(arr: Arrangements):
     return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
 
 
+def _build_mb(ports: int, cap: int) -> float:
+    """Declared peak of an `NPortChannel` build in MiB, from its sizes alone:
+    per sector, its multiset in the sector list and its row of the pattern
+    walk's levels; 64 bytes per entry of the (cap+3)^2 level sums and their
+    final folds; and the largest Gamma stack: 128 bytes per entry of a full
+    batch of b size^2 <= _STACK_ELEMS (small sectors carry most overhead),
+    or 24 per entry of one larger sector, the layout with the most distinct
+    levels.  A negative cap is refused by `enumerate_multisets`."""
+    sectors = math.comb(cap + ports - 1, ports - 1)
+    k = max(1, min(ports - 1, cap + 1))  # distinct levels of the largest layout, spread evenly
+    q, r = divmod(ports - 1, k)
+    size = math.factorial(ports) // (math.factorial(q + 1) ** r * math.factorial(q) ** (k - r))
+    stack = max(128 * _STACK_ELEMS, 24 * size**2)
+    return (sectors * (112 + 16 * ports) + 64 * (cap + 3) ** 2 + stack) / 2**20
+
+
 def _pattern_walk(ports: int, cap: int):
     """(layout, levels) per multiplicity pattern of the sectors up to `cap`,
     in the order `enumerate_multisets` first meets them.  The layout is the
@@ -639,8 +697,12 @@ class NPortChannel:
     one arrangement layout, so the build walks the patterns
     (`_pattern_walk`) with one array of levels and one gather of weights
     each.  Every batch's Gammas come as one stack from
-    `gammas(arr, levels, lam_y)`, in the canonical coordinates of the
-    layout `arr`; by default from `_gamma_stack`'s stacked `eigh`.
+    `gammas(arr, levels, lam_y, entries)`, (b, len(entries)), holding only
+    the distinct flat entries, in the canonical coordinates of the layout
+    `arr`, that the orbit sums read (`_orbit_segments`); by default from
+    `_gamma_stack`'s stacked `eigh`.  A build whose declared size
+    (`_build_mb`) exceeds the memory budget (`oracle.memory_budget`) is
+    refused with `MemoryBudgetError` before anything is allocated.
     `closed_two_port` builds the sums from the two-port closed form, which
     also takes a parameter grid: `arrays` then stacks C and T over it.
     """
@@ -648,6 +710,9 @@ class NPortChannel:
     def __init__(self, params: ChannelParams, cap: int | None = None, gammas=_gamma_stack):
         self.params = params
         self.cap = default_cap(params) if cap is None else int(cap)
+        budget, mb = memory_budget(), _build_mb(params.ports, self.cap)
+        if mb > budget:
+            raise MemoryBudgetError(mb, budget, f"the {params.ports}-port sector build at cap {self.cap}")
         self.sectors = enumerate_multisets(params.ports, self.cap)
         self._gamma_max = 0.0
         # lx^(2 t) per level total t, scalar pows: numpy's vector power can differ in the last bit
@@ -659,13 +724,14 @@ class NPortChannel:
             k = levels.shape[1]
             arr = Arrangements(layout)  # levels relabelled 0..k-1 in order keep every sector's arrangement order
             idx, starts = _orbit_segments(arr)
+            entries, reads = np.unique(idx, return_inverse=True)  # orbit sums read some entries more than once
             weights = powers[levels[:, layout].sum(axis=1)]
             step = max(1, _STACK_ELEMS // arr.size**2)
             for lo in range(0, len(levels), step):
                 part = slice(lo, lo + step)
-                g = gammas(arr, levels[part], params.lambda_y)
+                g = gammas(arr, levels[part], params.lambda_y, entries)
                 self._gamma_max = max(self._gamma_max, float(np.abs(g).max()))
-                sums = np.add.reduceat(g.reshape(len(g), -1)[:, idx], starts, axis=1) * weights[part, None]
+                sums = np.add.reduceat(g[:, reads], starts, axis=1) * weights[part, None]
                 ss = sums[:, : (k + 1) ** 2].reshape(-1, k + 1, k + 1)
                 sf = sums[:, (k + 1) ** 2 :].reshape(-1, k + 1, k)
                 # slot k (a level the sector lacks) goes to `top`, so the
@@ -763,14 +829,15 @@ class NPortChannel:
         return FockOperator(mat, 1, cutoff, meta={"tail_bound": self.tail_bound(d), "cap": self.cap})
 
 
-def _closed_gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
+def _closed_gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: np.ndarray) -> np.ndarray:
     """`_gamma_stack` of a three-port pattern from the closed forms: {m, m}
-    sectors, or {l, m} sectors (l < m) permuted from the analytic label order
-    to the canonical arrangement order of `arr`."""
+    sectors, or {l, m} sectors (l < m) read from the analytic label order
+    at the canonical `entries` of `arr`."""
     if levels.shape[1] == 1:
-        return gamma_mm_closed(levels[:, 0], lam_y)
+        return gamma_mm_closed(levels[:, 0], lam_y).reshape(len(levels), -1)[:, entries]
     order = np.argsort([arr.index[s] for s in _LM_LABEL_ORDER(1, 0)])
-    return gamma_lm_closed(levels[:, 1], levels[:, 0], lam_y)[:, order[:, None], order]
+    labels = (order[:, None] * len(order) + order).ravel()
+    return gamma_lm_closed(levels[:, 1], levels[:, 0], lam_y).reshape(len(levels), -1)[:, labels[entries]]
 
 
 def ThreePortChannel(params: ChannelParams, cap: int | None = None) -> NPortChannel:

@@ -63,14 +63,18 @@ class MemoryBudgetError(RuntimeError):
         self.budget_mb = budget_mb
 
 
-def _env_budget() -> float:
-    raw = os.environ.get("CVPBT_MEM_BUDGET_MB")
-    if raw is None:
-        return DEFAULT_BUDGET_MB
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"CVPBT_MEM_BUDGET_MB must be numeric, got {raw!r}") from exc
+def memory_budget(mb: float | None = None) -> float:
+    """`mb` MiB, or CVPBT_MEM_BUDGET_MB (default DEFAULT_BUDGET_MB) when it is
+    None; a ValueError unless the budget is finite and > 0."""
+    if mb is None:
+        raw = os.environ.get("CVPBT_MEM_BUDGET_MB", DEFAULT_BUDGET_MB)
+        try:
+            mb = float(raw)
+        except ValueError as exc:
+            raise ValueError(f"CVPBT_MEM_BUDGET_MB must be numeric, got {raw!r}") from exc
+    if not (math.isfinite(mb) and mb > 0):
+        raise ValueError(f"memory budget must be finite and > 0 MiB, got {mb!r}")
+    return mb
 
 
 @dataclass
@@ -93,10 +97,7 @@ class TruncatedProtocol:
         self.cutoff = as_cutoff(self.cutoff)
         if not 0 < self.kernel_tol <= 1e-6:
             raise ValueError("kernel_tol must lie in (0, 1e-6]")
-        if self.mem_budget_mb is None:
-            self.mem_budget_mb = _env_budget()
-        if not (math.isfinite(self.mem_budget_mb) and self.mem_budget_mb > 0):
-            raise ValueError(f"memory budget must be finite and > 0 MiB, got {self.mem_budget_mb!r}")
+        self.mem_budget_mb = memory_budget(self.mem_budget_mb)
 
     # -- dimensions ---------------------------------------------------------
 
@@ -373,6 +374,8 @@ class TruncatedProtocol:
         if "gather" not in self._cache:
             d, n = self.levels, self.ports
             dn, ds = d**n, d ** (n - 1)
+            if d * self.dim**2 >= 2**63:
+                raise ValueError(f"the gather sort key of {n} ports at cutoff {d} overflows int64")
             parts = []
             for members, blocks in self._povm_blocks():
                 spectators = members % ds
@@ -386,7 +389,8 @@ class TruncatedProtocol:
             for _ in range(n - 1):
                 thermal = np.multiply.outer(thermal, chi_x).ravel()
             key = (rows // dn) * d + cols // dn
-            order = np.lexsort((cols, rows, key))
+            # (key, row, column) in one int64: the row's C digit is already in key
+            order = np.argsort((key * dn + rows % dn) * self.dim + cols, kind="stable")
             offsets = np.searchsorted(key[order], np.arange(d * d + 1))
             rows, cols = rows[order], cols[order]
             vals = vals[order] * thermal[rows % ds]

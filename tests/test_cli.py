@@ -218,6 +218,17 @@ class TestFidelitySweep:
             )
             assert code == EXIT_OK
 
+    def test_huge_cap_is_budget_refusal(self, tmp_path, monkeypatch, capsys):
+        # refused from the declared build size, before any sector is listed
+        monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+        code, out = run(
+            tmp_path, "fidelity-sweep", "--input", "tmsv", "--lambda-in", "0.3", "--ports", "3",
+            "--lambda-x-range", "0.3:0.3:1", "--lambda-y-range", "0.3:0.3:1", "--cap", "100000",
+        )
+        assert code == EXIT_BUDGET
+        assert not out.exists()
+        assert "sector build at cap 100000" in capsys.readouterr().err
+
 
 class TestOracleVerify:
     def test_passes_at_adequate_cutoff(self, tmp_path):

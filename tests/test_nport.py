@@ -24,6 +24,7 @@ from cvpbt.nport import (
     lm_closed_basis,
     sector_matrix,
 )
+from cvpbt.oracle import MemoryBudgetError
 from cvpbt.two_port import ChannelParams, apply_number_element
 
 
@@ -41,6 +42,13 @@ def swapped(arr, t, q):
 def orbit(arr, t, v):
     """t, then the arrangements reached by swapping its marker with each slot holding v."""
     return [t] + [swapped(arr, t, q) for q, x in enumerate(arr.seqs[t]) if x == v]
+
+
+def full_stack(arr, levels, lam_y, gammas=nport._gamma_stack):
+    """Whole Gammas, (b, size, size), from a stack function that returns the
+    requested flat entries."""
+    size = arr.size
+    return gammas(arr, levels, lam_y, np.arange(size**2)).reshape(-1, size, size)
 
 
 def block_circulant(blocks):
@@ -128,7 +136,7 @@ class TestRotations:
     def test_gamma_stack_matches_dense_reference(self, ports, lam_y):
         for layout, levels in nport._pattern_walk(ports, ports - 1 if ports < 6 else ports - 2):
             arr = Arrangements(layout)
-            stacked = nport._gamma_stack(arr, levels, lam_y)
+            stacked = full_stack(arr, levels, lam_y)
             for got, row in zip(stacked, levels):
                 w, v = np.linalg.eigh(sector_matrix(tuple(row[layout]), lam_y))
                 root = (v / np.sqrt(w)) @ v.T
@@ -141,7 +149,7 @@ class TestRotations:
         # swap weights above one make the second sector's matrix indefinite
         monkeypatch.setattr(nport, "_swap_weights", lambda levels, lam_y: weights(levels, lam_y) * [[1], [100]])
         with pytest.raises(RuntimeError, match=r"levels \[2, 3\] is not positive definite"):
-            nport._gamma_stack(Arrangements((0, 1)), np.array([[0, 1], [2, 3]]), 0.5)
+            full_stack(Arrangements((0, 1)), np.array([[0, 1], [2, 3]]), 0.5)
 
     def test_seven_distinct_levels_stay_small(self):
         tracemalloc.start()
@@ -485,8 +493,8 @@ def stack_from_dict(gammas):
     """A Gamma stack function that reads each sector's Gamma from a dict keyed
     by multiset, as the dict route of the channel build did."""
 
-    def stack(arr, levels, lam_y):
-        return np.stack([gammas[tuple(int(v) for v in row[list(arr.multiset)])] for row in levels])
+    def stack(arr, levels, lam_y, entries):
+        return np.stack([gammas[tuple(int(v) for v in row[list(arr.multiset)])].ravel()[entries] for row in levels])
 
     return stack
 
@@ -580,7 +588,7 @@ class TestPatternStacks:
         lam_y = 0.45
         seen = 0
         for arr, levels, sectors in pattern_groups(ports, cap):
-            stacked = nport._gamma_stack(arr, levels, lam_y)
+            stacked = full_stack(arr, levels, lam_y)
             assert stacked.shape == (len(sectors), arr.size, arr.size)
             for g, ms in zip(stacked, sectors):
                 assert np.abs(g - gamma_from_basis(eta_basis(ms, lam_y))).max() < 1e-11
@@ -589,9 +597,49 @@ class TestPatternStacks:
 
     def test_numeric_stacks_equal_one_sector_gammas(self):
         for arr, levels, sectors in pattern_groups(4, 5):
-            stacked = nport._gamma_stack(arr, levels, 0.6)
+            stacked = full_stack(arr, levels, 0.6)
             for g, ms in zip(stacked, sectors):
                 assert np.array_equal(g, gamma(ms, 0.6))
+
+    @pytest.mark.parametrize("lam_y", [0.3, 0.7])
+    @pytest.mark.parametrize("ports, cap", [(4, 5), (5, 3), (6, 2)])
+    def test_read_entries_match_whole_gamma_route(self, ports, cap, lam_y):
+        def whole_gammas(arr, levels, lam_y, entries):  # each sector's whole Gamma, then the read entries
+            return np.stack([gamma(tuple(row[list(arr.multiset)]), lam_y).ravel()[entries] for row in levels])
+
+        p = ChannelParams(0.5, lam_y, ports=ports)
+        read, whole = NPortChannel(p, cap), NPortChannel(p, cap, gammas=whole_gammas)
+        assert read._s.tobytes() == whole._s.tobytes()
+        assert read._f.tobytes() == whole._f.tobytes()
+        assert read.tail_bound(12) == whole.tail_bound(12)
+
+    @pytest.mark.parametrize("ports, cap", [(3, 12), (4, 6), (5, 4), (6, 4)])
+    def test_read_entries_hold_the_largest_gamma_entry(self, ports, cap):
+        # `_gamma_max` sees only the entries a build reads; they hold every whole Gamma's max
+        routes = [nport._gamma_stack] + [nport._closed_gamma_stack] * (ports == 3)
+        for lam_y in (0.05, 0.2, 0.5, 0.8, 0.9):
+            for layout, levels in nport._pattern_walk(ports, cap):
+                arr = Arrangements(layout)
+                idx, _ = nport._orbit_segments(arr)
+                for gammas in routes:
+                    whole = np.abs(full_stack(arr, levels, lam_y, gammas)).reshape(len(levels), -1)
+                    assert np.array_equal(whole[:, idx].max(axis=1), whole.max(axis=1))
+
+    def test_closed_form_entries_are_the_whole_closed_forms(self):
+        for arr, levels, sectors in pattern_groups(3, 6):
+            idx, _ = nport._orbit_segments(arr)
+            whole = np.stack([dict_route_gammas(ChannelParams(0.5, 0.4, ports=3), 6)[ms] for ms in sectors])
+            got = nport._closed_gamma_stack(arr, levels, 0.4, idx)
+            assert np.array_equal(got, whole.reshape(len(sectors), -1)[:, idx])
+
+    def test_three_port_builds_make_no_numeric_tables(self, monkeypatch):
+        seen = []
+        tables = nport._gamma_tables
+        monkeypatch.setattr(nport, "_gamma_tables", lambda arr: seen.append(arr) or tables(arr))
+        ThreePortChannel(ChannelParams(0.5, 0.4, ports=3), cap=8)
+        assert seen == []
+        NPortChannel(ChannelParams(0.5, 0.4, ports=3), cap=8)
+        assert len(seen) == 2  # one per pattern
 
     def test_constructors_are_bitwise_deterministic(self):
         for build in (
@@ -600,6 +648,38 @@ class TestPatternStacks:
         ):
             (c1, t1), (c2, t2) = build().arrays(12), build().arrays(12)
             assert c1.tobytes() == c2.tobytes() and t1.tobytes() == t2.tobytes()
+
+
+class TestBuildBudget:
+    def test_huge_cap_is_refused_before_allocating(self, monkeypatch):
+        monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="3-port sector build at cap 100000"):
+                ThreePortChannel(ChannelParams(0.3, 0.3, ports=3), cap=100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_budget_comes_from_the_environment(self, monkeypatch):
+        p = ChannelParams(0.3, 0.3, ports=4)
+        monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "16")
+        with pytest.raises(MemoryBudgetError):
+            NPortChannel(p, cap=2)
+        monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "nan")
+        with pytest.raises(ValueError):
+            NPortChannel(p, cap=2)
+
+    @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (4, 30), (5, 8), (6, 4)])
+    def test_declared_size_bounds_traced_peak(self, ports, cap):
+        tracemalloc.start()
+        try:
+            NPortChannel(ChannelParams(0.5, 0.45, ports=ports), cap)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 2**20 <= nport._build_mb(ports, cap)
 
 
 class TestApplyState:

@@ -434,6 +434,25 @@ class TestStackedStages:
         elements[0].meta["kernel"] = -1  # each element holds its own copy
         assert elements[1].meta == proto.eigenvalue_census() == census
 
+    def test_gather_order_is_lexsort_order(self, ports, d, lx, ly):
+        # the one-key argsort of `_gather_table` against (key, row, column) lexsort
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        dn, ds = d**ports, d ** (ports - 1)
+        parts = []
+        for members, blocks in proto._povm_blocks():
+            hit = (members % ds)[:, :, None] == (members % ds)[:, None, :]
+            parts.append((np.broadcast_to(members[:, :, None], blocks.shape)[hit],
+                          np.broadcast_to(members[:, None, :], blocks.shape)[hit], blocks[hit]))
+        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+        key = (rows // dn) * d + cols // dn
+        order = np.lexsort((cols, rows, key))
+        offsets, p, q, gathered = proto._gather_table()
+        assert np.array_equal(offsets, np.searchsorted(key[order], np.arange(d * d + 1)))
+        assert np.array_equal(p, (rows[order] // ds) % d) and np.array_equal(q, (cols[order] // ds) % d)
+        chi_x = chi_vector(lx, d)
+        thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
+        assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
+
     def test_gather_matches_dense_slice(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         for a in range(d):
