@@ -210,6 +210,8 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
 
 
 def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
+    if args.ports == 2 and args.cap is not None:
+        raise ValueError("--cap applies to three ports only: the two-port closed form has no cap")
     grid = two_port.ChannelParams.grid(
         _parse_range(args.lambda_x_range), _parse_range(args.lambda_y_range), ports=args.ports
     )

@@ -27,6 +27,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 import scipy.sparse as sp
@@ -81,22 +82,20 @@ def memory_budget(mb: float | None = None) -> float:
 class TruncatedProtocol:
     """Protocol objects for N ports at a common per-mode cutoff.
 
-    kernel_tol is the relative eigenvalue threshold separating the kernel
-    of rho from its support; eigenvalues between kernel_tol and the
-    suspect band limit are counted and reported rather than silently
-    classified.
+    kernel_tol, a class constant, is the relative eigenvalue threshold
+    separating the kernel of rho from its support; eigenvalues between
+    kernel_tol and the suspect band limit are counted and reported rather
+    than silently classified.
     """
 
+    kernel_tol: ClassVar[float] = 1e-10
     params: ChannelParams
     cutoff: Cutoff
-    kernel_tol: float = 1e-10
     mem_budget_mb: float | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.cutoff = as_cutoff(self.cutoff)
-        if not 0 < self.kernel_tol <= 1e-6:
-            raise ValueError("kernel_tol must lie in (0, 1e-6]")
         self.mem_budget_mb = memory_budget(self.mem_budget_mb)
 
     # -- dimensions ---------------------------------------------------------

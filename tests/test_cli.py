@@ -218,6 +218,15 @@ class TestFidelitySweep:
             )
             assert code == EXIT_OK
 
+    def test_cap_at_two_ports_is_validation_error(self, tmp_path, capsys):
+        # the two-port closed form has no cap, so a given one would be dropped silently
+        code, out = run(
+            tmp_path, "fidelity-sweep", "--input", "bell2", "--ports", "2", "--cap", "5", *SWEEP_RANGES,
+        )
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        assert "--cap applies to three ports only" in capsys.readouterr().err
+
     def test_huge_cap_is_budget_refusal(self, tmp_path, monkeypatch, capsys):
         # refused from the declared build size, before any sector is listed
         monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)

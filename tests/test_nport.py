@@ -193,7 +193,7 @@ class TestDihedral:
         edge = {0, ports // 2} if ports % 2 == 0 else {0}
         for layout, levels in nport._pattern_walk(ports, ports - 1):
             arr = Arrangements(layout)
-            half = arr.parity.half
+            half = arr.gamma_tables.half
             forms = nport._parity_forms(arr, levels[:1], lam_y)
             fourier = np.fft.rfft(nport._rotation_blocks(arr, nport._swap_weights(levels[:1], lam_y)), axis=1)
             assert np.abs(forms - forms.swapaxes(-1, -2)).max() <= 1e-15
@@ -209,12 +209,12 @@ class TestDihedral:
 
     def test_two_ports_have_real_blocks_and_no_minus_space(self):
         arr = Arrangements((0,))
-        assert arr.parity.half == 1 and arr.rotations.flip.tolist() == [0]
+        assert arr.gamma_tables.half == 1 and arr.rotations.flip.tolist() == [0]
         assert not np.fft.rfft(nport._rotation_blocks(arr, np.array([[0.3]])), axis=1).imag.any()
 
     def test_parity_halves_can_differ(self):
         arr = Arrangements((0, 0, 1, 1))  # tails 0011, 0101, 0110, 1001, 1010, 1100: two palindromes
-        assert arr.size // arr.ports == 6 and arr.parity.half == 4
+        assert arr.size // arr.ports == 6 and arr.gamma_tables.half == 4
 
 
 class TestSectorMatrix:
@@ -249,7 +249,9 @@ class TestSectorMatrix:
 
 
 class TestEtaBasis:
-    @pytest.mark.parametrize("ms", [(4,), (2, 2), (1, 3), (0, 1, 1), (0, 1, 2), (2, 2, 2)])
+    @pytest.mark.parametrize(
+        "ms", [(4,), (2, 2), (1, 3), (0, 1, 1), (0, 1, 2), (2, 2, 2), (0, 0, 1, 1), (0, 1, 1, 2)]
+    )
     def test_orthonormal_and_complete(self, ms):
         lam_y = 0.55
         basis = eta_basis(ms, lam_y)
@@ -259,6 +261,7 @@ class TestEtaBasis:
         h = sector_matrix(ms, lam_y)
         rebuilt = (e * basis.eigenvalues) @ e.conj().T
         assert np.abs(rebuilt - h).max() < 1e-10
+        assert np.all(np.diff(basis.eigenvalues) <= 0)
 
     def test_eigenvalues_positive(self):
         for ms in [(0,), (0, 0), (0, 1), (0, 0, 1), (1, 2, 3)]:
@@ -341,7 +344,7 @@ class TestGamma:
                 assert np.abs(g - gamma_lm_closed(l, m, lam_y)).max() < 1e-10
 
     def test_from_basis_matches_matrix_route(self):
-        for ms in [(0,), (1, 1), (0, 2), (0, 0, 2), (1, 2, 3)]:
+        for ms in [(0,), (1, 1), (0, 2), (0, 0, 2), (1, 2, 3), (0, 0, 1, 1), (0, 1, 1, 2)]:
             g1 = gamma(ms, 0.5)
             g2 = gamma_from_basis(eta_basis(ms, 0.5))
             assert np.abs(g1 - g2).max() < 1e-11
