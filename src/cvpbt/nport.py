@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 MARKER = -1  # slot that carries the summed level index in an arrangement
-_STACK_ELEMS = 1 << 18  # Gamma entries per stacked batch: a (b, size, size) float64 temporary stays within 2 MiB
+_STACK_ELEMS = 1 << 18  # b sectors of a stacked batch have b size^2 <= this: their B, (b, size, size/N) float64, stays within 2 MiB
 
 
 def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
@@ -55,62 +55,18 @@ def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
 
 
 class Rotations(NamedTuple):
-    """Port-rotation and reflection tables of an `Arrangements`, m = size / N.
+    """Port-rotation tables of an `Arrangements`, m = size / N.
 
     perm[j, p]: canonical index of marker-first arrangement p rotated so
     that its marker sits in slot j; the pair (j, p) is the rotation order.
     hop[d-1, p']: marker-first arrangement reached from p' by swapping its
     marker with slot d and rotating the marker back to slot 0.
     slot[d-1, p']: unique-level index of the value in slot d of p'.
-    flip[p]: p = (M, s1..s_(N-1)) with its levels reversed, (M, s_(N-1)..s1).
-    It is an involution, fixed exactly on the palindromic tails, and as the
-    permutation R of the marker-first arrangements it pairs the swap blocks
-    of `_rotation_blocks`: C_(N-d) = R C_d R.  The R-parity basis, the pairs
-    (e_p +- e_Rp)/sqrt2 with fixed points in the + space, makes every
-    Fourier block of a sector matrix real (`_parity_forms`).
     """
 
     perm: np.ndarray
     hop: np.ndarray
     slot: np.ndarray
-    flip: np.ndarray
-
-
-class GammaTables(NamedTuple):
-    """Layout-only tables of `_gamma_stack` for an `Arrangements`, m = size / N.
-
-    u, scale: the orthonormal R-parity basis Q = U diag(norm) of the
-    marker-first arrangements (see `Rotations.flip`), its + vectors first;
-    row p of U as two terms (i, j, a, b), U[p] = a[p] e_i[p] + b[p] e_j[p],
-    and scale = outer(norm, norm) (`_parity_basis`).
-    half: dimension of the + space.
-    sign: (m, m) mask, +1 on the +- block, -1 on the -+ block, 0 elsewhere.
-    forms[v, k]: real form (`_parity_forms`) of Fourier block k of the swaps
-    of the v-th unique level at unit weight.
-    groups: (Fourier indices, parity slice) of each stacked eigh: the + and
-    - halves of M_0 and M_(N/2), then the M_k of 0 < k < N/2.
-    cos, sin: the dihedral kernel run backwards, (N, floor(N/2)+1), weighted
-    2/N for the k paired with N-k and 1/N otherwise.
-    lo, hi, a, b: row t of B in canonical order is a[t] times row lo[t] plus
-    b[t] times row hi[t] of the rotation-order stack of the S_d (row t of Q
-    placed in the marker slot of t).
-    j, p: marker slot and marker-first arrangement of each canonical index.
-    """
-
-    u: tuple
-    scale: np.ndarray
-    half: int
-    sign: np.ndarray
-    forms: np.ndarray
-    groups: list
-    cos: np.ndarray
-    sin: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    j: np.ndarray
-    p: np.ndarray
 
 
 class Arrangements:
@@ -123,12 +79,13 @@ class Arrangements:
     Rotating the ports maps arrangements to arrangements, and since the
     marker occurs once each rotation orbit has N members, exactly one of
     them marker-first.  `rotations` holds the tables that relabel every
-    arrangement as (marker slot j, marker-first p) and turn marker swaps
-    into permutations of the marker-first arrangements, with the reversal
-    of the level slots: rotations and that reflection generate the dihedral
-    group under which each sector matrix splits into real parity blocks.
-    Marker swaps of any other arrangement are made on demand (`_swap`), so
-    no per-arrangement table is stored.
+    arrangement as (marker slot j, marker-first p), from which
+    `sector_matrix` is assembled.  With the marker as one letter and the
+    copies of each level as letters of their own, an arrangement is also
+    a coset of the copy permutations S_mu in S_N and a marker swap is a
+    transposition of letters; `gamma_tables` holds what the S_N irreps
+    make of that (`_gamma_tables`).  Marker swaps of any other arrangement
+    are made on demand (`_swap`), so no per-arrangement table is stored.
     """
 
     def __init__(self, multiset):
@@ -153,7 +110,7 @@ class Arrangements:
 
     @functools.cached_property
     def rotations(self) -> Rotations:
-        """Port-rotation and reflection tables (`Rotations`), built once per layout."""
+        """Port-rotation tables (`Rotations`), built once per layout."""
         n = self.ports
         first = [self.seqs[i] for i in self.ptilde]
         rank = {s: p for p, s in enumerate(first)}
@@ -166,13 +123,12 @@ class Arrangements:
                 t = (s[d],) + s[1:d] + (MARKER,) + s[d + 1 :]
                 hop[d - 1, p] = rank[t[d:] + t[:d]]
                 slot[d - 1, p] = level[s[d]]
-        flip = np.array([rank[s[:1] + s[:0:-1]] for s in first], dtype=np.intp)
-        return Rotations(perm, hop, slot, flip)
+        return Rotations(perm, hop, slot)
 
     @functools.cached_property
     def gamma_tables(self) -> GammaTables:
-        """Parity basis, unit-weight parity forms, kernel and index tables of
-        `_gamma_stack` (`GammaTables`), built once per layout."""
+        """Irrep blocks and index tables of `_gamma_stack` (`GammaTables`),
+        built once per layout."""
         return _gamma_tables(self)
 
 
@@ -185,23 +141,6 @@ def _swap_weights(levels: np.ndarray, lam_y: float) -> np.ndarray:
     return (1 - ly2) * np.array([ly2**m for m in range(int(levels.max()) + 1)])[levels]
 
 
-def _rotation_blocks(arr: Arrangements, weights: np.ndarray) -> np.ndarray:
-    """Blocks C_d of the sector matrices in rotation order, (b, N, m, m), for
-    swap weights (b, k) per unique level (`_swap_weights`).
-
-    Block (j, j') of H is C_(j-j' mod N): C_0 = I, and for d >= 1 C_d
-    sends marker-first p' to hop[d-1, p'] with the swap weight of the
-    level in slot d of p'."""
-    perm, hop, slot, _ = arr.rotations
-    n, m = perm.shape
-    blocks = np.zeros((len(weights), n, m, m))
-    blocks[:, 0] = np.eye(m)
-    cols = np.arange(m)
-    for d in range(1, n):
-        blocks[:, d, hop[d - 1], cols] = weights[:, slot[d - 1]]
-    return blocks
-
-
 def sector_matrix(multiset, lam_y: float) -> np.ndarray:
     """Finite Hermitian matrix whose spectrum gives the sector eigenvalues.
 
@@ -212,7 +151,7 @@ def sector_matrix(multiset, lam_y: float) -> np.ndarray:
     C_d placed block-circulantly, one scatter per slot d.
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
-    perm, hop, slot, _ = arr.rotations
+    perm, hop, slot = arr.rotations
     c = _swap_weights(np.array(sorted(set(arr.multiset))), lam_y)
     h = np.eye(arr.size)
     for d in range(1, arr.ports):
@@ -269,123 +208,258 @@ def gamma(multiset, lam_y: float) -> np.ndarray:
     projector onto marker-first arrangements.  This equals the eigenbasis
     contraction for any orthonormal eigenbasis, which resolves the
     degenerate-cluster ambiguity of the pairwise form.  It is computed
-    from the Fourier blocks of H under port rotation (`_gamma_stack`).
+    from the S_N irrep blocks of H (`_gamma_stack`).
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
     size = arr.size
     return _gamma_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y, np.arange(size**2)).reshape(size, size)
 
 
-def _parity_basis(flip: np.ndarray):
-    """The orthonormal R-parity basis Q = U diag(norm) of the marker-first
-    arrangements, with U made of +-1 entries.
+# ---------------------------------------------------------------------------
+# S_N irreps in Young's orthogonal form.  Letters are 0..N-1, s_i = (i i+1),
+# and t_j = s_j s_(j+1) ... s_(k-2) is the cycle of S_k that sends k-1 to j.
+# Element j (k-1)! + i of S_k is t_j h_i, with h_i the i-th element of
+# S_(k-1) on the letters 0..k-2 (`_elements`, `_rank`); the identity is the
+# last element, t_j the last of its coset.
+# ---------------------------------------------------------------------------
 
-    Columns of Q are (e_p + e_Rp)/sqrt2 for p < Rp and e_p for p = Rp (the
-    + space), then (e_p - e_Rp)/sqrt2 for p < Rp.  Returns U^T and U as
-    two terms (i, j, a, b) per row, row r being a[r] e_i[r] + b[r] e_j[r]
-    (a fixed point as e_p = (e_p + e_p)/2), norm, the scale matrix
-    outer(norm, norm) with exactly 1/2 between two pairs, and the
-    dimension of the + space.
-    Keeping sqrt2 out of U makes Q^T x Q = (U^T x U) . scale exact where
-    the pairs meet, so the parity forms carry no rounding bias there.
+
+def _partitions(n: int, most: int | None = None) -> list:
+    """Partitions of n with parts at most `most`, in decreasing lexicographic order."""
+    if n == 0:
+        return [()]
+    return [(p,) + rest for p in range(min(n, most or n), 0, -1) for rest in _partitions(n - p, p)]
+
+
+def _corners(shape: tuple):
+    """(row, shape without the box at the end of that row) for each removable box, top to bottom."""
+    for row, (part, below) in enumerate(zip(shape, shape[1:] + (0,))):
+        if part > below:
+            yield row, tuple(p for p in shape[:row] + (part - 1,) + shape[row + 1 :] if p)
+
+
+@functools.cache
+def _tableaux(shape: tuple) -> tuple:
+    """Standard Young tableaux of `shape`, each as the row of every letter,
+    grouped by the row of the largest letter (`_corners` order), each group
+    in the order of the tableaux of the smaller shape: so the restriction to
+    S_(N-1) is block diagonal, one block per corner, each block the irrep
+    of the smaller shape in its own basis."""
+    if not shape:
+        return ((),)
+    return tuple(t + (row,) for row, child in _corners(shape) for t in _tableaux(child))
+
+
+@functools.cache
+def _irreps(n: int) -> list:
+    """Young's orthogonal form of S_n: per partition of n (`_partitions`
+    order), the real orthogonal rho(s_i), (n-1, d, d); rho(t_j), (n, d, d);
+    and (index among the partitions of n-1, first row, dimension) of each
+    diagonal block of the restriction to S_(n-1).  rho(s_i) e_T = e_T / r +
+    sqrt(1 - 1/r^2) e_(s_i T), r the content of letter i+1 less that of
+    letter i in the tableau T."""
+    smaller = {s: i for i, s in enumerate(_partitions(n - 1))}
+    out = []
+    for shape in _partitions(n):
+        tabs = _tableaux(shape)
+        index = {t: a for a, t in enumerate(tabs)}
+        gens = np.zeros((n - 1, len(tabs), len(tabs)))
+        for a, t in enumerate(tabs):
+            content = [t[:i].count(t[i]) - t[i] for i in range(n)]
+            for i in range(n - 1):
+                r = 1 / (content[i + 1] - content[i])
+                gens[i, a, a] = r
+                if abs(r) < 1:  # letters i and i+1 share no row or column: s_i T is standard
+                    gens[i, a, index[t[:i] + (t[i + 1], t[i]) + t[i + 2 :]]] = math.sqrt(1 - r * r)
+        cosets = [np.eye(len(tabs))]
+        for j in range(n - 2, -1, -1):
+            cosets.insert(0, gens[j] @ cosets[0])
+        dims = [len(_tableaux(child)) for _, child in _corners(shape)]
+        rows = np.cumsum([0] + dims)
+        branch = [(smaller[child], rows[i], dims[i]) for i, (_, child) in enumerate(_corners(shape))]
+        out.append((gens, np.array(cosets), branch))
+        gens.flags.writeable = out[-1][1].flags.writeable = False  # cached: shared by every caller
+    return out
+
+
+def _elements(k: int) -> np.ndarray:
+    """Every element of S_k as a row of images, (k!, k) int8, in index order."""
+    if k == 0:
+        return np.zeros((1, 0), np.int8)
+    h = np.column_stack([_elements(k - 1), np.full(math.factorial(k - 1), k - 1, np.int8)])
+    return np.concatenate([np.array([*range(j), *range(j + 1, k), j], np.int8)[h] for j in range(k)])
+
+
+def _rank(perms: np.ndarray) -> np.ndarray:
+    """Index in S_k of each permutation along the last axis of `perms`:
+    g = t_j h with j = g(k-1), and h = t_j^-1 g on the letters 0..k-2."""
+    rank = np.zeros(perms.shape[:-1], np.intp)
+    for k in range(perms.shape[-1], 1, -1):
+        j = perms[..., k - 1, None]
+        rank += j[..., 0] * np.intp(math.factorial(k - 1))
+        perms = perms[..., : k - 1]
+        perms = np.where(perms < j, perms, perms - 1)
+    return rank
+
+
+def _rho_all(k: int) -> list:
+    """rho(g) of every element of S_k, (k!, d, d) per irrep, index order."""
+    if k == 0:
+        return [np.ones((1, 1, 1))]
+    lower = _rho_all(k - 1)
+    out = []
+    for _, cosets, branch in _irreps(k):
+        h = np.zeros((len(lower[0]),) + cosets.shape[1:])
+        for child, row, d in branch:
+            h[:, row : row + d, row : row + d] = lower[child]
+        out.append((cosets[:, None] @ h).reshape(-1, *cosets.shape[1:]))
+    return out
+
+
+class GroupTables(NamedTuple):
+    """Tables of S_N shared by every layout of N ports (`_group_tables`), M = (N-1)!.
+
+    rho: (M, M), rho_l(h)[j, i] in row (l, i, j) and column h for the
+    irreps l of S_(N-1) in `_partitions` order, block l from row start[l]:
+    flat d x d blocks C_l times rho is sum over l of tr(C_l rho_l(h)).
+    mult, inv: the product and the inverse in S_(N-1), by index.
+    join[a, u, b]: index in S_N of t_a u t_b^-1.
     """
-    p = np.arange(len(flip))
-    plus, minus = p[p <= flip], p[p < flip]
-    rows = np.concatenate([plus, minus])
-    fixed = rows == flip[rows]
-    a = np.where(fixed, 0.5, 1.0)
-    ut = rows, flip[rows], a, np.concatenate([a[: len(plus)], -np.ones(len(minus))])
-    # row p of U is column p of U^T: its + term, then its - term (the + term again at a fixed point)
-    rep = np.minimum(p, flip)
-    col = np.searchsorted(plus, rep)
-    pair = p != flip
-    u = (
-        col,
-        np.where(pair, len(plus) + np.searchsorted(minus, rep), col),
-        np.where(pair, 1.0, 0.5),
-        np.where(pair, np.where(p < flip, 1.0, -1.0), 0.5),
-    )
-    paired = ~fixed
-    norm = np.where(paired, math.sqrt(0.5), 1.0)
-    scale = np.outer(norm, norm)
-    scale[np.ix_(paired, paired)] = 0.5
-    return ut, u, norm, scale, len(plus)
+
+    rho: np.ndarray
+    start: np.ndarray
+    mult: np.ndarray
+    inv: np.ndarray
+    join: np.ndarray
 
 
-def _sandwich(x: np.ndarray, terms) -> np.ndarray:
-    """T x T^T over the last two axes, T given as two terms per row."""
-    i, j, a, b = terms
-    x = a[:, None] * x[..., i, :] + b[:, None] * x[..., j, :]
-    return a * x[..., i] + b * x[..., j]
+@functools.cache
+def _group_tables(n: int) -> GroupTables:
+    """`GroupTables` of S_n, built on first use and kept: at n = 7, rho and
+    mult are 720 x 720 each, 8.3 MB together, the rest 0.3 MB, and the
+    cached `_irreps` of S_1..S_7 another 0.6 MB."""
+    m = math.factorial(n - 1)
+    lower = _rho_all(n - 1)
+    rho = np.concatenate([r.transpose(2, 1, 0).reshape(-1, m) for r in lower])
+    start = np.cumsum([0] + [r.shape[-1] ** 2 for r in lower[:-1]])
+    el = _elements(n - 1)
+    mult = _rank(el[np.arange(m)[:, None, None], el])
+    inv = _rank(np.argsort(el, axis=1).astype(np.int8))
+    t = np.array([[*range(a), *range(a + 1, n), a] for a in range(n)], np.int8)
+    u = np.column_stack([el, np.full(m, n - 1, np.int8)])
+    join = _rank(t[np.arange(n)[:, None, None, None], u[:, np.argsort(t, axis=1)]])
+    for a in (rho, start, mult, inv, join):
+        a.flags.writeable = False  # cached: shared by every caller
+    return GroupTables(rho, start, mult, inv, join)
 
 
-def _dihedral_tables(n: int):
-    """cos and sin of 2 pi k d / N for k = 0..floor(N/2), d = 0..N-1, the
-    sine exactly zero at k = 0 and k = N/2, where it vanishes."""
-    k = np.arange(n // 2 + 1)
-    angle = 2 * np.pi * (np.outer(k, np.arange(n)) % n) / n
-    sin = np.sin(angle)
-    sin[2 * k % n == 0] = 0.0
-    return np.cos(angle), sin
+class IrrepGroup(NamedTuple):
+    """The g irreps of S_N that a layout sees with one block shape
+    (`_gamma_tables`): dimension d, and K = K_lambda_mu columns of Q, an
+    orthonormal basis of the vectors that the copy permutations S_mu fix.
 
-
-def _dihedral_dft(x: np.ndarray, cos: np.ndarray, sin: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """Real form of a block DFT over axis 1 of a (b, d, m, m) stack in the
-    parity basis: out_k = sum_d cos[k, d] x_d on the ++ and -- blocks plus
-    sin[k, d] x_d on the +- blocks and -sin[k, d] x_d on the -+ blocks
-    (`sign` is +1, -1 and 0 there)."""
-    b, _, m, _ = x.shape
-    flat = lambda y: y.reshape(b, -1, m * m)
-    return (cos @ flat(x * (sign == 0)) + sin @ flat(x * sign)).reshape(b, -1, m, m)
-
-
-def _parity_forms(arr: Arrangements, levels: np.ndarray, lam_y: float) -> np.ndarray:
-    """Real symmetric forms M_k of the Fourier blocks H_k = sum_d C_d
-    e^(-2 pi i d k/N) of every sector laid out like `arr`, one per row of
-    `levels`: (b, floor(N/2)+1, m, m) in the parity basis Q of
-    `Arrangements.gamma_tables`.
-
-    R H_k R is the conjugate of H_k, so Q^T H_k Q has real ++ and -- blocks
-    and imaginary +- and -+ blocks, and M_k = diag(1, -i) Q^T H_k Q
-    diag(1, i) = sum_d (Q^T C_d Q) . K_(k,d) is real, the kernel K_(k,d)
-    being cos(2 pi d k/N) on the ++ and -- blocks and +-sin(2 pi d k/N) on
-    the +- and -+ blocks.  At k = 0 and k = N/2 the sine vanishes and M_k
-    splits into its + and - halves.  M_k is linear in the swap weights,
-    so it is I plus the weighted sum of the unit forms of
-    `Arrangements.gamma_tables`.
+    span: their flat K x K blocks in `GammaTables.units`.
+    q: (g, d, K), Q scaled by d |S_mu| / N!.
+    z: (g, K, N d), the Q^T rho(t_j) side by side.
+    sel, pos: per irrep, the flat (d, N d) indices, (N, e), of the diagonal
+    blocks of the restriction to S_(N-1), and their rows in
+    `GroupTables.rho`, (e,).
     """
-    c = _swap_weights(levels, lam_y)
-    unit = arr.gamma_tables.forms
-    forms = np.broadcast_to(np.eye(unit.shape[-1]), (len(levels),) + unit.shape[1:]).copy()
-    for v, form in enumerate(unit):
-        forms += c[:, v, None, None, None] * form
-    return forms
+
+    span: slice
+    q: np.ndarray
+    z: np.ndarray
+    sel: list
+    pos: list
+
+
+class GammaTables(NamedTuple):
+    """Layout-only tables of `_gamma_stack` for an `Arrangements`, m = size / N.
+
+    units: (1 + k, total), the flat identity blocks, then per unique level
+    v the flat Q^T rho(J_v) Q, J_v the sum of the transpositions of the
+    marker letter with the copies of v; one span per `IrrepGroup`.
+    groups: the `IrrepGroup`s.
+    root: (size, m), the index in S_N of x_r x_p^-1 for marker-first p,
+    with x_r the arrangement r as a permutation (`_gamma_tables`).
+    coset, elem: x_r = t_j h as j and the index of h in S_(N-1).
+    arrangement: the arrangement S_mu g of every element g of S_N.
+    corners: the arrangements S_mu t_j.
+    group: the `GroupTables` of S_N.
+    """
+
+    units: np.ndarray
+    groups: list
+    root: np.ndarray
+    coset: np.ndarray
+    elem: np.ndarray
+    arrangement: np.ndarray
+    corners: np.ndarray
+    group: GroupTables
 
 
 def _gamma_tables(arr: Arrangements) -> GammaTables:
-    """`Arrangements.gamma_tables`.  The unit parity forms are made one level
-    at a time, so the temporaries stay one level's blocks."""
-    n = arr.ports
-    ut, u, norm, scale, half = _parity_basis(arr.rotations.flip)
-    m = len(norm)
-    sign = np.zeros((m, m))
-    sign[:half, half:], sign[half:, :half] = 1.0, -1.0
-    cos, sin = _dihedral_tables(n)
-    forms = []
-    for unit in np.eye(len(set(arr.multiset))):
-        blocks = _rotation_blocks(arr, unit[None])
-        blocks[:, 0] = 0.0  # C_0 = I is added exactly per sector
-        forms.append(_dihedral_dft(_sandwich(blocks, ut) * scale, cos, sin, sign)[0])
-    edge = [0, n // 2] if n % 2 == 0 else [0]
-    groups = [(edge, slice(half)), (edge, slice(half, m)), (slice(1, (n + 1) // 2), slice(m))]
-    weight = np.where(2 * np.arange(len(cos)) % n == 0, 1.0, 2.0) / n
-    back = np.argsort(arr.rotations.perm, axis=None)  # rotation position j m + p of each canonical index
-    j, p = np.divmod(back, m)
-    i1, i2, a1, a2 = (t[p] for t in u)
-    return GammaTables(
-        u, scale, half, sign, np.array(forms), groups, cos.T * weight, sin.T * weight,
-        j * m + i1, j * m + i2, a1 * norm[i1], a2 * norm[i2], j, p,
-    )
+    """`Arrangements.gamma_tables`.  The marker is letter N-1 and the copies
+    of the v-th unique level are the next letters from 0 up, taken in slot
+    order; position s-1 holds the letter in slot s and position N-1 the
+    one in slot 0, so the marker-first arrangements are S_(N-1)."""
+    n, group = arr.ports, _group_tables(arr.ports)
+    m = math.factorial(n - 1)
+    uniq = sorted(set(arr.multiset))
+    first = np.cumsum([0] + [arr.multiset.count(v) for v in uniq])
+    seqs = np.array(arr.seqs)
+    letters = np.full(seqs.shape, n - 1, np.int8)
+    for r, v in enumerate(uniq):
+        hit = seqs == v
+        letters[hit] = (first[r] + np.cumsum(hit, axis=1) - 1)[hit]
+    coset, elem = np.divmod(_rank(np.roll(letters, -1, axis=1)), m)
+    root = coset[:, None] * m + group.mult[elem[:, None], group.inv[elem[list(arr.ptilde)]]]
+    # S_mu g for every g: its slot sequence as a key, looked up among the sorted arrangements
+    code = np.append(np.searchsorted(first, np.arange(n - 1), side="right"), 0)  # letter -> 1 + level index, marker 0
+    place = (len(uniq) + 1) ** np.arange(n - 1, -1, -1)
+    arrangement = np.searchsorted(code[letters] @ place, np.roll(code[_elements(n)], 1, axis=1) @ place)
+    copies = [c for r in range(len(uniq)) for c in range(first[r], first[r + 1] - 1)]  # the s_c that generate S_mu
+    scale = math.prod(math.factorial(b - a) for a, b in zip(first, first[1:])) / math.factorial(n)
+    shapes = {}
+    for gens, cosets, branch in _irreps(n):
+        d = len(cosets[0])
+        q = np.eye(d)
+        if copies:  # the common +1 space of the s_c: the other eigenvalues lie at 2 - 2 cos(pi/(N-1)) or above
+            w, v = np.linalg.eigh(sum(np.eye(d) - gens[c] for c in copies))
+            q = v[:, w < 1 - math.cos(math.pi / n)]
+        if not q.shape[1]:
+            continue
+        swaps = [cosets[c] @ gens[-1] @ cosets[c].T for c in range(n - 1)]  # (c N-1) = t_c s_(N-2) t_c^-1
+        units = np.array([np.eye(q.shape[1])] + [q.T @ sum(swaps[a:b]) @ q for a, b in zip(first, first[1:])])
+        sel, pos = [], []
+        for child, row, e in branch:
+            i, j = np.divmod(np.arange(e * e), e)
+            sel.append((row + i) * n * d + np.arange(n)[:, None] * d + row + j)
+            pos.append(group.start[child] + i * e + j)
+        same = shapes.setdefault(q.shape[::-1], [])  # (K, d)
+        same.append(((units + units.swapaxes(1, 2)) / 2, q * (d * scale), np.hstack(q.T @ cosets), np.hstack(sel), np.concatenate(pos)))
+    groups, start = [], 0
+    for (k, _), same in shapes.items():
+        _, q, z, sel, pos = zip(*same)
+        groups.append(IrrepGroup(slice(start, start + len(same) * k * k), np.array(q), np.array(z), sel, pos))
+        start += len(same) * k * k
+    units = np.hstack([u.reshape(len(u), -1) for same in shapes.values() for u, *_ in same])
+    return GammaTables(units, groups, root, coset, elem, arrangement, arrangement[np.arange(1, n + 1) * m - 1], group)
+
+
+def _irrep_blocks(arr: Arrangements, levels: np.ndarray, lam_y: float) -> list:
+    """The K x K blocks Q^T rho(h) Q = I + sum_v w_v Q^T rho(J_v) Q of every
+    sector laid out like `arr`, one per row of `levels`: (b, g, K, K) per
+    `IrrepGroup` of `Arrangements.gamma_tables`, h = e + sum_c w_c (c N-1)
+    being the sector matrix as a group algebra element.  On each irrep the
+    sector matrix is its block times I_d, so its spectrum is theirs, each
+    eigenvalue d times."""
+    t = arr.gamma_tables
+    c = _swap_weights(levels, lam_y)
+    flat = np.broadcast_to(t.units[0], (len(levels), t.units.shape[1])).copy()
+    for v, unit in enumerate(t.units[1:]):
+        flat += c[:, v, None] * unit
+    return [flat[:, s.span].reshape(len(levels), len(s.q), s.z.shape[1], -1) for s in t.groups]
 
 
 def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: np.ndarray) -> np.ndarray:
@@ -393,43 +467,42 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: n
     (the unique levels, ascending), at the flat canonical indices `entries`
     only: (b, len(entries)).
 
-    In rotation order H is block-circulant in the swap blocks C_d, and the
-    reflection of the level slots makes each Fourier block H_k unitarily
-    similar to a real symmetric M_k (`_parity_forms`).  One real stacked
-    eigh per size diagonalises the M_k of 0 < k < N/2 and the + and -
-    halves of M_0 and M_(N/2).  The same kernel run backwards (weight 2/N
-    for the k paired with N-k, 1/N otherwise) gives the blocks S_d of
-    H^(-1/2) in the marker-first column and the blocks of H^(-1), in the
-    parity basis.  With B the stack of the S_d, Gamma = B B^T -
-    circ(H^(-1))/N in canonical order; Q on the right of B cancels in
-    B B^T, so only its rows leave the parity basis.  B B^T is formed whole,
-    since the entries a channel build reads meet every row, and
-    circ(H^(-1))/N is read at `entries` alone.  Every layout-only table
-    comes from `Arrangements.gamma_tables`.
+    The sector matrix H is left multiplication by h = e + sum_c w_c (c N-1)
+    on the functions on S_N that the copy permutations S_mu fix from the
+    left, so any function F of it has F(H)[r, c] = |S_mu| phi(x_r x_c^-1),
+    phi(g) = sum over lambda of (d/N!) tr(Q F(block) Q^T rho(g)), with the
+    blocks of `_irrep_blocks`.  One stacked eigh per block shape gives F =
+    x^(-1/2) and x^(-1)/N.  phi is evaluated on all of S_N, a coset t_j
+    S_(N-1) at a time: rho(t_j h) is rho(t_j) times the block-diagonal
+    restriction rho(h), so each coset is one product with the S_(N-1)
+    table `GroupTables.rho`.  B = H^(-1/2) at the marker-first columns is
+    a gather of phi.  B B^T = H^(-1/2) P~ H^(-1/2) commutes with the
+    permutations of the slots that keep slot 0, so its entry (r, c) is its
+    entry (S_mu x_r h^-1, S_mu t_j) for x_c = t_j h, and only the N columns
+    S_mu t_j are formed.  Gamma at `entries` is one gather from them less
+    one from H^(-1)/N.  Every layout-only table comes from
+    `Arrangements.gamma_tables`.
     """
     n, b = arr.ports, len(levels)
     t = arr.gamma_tables
-    forms = _parity_forms(arr, levels, lam_y)
-    m = forms.shape[-1]
-    eig = [np.linalg.eigh(forms[:, k, s, s]) for k, s in t.groups]
-    low = np.min([w.min(axis=(1, 2)) for w, _ in eig if w.size], axis=0)
+    eig = [np.linalg.eigh(block) for block in _irrep_blocks(arr, levels, lam_y)]
+    low = np.min([w.min(axis=(1, 2)) for w, _ in eig], axis=0)
     if low.min() <= 0:
         raise RuntimeError(f"sector matrix with levels {levels[np.argmin(low)].tolist()} is not positive definite")
-    f = np.zeros((b, 2) + forms.shape[1:])  # M_k^(-1/2) and M_k^(-1)/N
-    for (k, s), (w, v) in zip(t.groups, eig):
-        vt = v.swapaxes(-1, -2)
-        f[:, 0, k, s, s] = (v / np.sqrt(w)[..., None, :]) @ vt
-        f[:, 1, k, s, s] = (v / (n * w)[..., None, :]) @ vt
-    blocks = _dihedral_dft(f.reshape(2 * b, -1, m, m), t.cos, t.sin, t.sign)
-    root, inv = blocks.reshape(b, 2, n, m, m).swapaxes(0, 1)
-    root = root.reshape(b, n * m, m)
-    column = t.a[:, None] * root[:, t.lo] + t.b[:, None] * root[:, t.hi]
-    g = (column @ column.swapaxes(1, 2)).reshape(b, -1)
-    # circ(H^(-1))/N in canonical order: block (j, j') is the block j - j' mod N
+    coef = np.zeros((b, 2, n, len(t.group.rho)))  # (x^(-1/2), x^(-1)/N), coset t_j, flat S_(N-1) blocks
+    for s, (w, v) in zip(t.groups, eig):
+        qv = s.q @ v
+        f = np.concatenate([qv / np.sqrt(w)[..., None, :], qv / (n * w)[..., None, :]], axis=2)
+        y = f @ (v.swapaxes(2, 3) @ s.z)
+        for i, (sel, pos) in enumerate(zip(s.sel, s.pos)):
+            coef[..., pos] += y[:, i].reshape(b, 2, -1)[:, :, sel]
+    phi = (coef @ t.group.rho).reshape(b, 2, -1)
+    root = phi[:, 0, t.root]
+    cols = root @ root[:, t.corners].swapaxes(1, 2)
     r, c = np.divmod(entries, arr.size)
-    index = ((t.j[r] - t.j[c]) % n * m + t.p[r]) * m + t.p[c]
-    g = g[:, entries]
-    g -= _sandwich(inv * t.scale, t.u).reshape(b, -1)[:, index]
+    u = t.group.mult[t.elem[r], t.group.inv[t.elem[c]]]  # x_r x_c^-1 = t_j(r) u t_j(c)^-1
+    g = cols.reshape(b, -1)[:, t.arrangement[t.coset[r] * math.factorial(n - 1) + u] * n + t.coset[c]]
+    g -= phi[:, 1, t.group.join[t.coset[r], u, t.coset[c]]]
     return g
 
 
@@ -599,16 +672,19 @@ def _build_mb(ports: int, cap: int) -> float:
     """Declared peak of an `NPortChannel` build in MiB, from its sizes alone:
     per sector, its multiset in the sector list and its row of the pattern
     walk's levels; 64 bytes per entry of the (cap+3)^2 level sums and their
-    final folds; and the largest Gamma stack: 128 bytes per entry of a full
-    batch of b size^2 <= _STACK_ELEMS (small sectors carry most overhead),
-    or 24 per entry of one larger sector, the layout with the most distinct
-    levels.  A negative cap is refused by `enumerate_multisets`."""
+    final folds; 48 bytes per entry of the (N-1)! x (N-1)! tables of
+    S_(N-1) (`_group_tables`: the irrep and product tables, 16 bytes, and
+    the temporaries that build them); and the largest Gamma stack: 128
+    bytes per entry of a full batch of b size^2 <= _STACK_ELEMS (small
+    sectors carry most overhead), or 24 per entry of the size x size/N
+    gather table and B of one larger sector, the layout with the most
+    distinct levels.  A negative cap is refused by `enumerate_multisets`."""
     sectors = math.comb(cap + ports - 1, ports - 1)
     k = max(1, min(ports - 1, cap + 1))  # distinct levels of the largest layout, spread evenly
     q, r = divmod(ports - 1, k)
     size = math.factorial(ports) // (math.factorial(q + 1) ** r * math.factorial(q) ** (k - r))
-    stack = max(128 * _STACK_ELEMS, 24 * size**2)
-    return (sectors * (112 + 16 * ports) + 64 * (cap + 3) ** 2 + stack) / 2**20
+    stack = max(128 * _STACK_ELEMS, 24 * size**2 // ports)
+    return (sectors * (112 + 16 * ports) + 64 * (cap + 3) ** 2 + 48 * math.factorial(ports - 1) ** 2 + stack) / 2**20
 
 
 def _pattern_walk(ports: int, cap: int):
@@ -644,7 +720,7 @@ class NPortChannel:
     `gammas(arr, levels, lam_y, entries)`, (b, len(entries)), holding only
     the distinct flat entries, in the canonical coordinates of the layout
     `arr`, that the orbit sums read (`_orbit_segments`); by default from
-    `_gamma_stack`'s stacked `eigh`.  A build whose declared size
+    `_gamma_stack`, through the S_N irreps.  A build whose declared size
     (`_build_mb`) exceeds the memory budget (`oracle.memory_budget`) is
     refused with `MemoryBudgetError` before anything is allocated.
     `closed_two_port` builds the sums from the two-port closed form, which
@@ -749,8 +825,11 @@ class NPortChannel:
     def tail_bound(self, levels: int) -> float:
         """Declared bound on the output mass missed by the cap and level
         cutoffs.  It bounds truncation only: the float64 error of an
-        ill-conditioned sector's Gamma is not in it (1.6e-9 in an N = 5
-        all-distinct Gamma at lambda_y = 0.1)."""
+        ill-conditioned sector's Gamma is not in it.  Against 50-digit
+        references it is 1.7e-9 of max|Gamma| in the all-distinct N = 4
+        sector {0, 1, 2} at lambda_y = 0.05 (smallest eigenvalue 1.6e-8)
+        and 2.8e-10 in the N = 5 sector {0, 1, 2, 3} at lambda_y = 0.1
+        (1.0e-8)."""
         p = self.params
         lx, n = p.lambda_x, p.ports
         if self.cap is None:

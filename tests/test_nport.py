@@ -51,13 +51,6 @@ def full_stack(arr, levels, lam_y, gammas=nport._gamma_stack):
     return gammas(arr, levels, lam_y, np.arange(size**2)).reshape(-1, size, size)
 
 
-def block_circulant(blocks):
-    """(b, N m, N m) stack whose block (j, j') is blocks[:, (j - j') mod N]."""
-    b, n, m, _ = blocks.shape
-    lag = (np.arange(n)[:, None] - np.arange(n)) % n
-    return blocks[:, lag].swapaxes(2, 3).reshape(b, n * m, n * m)
-
-
 class TestMultisets:
     def test_two_ports(self):
         assert enumerate_multisets(2, 2) == [(0,), (1,), (2,)]
@@ -106,7 +99,7 @@ class TestRotations:
     def test_tables_are_permutations(self, ports):
         for layout, _ in nport._pattern_walk(ports, ports - 2):
             arr = Arrangements(layout)
-            perm, hop, slot, _ = arr.rotations
+            perm, hop, slot = arr.rotations
             m = arr.size // ports
             assert perm.shape == (ports, m) and hop.shape == slot.shape == (ports - 1, m)
             assert sorted(perm.ravel().tolist()) == list(range(arr.size))
@@ -117,19 +110,6 @@ class TestRotations:
             for row in hop:
                 assert sorted(row.tolist()) == list(range(m))
             assert set(slot.ravel().tolist()) == set(range(layout[-1] + 1))
-
-    @pytest.mark.parametrize("ports", range(2, 7))
-    def test_inverse_fft_of_the_blocks_rebuilds_sector_matrix(self, ports):
-        lam_y = 0.45
-        for layout, levels in nport._pattern_walk(ports, ports - 1):
-            arr = Arrangements(layout)
-            blocks = nport._rotation_blocks(arr, nport._swap_weights(levels, lam_y))
-            blocks = np.fft.irfft(np.fft.rfft(blocks, axis=1), ports, axis=1)
-            order = arr.rotations.perm.ravel()
-            h = np.empty((len(levels), arr.size, arr.size))
-            h[:, order[:, None], order] = block_circulant(blocks)
-            for got, row in zip(h, levels):
-                assert np.abs(got - sector_matrix(tuple(row[layout]), lam_y)).max() <= 1e-15
 
     @pytest.mark.parametrize("lam_y", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("ports", range(2, 7))
@@ -155,66 +135,91 @@ class TestRotations:
         tracemalloc.start()
         try:
             arr = Arrangements(range(7))
-            perm, hop, slot, flip = arr.rotations
+            perm, hop, slot = arr.rotations
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert arr.size == 40320 and hop.shape == (7, 5040) and flip.shape == (5040,)
+        assert arr.size == 40320 and hop.shape == (7, 5040)
         assert peak < 50 * 2**20
 
 
-class TestDihedral:
-    """The port reflection (M, s1..s_(N-1)) -> (M, s_(N-1)..s1) that the
-    numeric Gammas rely on, at every layout up to seven ports."""
+class TestIrreps:
+    """Young's orthogonal form of S_N and the K x K blocks that the numeric
+    Gammas diagonalise in place of the sector matrices."""
 
     @pytest.mark.parametrize("ports", range(2, 8))
-    def test_reflection_is_an_involution_fixed_on_palindromes(self, ports):
+    def test_young_generators_are_orthogonal_and_satisfy_the_coxeter_relations(self, ports):
+        for gens, _, _ in nport._irreps(ports):
+            one = np.eye(gens.shape[-1])
+            for i, s in enumerate(gens):
+                assert np.abs(s @ s.T - one).max() <= 1e-14
+                assert np.abs(s @ s - one).max() <= 1e-14
+                if i + 1 < len(gens):
+                    assert np.abs(np.linalg.matrix_power(s @ gens[i + 1], 3) - one).max() <= 1e-13
+                for t in gens[i + 2 :]:
+                    assert np.abs(s @ t - t @ s).max() <= 1e-14
+
+    @pytest.mark.parametrize("ports", range(1, 8))
+    def test_dimensions_square_sum_to_the_group_order(self, ports):
+        shapes = nport._partitions(ports)
+        assert len(shapes) == [1, 2, 3, 5, 7, 11, 15][ports - 1]
+        assert len(shapes) == len(set(shapes)) and all(sum(s) == ports and list(s) == sorted(s)[::-1] for s in shapes)
+        assert [len(nport._tableaux(s)) for s in shapes] == [c.shape[-1] for _, c, _ in nport._irreps(ports)]
+        assert sum(c.shape[-1] ** 2 for _, c, _ in nport._irreps(ports)) == math.factorial(ports)
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_kostka_multiplicities_count_the_arrangements(self, ports):
         for layout, _ in nport._pattern_walk(ports, ports - 2):
             arr = Arrangements(layout)
-            flip = arr.rotations.flip
-            assert np.array_equal(flip[flip], np.arange(len(flip)))
-            for p, i in enumerate(arr.ptilde):
-                tail = arr.seqs[i][1:]
-                assert arr.seqs[arr.ptilde[flip[p]]] == (MARKER,) + tail[::-1]
-                assert (flip[p] == p) == (tail == tail[::-1])
+            groups = arr.gamma_tables.groups
+            assert sum(q.shape[0] * q.shape[1] * q.shape[2] for q in (s.q for s in groups)) == arr.size
+            for q in (s.q for s in groups):  # Q^T Q = I up to the scale d |S_mu| / N!
+                qtq = q.swapaxes(1, 2) @ q
+                assert np.abs(qtq - np.eye(q.shape[2]) * qtq[:, :1, :1]).max() <= 1e-14 * qtq[0, 0, 0]
 
-    @pytest.mark.parametrize("ports", range(2, 8))
-    def test_reflection_pairs_the_swap_blocks(self, ports):
-        for layout, levels in nport._pattern_walk(ports, ports - 1):
-            arr = Arrangements(layout)
-            flip = arr.rotations.flip
-            blocks = nport._rotation_blocks(arr, nport._swap_weights(levels[:2], 0.45))
-            for d in range(1, ports):
-                assert np.array_equal(blocks[:, ports - d], blocks[:, d][:, flip[:, None], flip])
-
-    @pytest.mark.parametrize("ports", range(2, 8))
-    def test_parity_forms_have_the_fourier_spectra(self, ports):
+    @pytest.mark.parametrize("ports", range(2, 7))
+    def test_block_spectra_are_the_sector_spectra(self, ports):
         lam_y = 0.45
-        edge = {0, ports // 2} if ports % 2 == 0 else {0}
         for layout, levels in nport._pattern_walk(ports, ports - 1):
             arr = Arrangements(layout)
-            half = arr.gamma_tables.half
-            forms = nport._parity_forms(arr, levels[:1], lam_y)
-            fourier = np.fft.rfft(nport._rotation_blocks(arr, nport._swap_weights(levels[:1], lam_y)), axis=1)
-            assert np.abs(forms - forms.swapaxes(-1, -2)).max() <= 1e-15
-            for k in range(ports // 2 + 1):
-                want = np.linalg.eigvalsh(fourier[:, k])
-                if k in edge:  # real blocks: the parity halves decouple
-                    assert not forms[:, k, :half, half:].any()
-                    got = np.sort(np.concatenate([np.linalg.eigvalsh(forms[:, k, :half, :half]),
-                                                  np.linalg.eigvalsh(forms[:, k, half:, half:])], axis=1))
-                else:
-                    got = np.linalg.eigvalsh(forms[:, k])
+            blocks = nport._irrep_blocks(arr, levels[:2], lam_y)
+            dims = [s.q.shape[1] for s in arr.gamma_tables.groups]
+            for i, row in enumerate(levels[:2]):
+                got = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b[i]).ravel(), d) for b, d in zip(blocks, dims)]))
+                want = np.linalg.eigvalsh(sector_matrix(tuple(row[layout]), lam_y))
                 assert np.abs(got - want).max() <= 1e-13
 
-    def test_two_ports_have_real_blocks_and_no_minus_space(self):
-        arr = Arrangements((0,))
-        assert arr.gamma_tables.half == 1 and arr.rotations.flip.tolist() == [0]
-        assert not np.fft.rfft(nport._rotation_blocks(arr, np.array([[0.3]])), axis=1).imag.any()
+    def test_group_tables_multiply_the_representations(self):
+        ports = 6
+        group = nport._group_tables(ports)
+        rho = nport._rho_all(ports - 1)
+        rng = np.random.default_rng(5)
+        a, b = rng.integers(0, len(group.mult), (2, 40))
+        for r in rho:
+            assert np.abs(r[a] @ r[b] - r[group.mult[a, b]]).max() <= 1e-14
+            assert np.abs(r[group.inv[a]] - r[a].swapaxes(1, 2)).max() <= 1e-14
 
-    def test_parity_halves_can_differ(self):
-        arr = Arrangements((0, 0, 1, 1))  # tails 0011, 0101, 0110, 1001, 1010, 1100: two palindromes
-        assert arr.size // arr.ports == 6 and arr.gamma_tables.half == 4
+    def test_ill_conditioned_sector_matches_a_50_digit_reference(self):
+        # smallest eigenvalue 1.6e-8; the stack rounds the swap weights and the block sums in float64
+        mpmath = pytest.importorskip("mpmath")
+        ms, lam_y = (0, 1, 2), 0.05
+        arr = Arrangements(ms)
+        with mpmath.workdps(50):
+            ly2 = mpmath.mpf(lam_y) ** 2
+            h = mpmath.eye(arr.size)
+            for t, seq in enumerate(arr.seqs):
+                for q, v in enumerate(seq):
+                    if v != MARKER:
+                        h[t, arr._swap(seq, q)] += (1 - ly2) * ly2**v
+            w, v = mpmath.eigsy(h)
+            root = v * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * v.T
+            inv = v * mpmath.diag([1 / x for x in w]) * v.T
+            want = np.array([
+                [float(sum(root[r, p] * root[c, p] for p in arr.ptilde) - inv[r, c] / arr.ports) for c in range(arr.size)]
+                for r in range(arr.size)
+            ])
+        assert float(min(w)) < 2e-8
+        assert np.abs(gamma(arr, lam_y) - want).max() <= 1e-8 * np.abs(want).max()
 
 
 class TestSectorMatrix:
@@ -674,7 +679,7 @@ class TestBuildBudget:
         with pytest.raises(ValueError):
             NPortChannel(p, cap=2)
 
-    @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (4, 30), (5, 8), (6, 4)])
+    @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (4, 30), (5, 8), (6, 4), (7, 3)])
     def test_declared_size_bounds_traced_peak(self, ports, cap):
         tracemalloc.start()
         try:
