@@ -51,6 +51,39 @@ def full_stack(arr, levels, lam_y, gammas=nport._gamma_stack):
     return gammas(arr, levels, lam_y, np.arange(size**2)).reshape(-1, size, size)
 
 
+def rotation_blocks(arr, weights):
+    """Blocks C_d of the sector matrices in rotation order, (b, N, m, m), for
+    swap weights (b, k) per unique level: C_0 = I, and for d >= 1 C_d sends
+    marker-first p' to hop[d-1, p'] with the weight of the level in slot d."""
+    perm, hop, slot = arr.rotations
+    n, m = perm.shape
+    blocks = np.zeros((len(weights), n, m, m))
+    blocks[:, 0] = np.eye(m)
+    for d in range(1, n):
+        blocks[:, d, hop[d - 1], np.arange(m)] = weights[:, slot[d - 1]]
+    return blocks
+
+
+def block_circulant(blocks):
+    """(b, N m, N m) stack whose block (j, j') is blocks[:, (j - j') mod N]."""
+    b, n, m, _ = blocks.shape
+    lag = (np.arange(n)[:, None] - np.arange(n)) % n
+    return blocks[:, lag].swapaxes(2, 3).reshape(b, n * m, n * m)
+
+
+def mirror(arr):
+    """Index of every arrangement with its level slots reversed,
+    (s0, s1..s_(N-1)) -> (s0, s_(N-1)..s1)."""
+    return np.array([arr.index[s[:1] + s[:0:-1]] for s in arr.seqs])
+
+
+def reflection(arr):
+    """`mirror` on the marker-first arrangements, as marker-first ranks."""
+    rank = {t: p for p, t in enumerate(arr.ptilde)}
+    flip = mirror(arr)
+    return np.array([rank[flip[t]] for t in arr.ptilde])
+
+
 class TestMultisets:
     def test_two_ports(self):
         assert enumerate_multisets(2, 2) == [(0,), (1,), (2,)]
@@ -111,6 +144,19 @@ class TestRotations:
                 assert sorted(row.tolist()) == list(range(m))
             assert set(slot.ravel().tolist()) == set(range(layout[-1] + 1))
 
+    @pytest.mark.parametrize("ports", range(2, 7))
+    def test_inverse_fft_of_the_blocks_rebuilds_sector_matrix(self, ports):
+        lam_y = 0.45
+        for layout, levels in nport._pattern_walk(ports, ports - 1):
+            arr = Arrangements(layout)
+            blocks = rotation_blocks(arr, nport._swap_weights(levels, lam_y))
+            blocks = np.fft.irfft(np.fft.rfft(blocks, axis=1), ports, axis=1)
+            order = arr.rotations.perm.ravel()
+            h = np.empty((len(levels), arr.size, arr.size))
+            h[:, order[:, None], order] = block_circulant(blocks)
+            for got, row in zip(h, levels):
+                assert np.abs(got - sector_matrix(tuple(row[layout]), lam_y)).max() <= 1e-15
+
     @pytest.mark.parametrize("lam_y", [0.2, 0.5, 0.8])
     @pytest.mark.parametrize("ports", range(2, 7))
     def test_gamma_stack_matches_dense_reference(self, ports, lam_y):
@@ -141,6 +187,40 @@ class TestRotations:
             tracemalloc.stop()
         assert arr.size == 40320 and hop.shape == (7, 5040)
         assert peak < 50 * 2**20
+
+
+class TestDihedral:
+    """The port reflection (s0, s1..s_(N-1)) -> (s0, s_(N-1)..s1), which
+    keeps slot 0 and so leaves the sector matrices and the Gammas
+    unchanged, at every layout up to seven ports."""
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_reflection_is_an_involution_fixed_on_palindromes(self, ports):
+        for layout, levels in nport._pattern_walk(ports, ports - 2):
+            arr = Arrangements(layout)
+            flip = reflection(arr)
+            assert np.array_equal(flip[flip], np.arange(len(flip)))
+            for p, i in enumerate(arr.ptilde):
+                tail = arr.seqs[i][1:]
+                assert arr.seqs[arr.ptilde[flip[p]]] == (MARKER,) + tail[::-1]
+                assert (flip[p] == p) == (tail == tail[::-1])
+            if arr.size <= 720:
+                f = mirror(arr)
+                h = sector_matrix(tuple(levels[-1][layout]), 0.45)
+                assert np.array_equal(h[f[:, None], f], h)
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_reflection_pairs_the_swap_blocks(self, ports):
+        for layout, levels in nport._pattern_walk(ports, ports - 1):
+            arr = Arrangements(layout)
+            flip = reflection(arr)
+            blocks = rotation_blocks(arr, nport._swap_weights(levels[:2], 0.45))
+            for d in range(1, ports):
+                assert np.array_equal(blocks[:, ports - d], blocks[:, d][:, flip[:, None], flip])
+            if arr.size <= 120:  # the irrep route's Gammas keep the symmetry
+                f = mirror(arr)
+                g = full_stack(arr, levels[:2], 0.45)
+                assert np.abs(g[:, f[:, None], f] - g).max() <= 1e-14 * np.abs(g).max()
 
 
 class TestIrreps:
