@@ -54,21 +54,6 @@ def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations_with_replacement(range(cap + 1), ports - 1))
 
 
-class Rotations(NamedTuple):
-    """Port-rotation tables of an `Arrangements`, m = size / N.
-
-    perm[j, p]: canonical index of marker-first arrangement p rotated so
-    that its marker sits in slot j; the pair (j, p) is the rotation order.
-    hop[d-1, p']: marker-first arrangement reached from p' by swapping its
-    marker with slot d and rotating the marker back to slot 0.
-    slot[d-1, p']: unique-level index of the value in slot d of p'.
-    """
-
-    perm: np.ndarray
-    hop: np.ndarray
-    slot: np.ndarray
-
-
 class Arrangements:
     """Distinct orderings of the marker slot together with the multiset values.
 
@@ -76,16 +61,13 @@ class Arrangements:
     sequences, with the marker sorting before any level value.  This
     fixes the row/column convention of every Gamma matrix.
 
-    Rotating the ports maps arrangements to arrangements, and since the
-    marker occurs once each rotation orbit has N members, exactly one of
-    them marker-first.  `rotations` holds the tables that relabel every
-    arrangement as (marker slot j, marker-first p), from which
-    `sector_matrix` is assembled.  With the marker as one letter and the
-    copies of each level as letters of their own, an arrangement is also
-    a coset of the copy permutations S_mu in S_N and a marker swap is a
-    transposition of letters; `gamma_tables` holds what the S_N irreps
-    make of that (`_gamma_tables`).  Marker swaps of any other arrangement
-    are made on demand (`_swap`), so no per-arrangement table is stored.
+    `swaps` holds every marker swap of every arrangement, from which the
+    sector matrix (`sector_matrix`) and the orbit sums (`_orbit_segments`)
+    are read.  With the marker as one letter and the copies of each level
+    as letters of their own, an arrangement is also a coset of the copy
+    permutations S_mu in S_N and a marker swap is a transposition of
+    letters; `gamma_tables` holds what the S_N irreps make of that
+    (`_gamma_tables`).
     """
 
     def __init__(self, multiset):
@@ -93,12 +75,6 @@ class Arrangements:
         self.seqs = tuple(sorted(set(itertools.permutations((MARKER,) + self.multiset))))
         self.index = {s: i for i, s in enumerate(self.seqs)}
         self.ptilde = tuple(i for i, s in enumerate(self.seqs) if s[0] == MARKER)
-
-    def _swap(self, seq, q) -> int:
-        """Index of `seq` with its marker and slot q exchanged."""
-        t = list(seq)
-        t[seq.index(MARKER)], t[q] = seq[q], MARKER
-        return self.index[tuple(t)]
 
     @property
     def size(self) -> int:
@@ -109,21 +85,26 @@ class Arrangements:
         return len(self.multiset) + 1
 
     @functools.cached_property
-    def rotations(self) -> Rotations:
-        """Port-rotation tables (`Rotations`), built once per layout."""
-        n = self.ports
-        first = [self.seqs[i] for i in self.ptilde]
-        rank = {s: p for p, s in enumerate(first)}
-        level = {v: r for r, v in enumerate(sorted(set(self.multiset)))}
-        perm = np.array([[self.index[s[n - j :] + s[: n - j]] for s in first] for j in range(n)])
-        hop = np.empty((n - 1, len(first)), dtype=np.intp)
-        slot = np.empty((n - 1, len(first)), dtype=np.intp)
-        for d in range(1, n):
-            for p, s in enumerate(first):
-                t = (s[d],) + s[1:d] + (MARKER,) + s[d + 1 :]
-                hop[d - 1, p] = rank[t[d:] + t[:d]]
-                slot[d - 1, p] = level[s[d]]
-        return Rotations(perm, hop, slot)
+    def slot_level(self) -> np.ndarray:
+        """(size, N): the unique-level index in every slot, -1 at the marker."""
+        return np.searchsorted((MARKER, *sorted(set(self.multiset))), np.array(self.seqs)) - 1
+
+    @functools.cached_property
+    def _place(self) -> np.ndarray:
+        """Slot place values of the arrangement keys: an arrangement's key
+        has the digit slot_level + 1 (the marker 0) in base k + 1, k unique
+        levels, so the keys ascend in `seqs` order."""
+        return (len(set(self.multiset)) + 1) ** np.arange(self.ports - 1, -1, -1)
+
+    @functools.cached_property
+    def swaps(self) -> np.ndarray:
+        """(size, N): the index of arrangement t with its marker and slot q
+        exchanged, t itself at the marker's own slot.  The swap moves the
+        key by (slot_level[t, q] + 1) (place[marker] - place[q]), and one
+        `np.searchsorted` among the ascending keys finds every result."""
+        code = self.slot_level + 1
+        key = code @ self._place
+        return np.searchsorted(key, key[:, None] + code * (self._place[code.argmin(axis=1), None] - self._place))
 
     @functools.cached_property
     def gamma_tables(self) -> GammaTables:
@@ -146,17 +127,15 @@ def sector_matrix(multiset, lam_y: float) -> np.ndarray:
 
     Row Phi of H c reads c_Phi plus, for each unique value m, the weight
     (1-lam_y^2) lam_y^(2m) times the sum of c over the arrangements
-    reached by swapping the marker of Phi with a slot holding m.  In the
-    rotation order of `Arrangements.rotations` it is I + the swap blocks
-    C_d placed block-circulantly, one scatter per slot d.
+    reached by swapping the marker of Phi with a slot holding m: I plus
+    the weights at (t, swaps[t, q]) over the level slots q
+    (`Arrangements.swaps`).
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
-    perm, hop, slot = arr.rotations
+    held = arr.slot_level >= 0
     c = _swap_weights(np.array(sorted(set(arr.multiset))), lam_y)
     h = np.eye(arr.size)
-    for d in range(1, arr.ports):
-        # block (j, j - d): column (j - d, p') meets row (j, hop[d-1, p'])
-        h[perm[:, hop[d - 1]], np.roll(perm, d, axis=0)] = c[slot[d - 1]]
+    h[held.nonzero()[0], arr.swaps[held]] = c[arr.slot_level[held]]
     return h
 
 
@@ -407,17 +386,16 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
     m = math.factorial(n - 1)
     uniq = sorted(set(arr.multiset))
     first = np.cumsum([0] + [arr.multiset.count(v) for v in uniq])
-    seqs = np.array(arr.seqs)
-    letters = np.full(seqs.shape, n - 1, np.int8)
-    for r, v in enumerate(uniq):
-        hit = seqs == v
+    level = arr.slot_level
+    letters = np.full(level.shape, n - 1, np.int8)
+    for r in range(len(uniq)):
+        hit = level == r
         letters[hit] = (first[r] + np.cumsum(hit, axis=1) - 1)[hit]
     coset, elem = np.divmod(_rank(np.roll(letters, -1, axis=1)), m)
     root = coset[:, None] * m + group.mult[elem[:, None], group.inv[elem[list(arr.ptilde)]]]
-    # S_mu g for every g: its slot sequence as a key, looked up among the sorted arrangements
+    # S_mu g for every g: its slot sequence as an arrangement key, looked up among the sorted keys
     code = np.append(np.searchsorted(first, np.arange(n - 1), side="right"), 0)  # letter -> 1 + level index, marker 0
-    place = (len(uniq) + 1) ** np.arange(n - 1, -1, -1)
-    arrangement = np.searchsorted(code[letters] @ place, np.roll(code[_elements(n)], 1, axis=1) @ place)
+    arrangement = np.searchsorted((level + 1) @ arr._place, np.roll(code[_elements(n)], 1, axis=1) @ arr._place)
     copies = [c for r in range(len(uniq)) for c in range(first[r], first[r + 1] - 1)]  # the s_c that generate S_mu
     scale = math.prod(math.factorial(b - a) for a, b in zip(first, first[1:])) / math.factorial(n)
     shapes = {}
@@ -638,33 +616,25 @@ def _orbit_segments(arr: Arrangements):
     are the orbit sums of a sector with this multiplicity pattern.
 
     Slot r < k stands for the r-th unique level and slot k for a level the
-    sector does not hold; orbit(t, v) is t followed by the arrangements
-    reached by swapping its marker with each slot holding v, in slot order
-    (t alone in slot k).  The segments give, row-major,
+    sector does not hold; orbit(t, r) is t followed by the arrangements
+    reached by swapping its marker with each slot holding r, in slot order
+    (t alone in slot k), read from `Arrangements.swaps` as one (size, 1 +
+    mult_r) array per level.  The segments give, row-major,
     Gamma[orbit(i, b), orbit(i, a)] summed over marker-first i for slots
     a, b, then Gamma[t, orbit(t, a)] summed over the t starting with level
-    n for slots a and levels n.  Orbits are made on demand and kept only
-    for this call.
+    n for slots a and levels n.
     """
-    size = arr.size
-    uniq = sorted(set(arr.multiset))
-    slots = uniq + [None]
-
-    @functools.cache
-    def orbit(t, v):
-        seq = arr.seqs[t]
-        return (t,) if v is None else (t, *(arr._swap(seq, q) for q, x in enumerate(seq) if x == v))
-
-    segments = [
-        [r * size + c for i in arr.ptilde for r in orbit(i, b) for c in orbit(i, a)]
-        for a in slots
-        for b in slots
-    ]
-    segments += [
-        [t * size + c for t, seq in enumerate(arr.seqs) if seq[0] == n for c in orbit(t, a)]
-        for a in slots
-        for n in uniq
-    ]
+    size, level = arr.size, arr.slot_level
+    t = np.arange(size)
+    orbits = [np.column_stack([t, arr.swaps[level == r].reshape(size, -1)]) for r in range(level.max() + 1)]
+    orbits.append(t[:, None])
+    # the marker-first rows, then the rows starting with each level, are contiguous blocks
+    edges = np.searchsorted(level[:, 0], np.arange(len(orbits)) - 1).tolist() + [size]
+    first, *by_level = [slice(a, b) for a, b in zip(edges, edges[1:])]
+    rows = [ob[first, :, None] * size for ob in orbits]
+    segments = [(r + oa[first, None, :]).ravel() for oa in orbits for r in rows]
+    rows = [t[block, None] * size for block in by_level]
+    segments += [(r + oa[block]).ravel() for oa in orbits for r, block in zip(rows, by_level)]
     return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
 
 

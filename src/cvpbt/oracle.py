@@ -138,10 +138,14 @@ class TruncatedProtocol:
             s, r = pairs.T.astype(float)
             gram = float((count * r**2).sum())
             batch = np.minimum(count, np.maximum(1, _CHUNK_ELEMS // s**2)) * (s**2 + s * r)
-            sparse = self._port_states().nnz + self._gram().nnz
-            entries = gram + batch.max(initial=0.0) + 8 * self.dim + sparse
+            entries = gram + batch.max(initial=0.0) + self._sized_entries() + self._gram().nnz
             self._cache["working_set_mb"] = _BYTES_PER_ENTRY * entries / 2**20
         return self._cache["working_set_mb"]
+
+    def _sized_entries(self) -> int:
+        """The terms of `working_set_mb` that the sizes alone fix: 8 per
+        basis index and Phi's N D^N entries."""
+        return 8 * self.dim + self.ports * self.levels**self.ports
 
     def _require(self, mb: float, what: str):
         if mb > self.mem_budget_mb:
@@ -167,20 +171,9 @@ class TruncatedProtocol:
             raise ValueError(f"port index {i} outside 1..{self.ports}")
         key = ("sigma", i)
         if key not in self._cache:
-            d = self.levels
-            ly = self.params.lambda_y
-            offs, w_i = self._port_layout(i)
-            c = np.arange(d)
-            amps = (1 - ly**2) * np.outer((-ly) ** c, (-ly) ** c)  # (c, c')
-            base_row = (c * d**self.ports + c * w_i)[:, None, None]
-            base_col = (c * d**self.ports + c * w_i)[None, :, None]
-            rows = (base_row + offs[None, None, :]).repeat(d, axis=1)
-            cols = (base_col + offs[None, None, :]).repeat(d, axis=0)
-            vals = np.broadcast_to(amps[:, :, None], rows.shape)
-            mat = sp.coo_matrix(
-                (vals.ravel(), (rows.ravel(), cols.ravel())), shape=(self.dim, self.dim)
-            )
-            self._cache[key] = mat.tocsr()
+            ds = self.levels ** (self.ports - 1)
+            phi = self._port_states()[:, (i - 1) * ds : i * ds]
+            self._cache[key] = (phi @ phi.T).tocsr()
         return self._cache[key]
 
     def rho_sparse(self) -> sp.csr_matrix:
@@ -197,7 +190,7 @@ class TruncatedProtocol:
         """Phi, whose columns are the port states
         phi_(i,x) = sqrt(1 - ly^2) sum_c (-ly)^c |C = c, A_i = c, spectators = x>,
         port i slowest, then the spectator digits x; sigma_i = sum_x
-        phi_(i,x) phi_(i,x)^T, so rho = Phi Phi^T."""
+        phi_(i,x) phi_(i,x)^T (`sigma_sparse`), so rho = Phi Phi^T."""
         if "phi" not in self._cache:
             d, n = self.levels, self.ports
             ds = d ** (n - 1)
@@ -486,6 +479,8 @@ def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOpera
     d, n = proto.levels, proto.ports
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
+    # the sized terms first: `working_set_mb` labels every basis index
+    proto._require(_BYTES_PER_ENTRY * proto._sized_entries() / 2**20, "channel gather")
     proto._require(proto.working_set_mb(), "channel gather")
     offsets, p, q, vals = proto._gather_table()
     span = slice(offsets[b * d + a], offsets[b * d + a + 1])

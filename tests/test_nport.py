@@ -44,6 +44,22 @@ def orbit(arr, t, v):
     return [t] + [swapped(arr, t, q) for q, x in enumerate(arr.seqs[t]) if x == v]
 
 
+def literal_segments(arr):
+    """`nport._orbit_segments` walked one orbit at a time with `orbit`."""
+    size = arr.size
+    uniq = sorted(set(arr.multiset))
+    slots = uniq + [None]
+
+    def orbit_of(t, v):
+        return [t] if v is None else orbit(arr, t, v)
+
+    segments = [[r * size + c for i in arr.ptilde for r in orbit_of(i, b) for c in orbit_of(i, a)] for a in slots for b in slots]
+    segments += [
+        [t * size + c for t, seq in enumerate(arr.seqs) if seq[0] == n for c in orbit_of(t, a)] for a in slots for n in uniq
+    ]
+    return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
+
+
 def full_stack(arr, levels, lam_y, gammas=nport._gamma_stack):
     """Whole Gammas, (b, size, size), from a stack function that returns the
     requested flat entries."""
@@ -51,11 +67,32 @@ def full_stack(arr, levels, lam_y, gammas=nport._gamma_stack):
     return gammas(arr, levels, lam_y, np.arange(size**2)).reshape(-1, size, size)
 
 
+def rotation_tables(arr):
+    """Port-rotation tables, m = size / N.  perm[j, p]: index of marker-first
+    arrangement p rotated so that its marker sits in slot j; hop[d-1, p']:
+    the marker-first arrangement reached from p' by swapping its marker with
+    slot d and rotating the marker back to slot 0; slot[d-1, p']: the
+    unique-level index of the value in slot d of p'."""
+    n = arr.ports
+    first = [arr.seqs[i] for i in arr.ptilde]
+    rank = {s: p for p, s in enumerate(first)}
+    level = {v: r for r, v in enumerate(sorted(set(arr.multiset)))}
+    perm = np.array([[arr.index[s[n - j :] + s[: n - j]] for s in first] for j in range(n)])
+    hop = np.empty((n - 1, len(first)), dtype=np.intp)
+    slot = np.empty((n - 1, len(first)), dtype=np.intp)
+    for d in range(1, n):
+        for p, s in enumerate(first):
+            t = (s[d],) + s[1:d] + (MARKER,) + s[d + 1 :]
+            hop[d - 1, p] = rank[t[d:] + t[:d]]
+            slot[d - 1, p] = level[s[d]]
+    return perm, hop, slot
+
+
 def rotation_blocks(arr, weights):
     """Blocks C_d of the sector matrices in rotation order, (b, N, m, m), for
     swap weights (b, k) per unique level: C_0 = I, and for d >= 1 C_d sends
     marker-first p' to hop[d-1, p'] with the weight of the level in slot d."""
-    perm, hop, slot = arr.rotations
+    perm, hop, slot = rotation_tables(arr)
     n, m = perm.shape
     blocks = np.zeros((len(weights), n, m, m))
     blocks[:, 0] = np.eye(m)
@@ -125,25 +162,25 @@ class TestArrangements:
             for v in set(arr.multiset):
                 for j in orbit(arr, i, v)[1:]:
                     assert i in orbit(arr, j, v)
+        for ports in range(2, 8):  # every layout: swapping back through the old marker slot returns t
+            for layout, _ in nport._pattern_walk(ports, ports - 2):
+                arr = Arrangements(layout)
+                swaps, marker = arr.swaps, arr.slot_level.argmin(axis=1)
+                assert swaps.shape == (arr.size, ports) and swaps.dtype == np.intp
+                assert np.array_equal(swaps[np.arange(arr.size), marker], np.arange(arr.size))
+                assert np.array_equal(swaps[swaps, marker[:, None]], np.broadcast_to(np.arange(arr.size)[:, None], swaps.shape))
+                if arr.size <= 720:
+                    assert all(swaps[t, q] == swapped(arr, t, q) for t in range(arr.size) for q in range(ports))
+
+    @pytest.mark.parametrize("ports", range(2, 7))
+    def test_orbit_segments_are_the_literal_walk(self, ports):
+        for layout, _ in nport._pattern_walk(ports, ports - 2):
+            arr = Arrangements(layout)
+            for got, want in zip(nport._orbit_segments(arr), literal_segments(arr)):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestRotations:
-    @pytest.mark.parametrize("ports", range(2, 7))
-    def test_tables_are_permutations(self, ports):
-        for layout, _ in nport._pattern_walk(ports, ports - 2):
-            arr = Arrangements(layout)
-            perm, hop, slot = arr.rotations
-            m = arr.size // ports
-            assert perm.shape == (ports, m) and hop.shape == slot.shape == (ports - 1, m)
-            assert sorted(perm.ravel().tolist()) == list(range(arr.size))
-            assert perm[0].tolist() == list(arr.ptilde)
-            for j, p in itertools.product(range(ports), range(m)):
-                first = arr.seqs[perm[0, p]]  # rotated so that its marker sits in slot j
-                assert arr.seqs[perm[j, p]] == first[-j:] + first[:-j]
-            for row in hop:
-                assert sorted(row.tolist()) == list(range(m))
-            assert set(slot.ravel().tolist()) == set(range(layout[-1] + 1))
-
     @pytest.mark.parametrize("ports", range(2, 7))
     def test_inverse_fft_of_the_blocks_rebuilds_sector_matrix(self, ports):
         lam_y = 0.45
@@ -151,7 +188,7 @@ class TestRotations:
             arr = Arrangements(layout)
             blocks = rotation_blocks(arr, nport._swap_weights(levels, lam_y))
             blocks = np.fft.irfft(np.fft.rfft(blocks, axis=1), ports, axis=1)
-            order = arr.rotations.perm.ravel()
+            order = rotation_tables(arr)[0].ravel()
             h = np.empty((len(levels), arr.size, arr.size))
             h[:, order[:, None], order] = block_circulant(blocks)
             for got, row in zip(h, levels):
@@ -181,11 +218,11 @@ class TestRotations:
         tracemalloc.start()
         try:
             arr = Arrangements(range(7))
-            perm, hop, slot = arr.rotations
+            swaps = arr.swaps
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert arr.size == 40320 and hop.shape == (7, 5040)
+        assert arr.size == 40320 and swaps.shape == (40320, 8)
         assert peak < 50 * 2**20
 
 
@@ -290,7 +327,7 @@ class TestIrreps:
             for t, seq in enumerate(arr.seqs):
                 for q, v in enumerate(seq):
                     if v != MARKER:
-                        h[t, arr._swap(seq, q)] += (1 - ly2) * ly2**v
+                        h[t, arr.swaps[t, q]] += (1 - ly2) * ly2**v
             w, v = mpmath.eigsy(h)
             root = v * mpmath.diag([1 / mpmath.sqrt(x) for x in w]) * v.T
             inv = v * mpmath.diag([1 / x for x in w]) * v.T

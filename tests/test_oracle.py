@@ -548,6 +548,20 @@ def test_working_set_bounds_traced_peak(traced_report, ports, d, lam):
     assert peak_mb <= declared <= 4 * peak_mb
 
 
+def test_budget_refusal_allocates_nothing_sized():
+    # (2, 150): the component labels alone would be 8 * 150^3 B = 26 MB
+    proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(150), mem_budget_mb=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match="channel gather"):
+            brute_channel_element(0, 0, proto)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 1
+    assert "labels" not in proto._cache
+
+
 class TestInputChecks:
     @pytest.mark.parametrize("a_max,b_max", [(-1, 1), (1, -1)])
     def test_negative_element_range(self, a_max, b_max):
