@@ -28,6 +28,14 @@ EXIT_VALIDATION = 2
 EXIT_BUDGET = 3
 EXIT_TOLERANCE = 4
 
+# Declared sizes of the inputs, refused by `oracle.require_memory` before
+# anything is allocated: per table value, its Python row and its share of the
+# written text; per grid point, the closed-form level sums behind its row;
+# per entry of a levels x levels channel array, the array and its temporaries.
+_CELL_BYTES = {"csv": 160, "json": 320}
+_POINT_BYTES = 320
+_ENTRY_BYTES = 64
+
 
 @dataclass
 class ResultTable:
@@ -105,8 +113,16 @@ def result_table_schema() -> dict:
         return json.load(fh)
 
 
-def _parse_range(spec: str) -> np.ndarray:
-    """start:stop:count range specification."""
+def _require_table(args, rows: int, columns: int, row_bytes: int = 0):
+    """Refuse a table of `rows` rows of `columns` values, plus `row_bytes` of
+    work per row, whose declared size exceeds the memory budget."""
+    mb = rows * (columns * _CELL_BYTES[args.format] + row_bytes) / 2**20
+    oracle.require_memory(mb, f"{args.command}: a table of {rows} rows")
+
+
+def _parse_range(spec: str, args, columns: int) -> np.ndarray:
+    """start:stop:count range specification; the count is declared as a table
+    of that many rows before any value is made."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:count, got {spec!r}")
@@ -115,7 +131,16 @@ def _parse_range(spec: str) -> np.ndarray:
         raise ValueError(f"range bounds must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("range count must be positive")
+    _require_table(args, count, columns)
     return np.linspace(start, stop, count)
+
+
+def _grid(args, columns: int, ports: int = 2) -> two_port.ChannelParams:
+    """The lambda_x x lambda_y grid of a sweep, its points declared first."""
+    lx = _parse_range(args.lambda_x_range, args, columns)
+    ly = _parse_range(args.lambda_y_range, args, columns)
+    _require_table(args, lx.size * ly.size, columns, _POINT_BYTES)
+    return two_port.ChannelParams.grid(lx, ly, ports)
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +152,9 @@ def cmd_twoport_coherent(args) -> tuple[ResultTable, int]:
     params = two_port.ChannelParams(args.lambda_x, args.lambda_y)
     alpha = complex(args.alpha)
     cutoff = fock.Cutoff(args.cutoff)
-    state = two_port.apply_coherent(alpha, params, cutoff)
     d = cutoff.levels
+    _require_table(args, d * d, 4, _ENTRY_BYTES)
+    state = two_port.apply_coherent(alpha, params, cutoff)
     vac = np.zeros((d, d), dtype=complex)
     vac[0, 0] = 1.0
     rows = [
@@ -156,7 +182,7 @@ def cmd_twoport_coherent(args) -> tuple[ResultTable, int]:
 
 
 def cmd_energy(args) -> tuple[ResultTable, int]:
-    grid = two_port.ChannelParams.grid(_parse_range(args.lambda_x_range), _parse_range(args.lambda_y_range))
+    grid = _grid(args, 3)
     energies = two_port.max_output_energy(grid, tol=args.tol)
     rows = [list(row) for row in zip(grid.lambda_x, grid.lambda_y, energies)]
     table = ResultTable(
@@ -185,7 +211,7 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
     if args.kind == "lossy":
         if args.energy_range is None:
             raise ValueError("--energy-range is required for the lossy bound")
-        energies = _parse_range(args.energy_range)
+        energies = _parse_range(args.energy_range, args, 2)
         if reg is two_port.Regime.POSITIVE:
             values = bounds.lossy_diamond_bound_positive(energies, params)
             meta["variant"] = "positive"
@@ -201,7 +227,7 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
     if args.kind == "sim":
         if args.delta_range is None:
             raise ValueError("--delta-range is required for the simulation bound")
-        deltas = _parse_range(args.delta_range)
+        deltas = _parse_range(args.delta_range, args, 2)
         base = two_port.ChannelParams(args.lambda_x, args.lambda_y)
         rows = [[d, bounds.sim_example_bound(d, base)] for d in deltas]
         meta["delta_range"] = args.delta_range
@@ -210,11 +236,9 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
 
 
 def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
-    if args.ports == 2 and args.cap is not None:
-        raise ValueError("--cap applies to three ports only: the two-port closed form has no cap")
-    grid = two_port.ChannelParams.grid(
-        _parse_range(args.lambda_x_range), _parse_range(args.lambda_y_range), ports=args.ports
-    )
+    grid = _grid(args, 4, args.ports)
+    levels = args.cutoff if args.input == "tmsv" else (2 if args.input == "bell2" else 3)
+    oracle.require_memory(levels**2 * _ENTRY_BYTES / 2**20, f"fidelity-sweep at cutoff {levels}")
     options = {"lambda_in": args.lambda_in, "levels": args.cutoff, "cap": args.cap}
     if args.ports == 2:  # the closed form takes the whole grid at once
         fids, meta = nport.input_output_fidelity(args.input, grid, **options)
@@ -233,7 +257,7 @@ def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
             "lambda_in": args.lambda_in,
             "lambda_x_range": args.lambda_x_range,
             "lambda_y_range": args.lambda_y_range,
-            "output_cutoff": args.cutoff if args.input == "tmsv" else (2 if args.input == "bell2" else 3),
+            "output_cutoff": levels,
             "cap_policy": "fixed" if args.cap is not None else "adaptive(1e-10)",
         },
     )
@@ -242,7 +266,7 @@ def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
 
 def cmd_oracle_verify(args) -> tuple[ResultTable, int]:
     params = two_port.ChannelParams(args.lambda_x, args.lambda_y, ports=args.ports)
-    proto = oracle.TruncatedProtocol(params, fock.Cutoff(args.cutoff), mem_budget_mb=args.mem_budget)
+    proto = oracle.TruncatedProtocol(params, fock.Cutoff(args.cutoff))
     report = oracle.verification_report(proto, args.a_max, args.b_max, tol=args.tol)
     rows = [
         [e["a"], e["b"], e["max_deviation"], e["trace_deviation"]] for e in report["elements"]
@@ -312,7 +336,6 @@ def _build_parser():
         p.add_argument("--a-max", type=int, default=3)
         p.add_argument("--b-max", type=int, default=3)
         p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--mem-budget", type=float, default=None, help="MiB; default from CVPBT_MEM_BUDGET_MB")
 
     add("twoport-coherent", cmd_twoport_coherent, twoport)
     add("energy", cmd_energy, energy)

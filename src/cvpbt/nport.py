@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import DensityOperator, FockOperator, _per_point, as_cutoff, chi_vector
-from .oracle import MemoryBudgetError, memory_budget
+from .oracle import require_memory
 from .two_port import _BLOCK_ELEMS, ChannelParams, _diag_tail_bound, _inv_root, omega
 
 __all__ = [
@@ -691,8 +691,8 @@ class NPortChannel:
     the distinct flat entries, in the canonical coordinates of the layout
     `arr`, that the orbit sums read (`_orbit_segments`); by default from
     `_gamma_stack`, through the S_N irreps.  A build whose declared size
-    (`_build_mb`) exceeds the memory budget (`oracle.memory_budget`) is
-    refused with `MemoryBudgetError` before anything is allocated.
+    (`_build_mb`) exceeds the memory budget is refused by
+    `oracle.require_memory` before anything is allocated.
     `closed_two_port` builds the sums from the two-port closed form, which
     also takes a parameter grid: `arrays` then stacks C and T over it.
     """
@@ -700,9 +700,7 @@ class NPortChannel:
     def __init__(self, params: ChannelParams, cap: int | None = None, gammas=_gamma_stack):
         self.params = params
         self.cap = default_cap(params) if cap is None else int(cap)
-        budget, mb = memory_budget(), _build_mb(params.ports, self.cap)
-        if mb > budget:
-            raise MemoryBudgetError(mb, budget, f"the {params.ports}-port sector build at cap {self.cap}")
+        require_memory(_build_mb(params.ports, self.cap), f"the {params.ports}-port sector build at cap {self.cap}")
         self.sectors = enumerate_multisets(params.ports, self.cap)
         self._gamma_max = 0.0
         # lx^(2 t) per level total t, scalar pows: numpy's vector power can differ in the last bit
@@ -844,9 +842,12 @@ def ThreePortChannel(params: ChannelParams, cap: int | None = None) -> NPortChan
 
 
 def make_channel(params: ChannelParams, cap: int | None = None) -> NPortChannel:
-    """Closed forms at two (no cap) and three ports, numeric Gammas beyond.
-    Only the two-port closed form takes a parameter grid."""
+    """Closed forms at two and three ports, numeric Gammas beyond.  Only the
+    two-port closed form takes a parameter grid, and it has no cap: a cap
+    there is a ValueError rather than silently dropped."""
     if params.ports == 2:
+        if cap is not None:
+            raise ValueError("--cap applies to three ports only: the two-port closed form has no cap")
         return NPortChannel.closed_two_port(params)
     if np.ndim(params.lambda_x):
         raise ValueError("a parameter grid is evaluated by the two-port closed form only")

@@ -64,18 +64,26 @@ class MemoryBudgetError(RuntimeError):
         self.budget_mb = budget_mb
 
 
-def memory_budget(mb: float | None = None) -> float:
-    """`mb` MiB, or CVPBT_MEM_BUDGET_MB (default DEFAULT_BUDGET_MB) when it is
-    None; a ValueError unless the budget is finite and > 0."""
-    if mb is None:
-        raw = os.environ.get("CVPBT_MEM_BUDGET_MB", DEFAULT_BUDGET_MB)
-        try:
-            mb = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"CVPBT_MEM_BUDGET_MB must be numeric, got {raw!r}") from exc
+def memory_budget() -> float:
+    """The memory budget in MiB: CVPBT_MEM_BUDGET_MB, or DEFAULT_BUDGET_MB
+    when it is unset.  The environment is the only setting; a ValueError
+    unless it is numeric, finite and > 0."""
+    raw = os.environ.get("CVPBT_MEM_BUDGET_MB", DEFAULT_BUDGET_MB)
+    try:
+        mb = float(raw)
+    except ValueError as exc:
+        raise ValueError(f"CVPBT_MEM_BUDGET_MB must be numeric, got {raw!r}") from exc
     if not (math.isfinite(mb) and mb > 0):
         raise ValueError(f"memory budget must be finite and > 0 MiB, got {mb!r}")
     return mb
+
+
+def require_memory(mb: float, what: str):
+    """The one budget gate: refuse `what`, declared before it allocates about
+    `mb` MiB, with MemoryBudgetError when that exceeds `memory_budget()`."""
+    budget = memory_budget()
+    if mb > budget:
+        raise MemoryBudgetError(mb, budget, what)
 
 
 @dataclass
@@ -85,18 +93,18 @@ class TruncatedProtocol:
     kernel_tol, a class constant, is the relative eigenvalue threshold
     separating the kernel of rho from its support; eigenvalues between
     kernel_tol and the suspect band limit are counted and reported rather
-    than silently classified.
+    than silently classified.  Each stage declares its size to `require_memory`
+    first; a bad CVPBT_MEM_BUDGET_MB already fails construction.
     """
 
     kernel_tol: ClassVar[float] = 1e-10
     params: ChannelParams
     cutoff: Cutoff
-    mem_budget_mb: float | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.cutoff = as_cutoff(self.cutoff)
-        self.mem_budget_mb = memory_budget(self.mem_budget_mb)
+        memory_budget()
 
     # -- dimensions ---------------------------------------------------------
 
@@ -130,12 +138,8 @@ class TruncatedProtocol:
         sigma.  Computed once per protocol.
         """
         if "working_set_mb" not in self._cache:
-            sizes = np.bincount(self._labels())
-            ranks = np.bincount(self._state_labels(), minlength=sizes.size)
-            pairs, count = np.unique(
-                np.stack([sizes, ranks], axis=1)[sizes > 1], axis=0, return_counts=True
-            )
-            s, r = pairs.T.astype(float)
+            shapes = [(m.shape[1], st.shape[1], len(at)) for m, st, at in self._groups()]
+            s, r, count = np.array(shapes, dtype=float).reshape(-1, 3).T
             gram = float((count * r**2).sum())
             batch = np.minimum(count, np.maximum(1, _CHUNK_ELEMS // s**2)) * (s**2 + s * r)
             entries = gram + batch.max(initial=0.0) + self._sized_entries() + self._gram().nnz
@@ -147,24 +151,7 @@ class TruncatedProtocol:
         basis index and Phi's N D^N entries."""
         return 8 * self.dim + self.ports * self.levels**self.ports
 
-    def _require(self, mb: float, what: str):
-        if mb > self.mem_budget_mb:
-            raise MemoryBudgetError(mb, self.mem_budget_mb, what)
-
     # -- sparse protocol objects --------------------------------------------
-
-    def _port_layout(self, i: int):
-        """Flat-index offsets of the spectator A modes and the weight of A_i."""
-        d, n = self.levels, self.ports
-        weights = [d ** (n - j) for j in range(1, n + 1)]  # A_1 .. A_N
-        spectators = [w for j, w in enumerate(weights, start=1) if j != i]
-        rest = np.arange(d ** (n - 1))
-        offs = np.zeros(d ** (n - 1), dtype=np.int64)
-        r = rest.copy()
-        for w in reversed(spectators):
-            offs += (r % d) * w
-            r //= d
-        return offs, weights[i - 1]
 
     def sigma_sparse(self, i: int) -> sp.csr_matrix:
         if not 1 <= i <= self.ports:
@@ -173,17 +160,16 @@ class TruncatedProtocol:
         if key not in self._cache:
             ds = self.levels ** (self.ports - 1)
             phi = self._port_states()[:, (i - 1) * ds : i * ds]
-            self._cache[key] = (phi @ phi.T).tocsr()
+            self._cache[key] = (phi @ phi.T).tocsr().sorted_indices()
         return self._cache[key]
 
     def rho_sparse(self) -> sp.csr_matrix:
         if "rho" not in self._cache:
-            # at most ports * dim entries, summed from as many cached sigmas
-            self._require(_BYTES_PER_ENTRY * 2 * self.ports * self.dim / 2**20, "sparse rho")
-            total = self.sigma_sparse(1)
-            for i in range(2, self.ports + 1):
-                total = total + self.sigma_sparse(i)
-            self._cache["rho"] = total.tocsr()
+            # at most ports * dim entries, each with at most one term per port, added
+            # in port order: bitwise the sum of the sigmas
+            require_memory(_BYTES_PER_ENTRY * 2 * self.ports * self.dim / 2**20, "sparse rho")
+            phi = self._port_states()
+            self._cache["rho"] = (phi @ phi.T).tocsr().sorted_indices()
         return self._cache["rho"]
 
     def _port_states(self) -> sp.csr_matrix:
@@ -196,11 +182,11 @@ class TruncatedProtocol:
             ds = d ** (n - 1)
             c = np.arange(d)
             amps = np.sqrt(1 - self.params.lambda_y**2) * (-self.params.lambda_y) ** c
-            rows = []
-            for i in range(1, n + 1):
-                offs, w_i = self._port_layout(i)
-                rows.append(offs[:, None] + c * (d**n + w_i))  # (x, c)
-            rows = np.concatenate(rows).ravel()
+            place = d ** (n - np.arange(1, n + 1))[:, None]  # place values d^(N-i) of A_1..A_N
+            x = np.arange(ds)
+            # spectator digits x with a zero digit put in at A_i, then C = A_i = c
+            rows = (x // place * (d * place) + x % place)[:, :, None] + (d**n + place)[:, :, None] * c
+            rows = rows.ravel()  # (i, x, c)
             cols = np.repeat(np.arange(n * ds), d)
             vals = np.tile(amps, n * ds)
             self._cache["phi"] = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, n * ds))
@@ -253,6 +239,29 @@ class TruncatedProtocol:
         out[sub.row // s, sub.row % s, pos[sub.col]] = sub.data
         return out
 
+    def _groups(self):
+        """Components of more than one index by their s indices and r port
+        states, in ascending (s, r): [(members (k, s), states (k, r), at), ...],
+        rows ascending, `at` the places of the k components when all are
+        ordered by smallest member.  Singletons are untouched by rho: kernel."""
+        if "groups" not in self._cache:
+            labels, state_labels = self._labels(), self._state_labels()
+            sizes = np.bincount(labels)
+            ranks = np.bincount(state_labels, minlength=sizes.size)
+            order = np.argsort(labels, kind="stable")  # members of each label, ascending
+            state_order = np.argsort(state_labels, kind="stable")
+            starts, state_starts = np.cumsum(sizes) - sizes, np.cumsum(ranks) - ranks
+            comps = np.argsort(order[starts], kind="stable")  # by smallest member
+            comps = comps[sizes[comps] > 1]
+            pairs = np.stack([sizes[comps], ranks[comps]], axis=1)
+            groups = []
+            for s, r in np.unique(pairs, axis=0):
+                at = np.flatnonzero((pairs[:, 0] == s) & (pairs[:, 1] == r))
+                members = order[starts[comps[at]][:, None] + np.arange(s)]
+                groups.append((members, state_order[state_starts[comps[at]][:, None] + np.arange(r)], at))
+            self._cache["groups"] = groups
+        return self._cache["groups"]
+
     def _components(self):
         """Invariant blocks of rho discovered from its sparsity pattern alone,
         each diagonalised through the Gram matrix of its port states.
@@ -265,56 +274,39 @@ class TruncatedProtocol:
         of more than one index, ordered by smallest member, each with its
         ascending members, ascending port-state columns and the
         eigendecomposition of its Gram block.  Components of equal (s, r)
-        share one stacked eigh; the stacks are kept for `_povm_blocks`.
+        (`_groups`) share one stacked eigh.  The stacks are kept with the one
+        kernel cut, each block's count of eigenvalues above kernel_tol * max_eig.
         """
         if "components" not in self._cache:
-            labels = self._labels()
-            order = np.argsort(labels, kind="stable")  # members of each label, ascending
-            sizes = np.bincount(labels)
-            starts = np.cumsum(sizes) - sizes
-            comps = np.argsort(order[starts], kind="stable")  # by smallest member
-            comps = comps[sizes[comps] > 1]  # singletons are untouched by rho: exact kernel
-            state_labels = self._state_labels()
-            state_order = np.argsort(state_labels, kind="stable")
-            ranks = np.bincount(state_labels, minlength=sizes.size)
-            state_starts = np.cumsum(ranks) - ranks
-            position = np.empty(sizes.size, dtype=np.int64)
-            position[comps] = np.arange(comps.size)
-            gram = self._gram()
-            blocks = [None] * comps.size
+            groups = self._groups()
+            blocks = [None] * sum(len(at) for _, _, at in groups)
             stacks = []
-            for s, r in np.unique(np.stack([sizes[comps], ranks[comps]], axis=1), axis=0):
-                group = comps[(sizes[comps] == s) & (ranks[comps] == r)]
-                members = order[starts[group][:, None] + np.arange(s)]
-                states = state_order[state_starts[group][:, None] + np.arange(r)]
-                w, v = np.linalg.eigh(self._dense_blocks(gram, states, states))
+            for members, states, at in groups:
+                w, v = np.linalg.eigh(self._dense_blocks(self._gram(), states, states))
                 stacks.append((members, states, w, v))
-                for j, c in enumerate(group):
-                    blocks[position[c]] = (members[j], states[j], w[j], v[j])
+                for j, c in enumerate(at):
+                    blocks[c] = (members[j], states[j], w[j], v[j])
             max_eig = max((float(w.max()) for _, _, w, _ in stacks), default=0.0)
-            self._cache["stacks"] = stacks
+            cut = self.kernel_tol * max_eig  # w ascends, so the kept are each block's last
+            self._cache["stacks"] = [(m, st, w, v, (w > cut).sum(axis=1)) for m, st, w, v in stacks]
             self._cache["components"] = (blocks, max_eig)
         return self._cache["components"]
 
     def eigenvalue_census(self) -> dict:
         """Counts of kernel / suspect-band / support eigenvalues of rho.
 
-        A component of s indices and r port states has s - r exact zeros
-        beside its r Gram eigenvalues, which are classified against the cut;
-        untouched indices are kernel.  Counted once per protocol; each call
-        returns its own copy."""
+        Kernel is all but the Gram eigenvalues kept by the cut of `_components`
+        (untouched indices and each component's s - r exact zeros included),
+        support the kept ones above the suspect band, suspect the rest.  Counted
+        once per protocol; each call returns its own copy."""
         if "census" not in self._cache:
-            blocks, max_eig = self._components()
-            kernel = self.dim - sum(len(g) for _, _, g, _ in blocks)
-            suspect = support = 0
-            for _, _, g, _ in blocks:
-                kernel += int((g <= self.kernel_tol * max_eig).sum())
-                band = (g > self.kernel_tol * max_eig) & (g <= SUSPECT_BAND * max_eig)
-                suspect += int(band.sum())
-                support += int((g > SUSPECT_BAND * max_eig).sum())
-            self._cache["census"] = {
-                "kernel": kernel, "suspect": suspect, "support": support, "max_eigenvalue": max_eig
-            }
+            _, max_eig = self._components()
+            stacks = self._cache["stacks"]
+            kept = sum(int(k.sum()) for *_, k in stacks)
+            support = sum(int((w > SUSPECT_BAND * max_eig).sum()) for _, _, w, _, _ in stacks)
+            self._cache["census"] = dict(
+                kernel=self.dim - kept, suspect=kept - support, support=support, max_eigenvalue=max_eig
+            )
         return dict(self._cache["census"])
 
     def _povm_blocks(self):
@@ -331,13 +323,12 @@ class TruncatedProtocol:
         holds components of one (s, r) and one k.  The indices rho does not
         touch come last, as 1x1 blocks holding 1/N.
         """
-        _, max_eig = self._components()
+        self._components()
         phi = self._port_states()
         n = self.ports
         first_port = self.levels ** (n - 1)  # port-1 states are Phi's first columns
-        for members, states, w, v in self._cache["stacks"]:
+        for members, states, _, v, kept in self._cache["stacks"]:
             s, r = members.shape[1], states.shape[1]
-            kept = (w > self.kernel_tol * max_eig).sum(axis=1)  # w ascends: kernel first
             step = max(1, _CHUNK_ELEMS // (s * s))
             for k in np.unique(kept):
                 same = np.flatnonzero(kept == k)
@@ -397,20 +388,18 @@ class TruncatedProtocol:
 
 def build_sigma(i: int, proto: TruncatedProtocol) -> FockOperator:
     """Port overlap operator for port i on modes (C, A_1..A_N), dense."""
-    proto._require(proto.dense_mb(), "dense sigma")
-    mat = proto.sigma_sparse(i).toarray()
-    return FockOperator(mat, proto.ports + 1, proto.cutoff)
+    require_memory(proto.dense_mb(), "dense sigma")
+    return FockOperator(proto.sigma_sparse(i).toarray(), proto.ports + 1, proto.cutoff)
 
 
 def build_rho(proto: TruncatedProtocol) -> FockOperator:
-    proto._require(proto.dense_mb(), "dense rho")
-    mat = proto.rho_sparse().toarray()
-    return FockOperator(mat, proto.ports + 1, proto.cutoff)
+    require_memory(proto.dense_mb(), "dense rho")
+    return FockOperator(proto.rho_sparse().toarray(), proto.ports + 1, proto.cutoff)
 
 
 def build_povm_element(proto: TruncatedProtocol) -> FockOperator:
     """First POVM element, dense, with the eigenvalue census in `meta`."""
-    proto._require(proto.dense_mb(), "dense measurement element")
+    require_memory(proto.dense_mb(), "dense measurement element")
     mat = np.zeros((proto.dim, proto.dim))
     for members, blocks in proto._povm_blocks():
         mat[members[:, :, None], members[:, None, :]] = blocks
@@ -422,7 +411,7 @@ def povm_element_explicit(proto: TruncatedProtocol) -> FockOperator:
     explicit resolved form (no eigendecomposition involved)."""
     if proto.ports != 2:
         raise ValueError("the explicit measurement form is the two-port case")
-    proto._require(proto.dense_mb(), "dense measurement element")
+    require_memory(proto.dense_mb(), "dense measurement element")
     d = proto.levels
     ly = proto.params.lambda_y
     chi_y = chi_vector(ly, d)
@@ -447,7 +436,7 @@ def reduced_resource(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     d, n = proto.levels, proto.ports
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
-    proto._require(proto.dense_mb(extra_modes=1), "dense reduced resource")
+    require_memory(proto.dense_mb(extra_modes=1), "dense reduced resource")
     lx = proto.params.lambda_x
     signal = np.zeros((d, d))
     signal[a, b] = 1.0
@@ -480,8 +469,8 @@ def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOpera
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
     # the sized terms first: `working_set_mb` labels every basis index
-    proto._require(_BYTES_PER_ENTRY * proto._sized_entries() / 2**20, "channel gather")
-    proto._require(proto.working_set_mb(), "channel gather")
+    require_memory(_BYTES_PER_ENTRY * proto._sized_entries() / 2**20, "channel gather")
+    require_memory(proto.working_set_mb(), "channel gather")
     offsets, p, q, vals = proto._gather_table()
     span = slice(offsets[b * d + a], offsets[b * d + a + 1])
     gathered = np.zeros((d, d))
@@ -490,17 +479,6 @@ def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOpera
     signs = (-lx) ** np.arange(d)
     out = n * (1 - lx**2) * np.outer(signs, signs) * gathered
     return FockOperator(out.astype(complex), 1, proto.cutoff, meta=proto.eigenvalue_census())
-
-
-def _analytic_reference(proto: TruncatedProtocol):
-    from . import nport
-
-    channel = nport.make_channel(proto.params, cap=proto.levels - 1)
-
-    def element(a, b):
-        return channel.number_element(a, b, proto.cutoff).matrix
-
-    return element
 
 
 def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: float = 1e-6) -> dict:
@@ -515,25 +493,25 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
         raise ValueError(f"element range must be non-negative, got a_max={a_max}, b_max={b_max}")
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+    from . import nport
+
     t0 = time.perf_counter()
-    analytic = _analytic_reference(proto)
+    channel = nport.make_channel(proto.params, cap=proto.levels - 1 if proto.ports > 2 else None)
     rows = []
     worst = 0.0
     for a in range(a_max + 1):
         for b in range(b_max + 1):
             t1 = time.perf_counter()
             brute = brute_channel_element(a, b, proto).matrix
-            dev = float(np.abs(brute - analytic(a, b)).max())
-            entry = {
+            dev = float(np.abs(brute - channel.number_element(a, b, proto.cutoff).matrix).max())
+            rows.append({
                 "a": a,
                 "b": b,
                 "max_deviation": dev,
                 "trace_deviation": abs(float(brute.trace().real) - 1.0) if a == b else None,
                 "seconds": time.perf_counter() - t1,
-            }
-            rows.append(entry)
+            })
             worst = max(worst, dev)
-    census = proto.eigenvalue_census()
     return {
         "ports": proto.ports,
         "levels": proto.levels,
@@ -544,7 +522,7 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
         "tolerance": tol,
         "max_deviation": worst,
         "passed": bool(worst <= tol),
-        "eigenvalue_census": census,
+        "eigenvalue_census": proto.eigenvalue_census(),
         "elements": rows,
         "total_seconds": time.perf_counter() - t0,
     }

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 
 import jsonschema
 import numpy as np
 import pytest
 
-from cvpbt import bounds, two_port
+from cvpbt import bounds, oracle, two_port
 from cvpbt.cli import EXIT_BUDGET, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, read_table, result_table_schema
 
 
@@ -290,8 +291,6 @@ class TestOracleVerify:
             ["--b-max", "-1"],
             ["--tol", "nan"],
             ["--tol", "-1"],
-            ["--mem-budget", "nan"],
-            ["--mem-budget", "-5"],
         ],
     )
     def test_bad_input_is_validation_error(self, tmp_path, extra):
@@ -399,3 +398,55 @@ class TestConfigFile:
         code, out = run(tmp_path, "--config", str(cfg), "twoport-coherent")
         assert code == EXIT_OK
         assert read_table(str(out)).metadata["alpha"] == [-0.5, 0.25]
+
+
+def sized(command, n):
+    """argv of `command` at size n: an n x n parameter grid, or cutoff n."""
+    grid = ["--lambda-x-range", f"0.1:0.5:{n}", "--lambda-y-range", f"0.1:0.5:{n}"]
+    return {
+        "energy": ["energy", *grid],
+        "fidelity-sweep": ["fidelity-sweep", "--input", "bell2", *grid],
+        "twoport-coherent": ["twoport-coherent", "--lambda-x", "0.5", "--lambda-y", "0.5", "--cutoff", str(n)],
+    }[command]
+
+
+class TestOversizeInputs:
+    @pytest.mark.parametrize("command", ["energy", "fidelity-sweep", "twoport-coherent"])
+    def test_refused_before_allocating(self, tmp_path, monkeypatch, capsys, command):
+        # each declares a few MB, against a 1 MiB budget
+        monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "1")
+        tracemalloc.start()
+        try:
+            code, out = run(tmp_path, *sized(command, 100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_BUDGET
+        assert not out.exists()
+        assert "budget is 1 MiB" in capsys.readouterr().err
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "command, sizes", [("energy", (50, 100)), ("fidelity-sweep", (50, 100)), ("twoport-coherent", (100, 200))]
+    )
+    def test_declared_size_bounds_traced_peak(self, tmp_path, monkeypatch, command, sizes, fmt):
+        declared = []
+        gate = oracle.require_memory
+
+        def recording_gate(mb, what):
+            declared.append(mb)
+            gate(mb, what)
+
+        monkeypatch.setattr(oracle, "require_memory", recording_gate)
+        run(tmp_path, *sized(command, 3), "--format", fmt)  # first calls load what they need
+        for n in sizes:
+            declared.clear()
+            tracemalloc.start()
+            try:
+                code, _ = run(tmp_path, *sized(command, n), "--format", fmt)
+                peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+            assert peak_mb <= max(declared) <= 4 * peak_mb

@@ -866,6 +866,14 @@ class TestApplyState:
         with pytest.raises(ValueError):
             apply_state_nport(rho, ChannelParams(0.4, 0.5, ports=3))
 
+    def test_cap_at_two_ports_is_refused(self):
+        # the two-port closed form has no cap, so a given one would be dropped silently
+        p = ChannelParams(0.5, 0.5)
+        with pytest.raises(ValueError, match="has no cap"):
+            apply_state_nport(pure_density(tmsv_ket(1 / 3, Cutoff(6))), p, cap=5)
+        with pytest.raises(ValueError, match="has no cap"):
+            input_output_fidelity("bell2", p, cap=5)
+
     def test_two_port_state_application_matches_closed_module(self):
         from cvpbt.two_port import apply_state
 

@@ -16,6 +16,7 @@ from cvpbt.oracle import (
     build_povm_element,
     build_rho,
     build_sigma,
+    memory_budget,
     povm_element_explicit,
     reduced_resource,
     verification_report,
@@ -66,6 +67,17 @@ class TestRho:
     def test_sum_of_sigmas(self, proto_small):
         total = build_sigma(1, proto_small).matrix + build_sigma(2, proto_small).matrix
         assert np.abs(build_rho(proto_small).matrix - total).max() == 0
+
+    @pytest.mark.parametrize("ports, d", [(2, 8), (3, 6), (4, 4), (5, 3)])
+    def test_sparse_rho_is_the_sum_of_sparse_sigmas_bitwise(self, ports, d):
+        # Phi Phi^T adds at most one term per port to an entry, in port order
+        proto = TruncatedProtocol(ChannelParams(0.45, 0.55, ports=ports), Cutoff(d))
+        total = proto.sigma_sparse(1)
+        for i in range(2, ports + 1):
+            total = total + proto.sigma_sparse(i)
+        rho = proto.rho_sparse()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(rho, name).tobytes() == getattr(total, name).tobytes()
 
     def test_kernel_vectors(self, proto_small):
         # |p q r> with p not in {q, r} lies in the kernel
@@ -148,8 +160,9 @@ class TestReducedResource:
                 expected = (1 - lx**2) * (-lx) ** (p + q) * chi(lx, r)
             assert t[c1, p, r, bb, c2, q, r2, bb2] == pytest.approx(expected, abs=1e-15)
 
-    def test_budget_refusal(self):
-        proto = TruncatedProtocol(ChannelParams(0.5, 0.5), Cutoff(12), mem_budget_mb=10)
+    def test_budget_refusal(self, monkeypatch):
+        monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "10")
+        proto = TruncatedProtocol(ChannelParams(0.5, 0.5), Cutoff(12))
         with pytest.raises(MemoryBudgetError):
             reduced_resource(0, 0, proto)
 
@@ -519,7 +532,7 @@ def traced_report():
 def test_five_ports_within_default_budget(traced_report, monkeypatch):
     monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
     proto, report, _ = traced_report(5, 6, 0.25)
-    assert proto.mem_budget_mb == DEFAULT_BUDGET_MB
+    assert memory_budget() == DEFAULT_BUDGET_MB
     assert report["passed"]
     assert report["max_deviation"] < 1e-6
 
@@ -527,7 +540,7 @@ def test_five_ports_within_default_budget(traced_report, monkeypatch):
 def test_six_ports_within_default_budget(traced_report, monkeypatch):
     monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
     proto, report, _ = traced_report(6, 5, 0.1)
-    assert proto.mem_budget_mb == DEFAULT_BUDGET_MB
+    assert memory_budget() == DEFAULT_BUDGET_MB
     assert report["passed"]
     assert proto.working_set_mb() < DEFAULT_BUDGET_MB
 
@@ -536,7 +549,7 @@ def test_six_ports_within_default_budget(traced_report, monkeypatch):
 def test_reach_within_default_budget(traced_report, monkeypatch, ports, d, lam):
     monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
     proto, report, peak_mb = traced_report(ports, d, lam)
-    assert proto.mem_budget_mb == DEFAULT_BUDGET_MB
+    assert memory_budget() == DEFAULT_BUDGET_MB
     assert report["passed"]
     assert peak_mb <= proto.working_set_mb() <= min(4 * peak_mb, DEFAULT_BUDGET_MB)
 
@@ -548,9 +561,10 @@ def test_working_set_bounds_traced_peak(traced_report, ports, d, lam):
     assert peak_mb <= declared <= 4 * peak_mb
 
 
-def test_budget_refusal_allocates_nothing_sized():
+def test_budget_refusal_allocates_nothing_sized(monkeypatch):
     # (2, 150): the component labels alone would be 8 * 150^3 B = 26 MB
-    proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(150), mem_budget_mb=1)
+    monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "1")
+    proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(150))
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetError, match="channel gather"):
@@ -560,6 +574,18 @@ def test_budget_refusal_allocates_nothing_sized():
         tracemalloc.stop()
     assert peak_mb < 1
     assert "labels" not in proto._cache
+
+
+def test_two_port_report_compares_against_the_uncapped_closed_form():
+    from cvpbt.nport import make_channel
+
+    params = ChannelParams(0.4, 0.5)
+    proto = TruncatedProtocol(params, Cutoff(8))
+    closed = make_channel(params)
+    for e in verification_report(proto, 2, 2)["elements"]:
+        brute = brute_channel_element(e["a"], e["b"], proto).matrix
+        analytic = closed.number_element(e["a"], e["b"], proto.cutoff).matrix
+        assert e["max_deviation"] == float(np.abs(brute - analytic).max())
 
 
 class TestInputChecks:
@@ -574,11 +600,6 @@ class TestInputChecks:
         proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4))
         with pytest.raises(ValueError):
             verification_report(proto, 1, 1, tol=tol)
-
-    @pytest.mark.parametrize("budget", [float("nan"), float("inf"), -5.0, 0.0])
-    def test_bad_budget(self, budget):
-        with pytest.raises(ValueError):
-            TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4), mem_budget_mb=budget)
 
     @pytest.mark.parametrize("raw", ["nan", "-5", "inf"])
     def test_bad_budget_from_environment(self, raw, monkeypatch):
