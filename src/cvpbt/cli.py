@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import io
 import json
 import sys
@@ -29,11 +30,17 @@ EXIT_BUDGET = 3
 EXIT_TOLERANCE = 4
 
 # Declared sizes of the inputs, refused by `oracle.require_memory` before
-# anything is allocated: per table value, its Python row and its share of the
-# written text; per grid point, the closed-form level sums behind its row;
-# per entry of a levels x levels channel array, the array and its temporaries.
+# anything is allocated: per table, the CLI's own allocations at any size;
+# per table value, its Python row and its share of the written text; per grid
+# point, the closed-form level sums behind its row; per bound row, the bound's
+# own per-energy work; for the negative-regime lossy bound, its envelope's
+# float arrays over bounds.GRID_POINTS samples; per entry of a levels x levels
+# channel array, the array and its temporaries.
+_TABLE_BYTES = 1 << 18
 _CELL_BYTES = {"csv": 160, "json": 320}
 _POINT_BYTES = 320
+_BOUND_ROW_BYTES = 64
+_ENVELOPE_BYTES = 16 * 8 * bounds.GRID_POINTS
 _ENTRY_BYTES = 64
 
 
@@ -113,16 +120,18 @@ def result_table_schema() -> dict:
         return json.load(fh)
 
 
-def _require_table(args, rows: int, columns: int, row_bytes: int = 0):
+def _require_table(args, rows: int, columns: int, row_bytes: int = 0, work_bytes: int = 0):
     """Refuse a table of `rows` rows of `columns` values, plus `row_bytes` of
-    work per row, whose declared size exceeds the memory budget."""
-    mb = rows * (columns * _CELL_BYTES[args.format] + row_bytes) / 2**20
+    work per row and `work_bytes` of work besides, whose declared size
+    exceeds the memory budget."""
+    mb = (_TABLE_BYTES + work_bytes + rows * (columns * _CELL_BYTES[args.format] + row_bytes)) / 2**20
     oracle.require_memory(mb, f"{args.command}: a table of {rows} rows")
 
 
-def _parse_range(spec: str, args, columns: int) -> np.ndarray:
+def _parse_range(spec: str, args, columns: int, *work) -> np.ndarray:
     """start:stop:count range specification; the count is declared as a table
-    of that many rows before any value is made."""
+    of that many rows, with the `work` of `_require_table`, before any value
+    is made."""
     parts = spec.split(":")
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:count, got {spec!r}")
@@ -131,7 +140,7 @@ def _parse_range(spec: str, args, columns: int) -> np.ndarray:
         raise ValueError(f"range bounds must be finite, got {spec!r}")
     if count < 1:
         raise ValueError("range count must be positive")
-    _require_table(args, count, columns)
+    _require_table(args, count, columns, *work)
     return np.linspace(start, stop, count)
 
 
@@ -211,7 +220,8 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
     if args.kind == "lossy":
         if args.energy_range is None:
             raise ValueError("--energy-range is required for the lossy bound")
-        energies = _parse_range(args.energy_range, args, 2)
+        envelope = 0 if reg is two_port.Regime.POSITIVE else _ENVELOPE_BYTES
+        energies = _parse_range(args.energy_range, args, 2, _BOUND_ROW_BYTES, envelope)
         if reg is two_port.Regime.POSITIVE:
             values = bounds.lossy_diamond_bound_positive(energies, params)
             meta["variant"] = "positive"
@@ -227,7 +237,7 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
     if args.kind == "sim":
         if args.delta_range is None:
             raise ValueError("--delta-range is required for the simulation bound")
-        deltas = _parse_range(args.delta_range, args, 2)
+        deltas = _parse_range(args.delta_range, args, 2, _BOUND_ROW_BYTES)
         base = two_port.ChannelParams(args.lambda_x, args.lambda_y)
         rows = [[d, bounds.sim_example_bound(d, base)] for d in deltas]
         meta["delta_range"] = args.delta_range
@@ -236,10 +246,15 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
 
 
 def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
+    if args.input == "tmsv":
+        levels = 12 if args.cutoff is None else args.cutoff
+    elif args.cutoff is not None:
+        raise ValueError(f"--cutoff applies to the tmsv input only: {args.input} compares on its own levels")
+    else:
+        levels = 2 if args.input == "bell2" else 3
     grid = _grid(args, 4, args.ports)
-    levels = args.cutoff if args.input == "tmsv" else (2 if args.input == "bell2" else 3)
     oracle.require_memory(levels**2 * _ENTRY_BYTES / 2**20, f"fidelity-sweep at cutoff {levels}")
-    options = {"lambda_in": args.lambda_in, "levels": args.cutoff, "cap": args.cap}
+    options = {"lambda_in": args.lambda_in, "levels": levels, "cap": args.cap}
     if args.ports == 2:  # the closed form takes the whole grid at once
         fids, meta = nport.input_output_fidelity(args.input, grid, **options)
         caps = [meta["cap"]] * len(fids)
@@ -258,7 +273,7 @@ def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
             "lambda_x_range": args.lambda_x_range,
             "lambda_y_range": args.lambda_y_range,
             "output_cutoff": levels,
-            "cap_policy": "fixed" if args.cap is not None else "adaptive(1e-10)",
+            "cap_policy": "fixed" if args.cap is not None else f"adaptive({nport.CAP_TOL:g})",
         },
     )
     return table, EXIT_OK
@@ -282,7 +297,9 @@ def cmd_oracle_verify(args) -> tuple[ResultTable, int]:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree and its subparsers by name, built once per process."""
     parser = argparse.ArgumentParser(
         prog="cvpbt",
         description="Port-based teleportation channels in a truncated Fock basis",
@@ -325,7 +342,7 @@ def _build_parser():
         p.add_argument("--lambda-in", type=float)
         p.add_argument("--lambda-x-range", required=True)
         p.add_argument("--lambda-y-range", required=True)
-        p.add_argument("--cutoff", type=int, default=12)
+        p.add_argument("--cutoff", type=int, help="output cutoff of the tmsv input (default 12)")
         p.add_argument("--cap", type=int)
 
     def verify(p):

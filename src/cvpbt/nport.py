@@ -32,6 +32,7 @@ __all__ = [
     "gamma_mm_closed",
     "gamma_lm_closed",
     "lm_closed_basis",
+    "CAP_TOL",
     "default_cap",
     "NPortChannel",
     "ThreePortChannel",
@@ -41,6 +42,7 @@ __all__ = [
 ]
 
 MARKER = -1  # slot that carries the summed level index in an arrangement
+CAP_TOL = 1e-10  # geometric remainder that `default_cap` meets
 _STACK_ELEMS = 1 << 18  # b sectors of a stacked batch have b size^2 <= this: their B, (b, size, size/N) float64, stays within 2 MiB
 
 
@@ -598,13 +600,13 @@ def lm_closed_basis(l: int, m: int, lam_y: float) -> SectorBasis:
 # ---------------------------------------------------------------------------
 
 
-def default_cap(params: ChannelParams, tol: float = 1e-10) -> int:
-    """Smallest multiset cap whose geometric remainder falls below tol."""
+def default_cap(params: ChannelParams) -> int:
+    """Smallest multiset cap whose geometric remainder falls below CAP_TOL."""
     lx, n = params.lambda_x, params.ports
     if lx == 0:
         return 0
     cap = 0
-    while (n - 1) * lx ** (2 * (cap + 1)) / (1 - lx**2) >= tol:
+    while (n - 1) * lx ** (2 * (cap + 1)) / (1 - lx**2) >= CAP_TOL:
         cap += 1
         if cap > 100_000:
             raise RuntimeError("cap search failed to converge")

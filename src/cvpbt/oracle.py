@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -95,12 +96,18 @@ class TruncatedProtocol:
     kernel_tol and the suspect band limit are counted and reported rather
     than silently classified.  Each stage declares its size to `require_memory`
     first; a bad CVPBT_MEM_BUDGET_MB already fails construction.
+
+    Each stage is one cached attribute, computed on first use and returned
+    whole: Phi (`_phi`), G (`_gram`), the (s, r) grouping of rho's
+    components (`_groups`), their stacked Gram eighs with the kernel cut
+    (`_eighs`, read through `_components`) and the gather table (`_gather`).
+    They are not fields, so two protocols of equal params and cutoff
+    compare equal whichever stages have run.
     """
 
     kernel_tol: ClassVar[float] = 1e-10
     params: ChannelParams
     cutoff: Cutoff
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         self.cutoff = as_cutoff(self.cutoff)
@@ -128,23 +135,21 @@ class TruncatedProtocol:
         """Peak of the Gram route, from the component sizes before any eigh.
 
         Counted in entries of _BYTES_PER_ENTRY bytes over the components of
-        s > 1 indices and r port states: sum(r^2) for the Gram eigenvector
+        s indices and r port states: sum(r^2) for the Gram eigenvector
         stacks, one (s, r) group's stacked eigh input and eigh's own copies;
         b (s^2 + s r) for the largest measurement batch, b components with
         b s^2 <= _CHUNK_ELEMS or one larger component (its Phi block, support
         basis and blocks, and the copies the gather takes of them); 8 per
         basis index for the component labels and the gather table; and the
         entries of the sparse Phi and G.  The route builds no sparse rho or
-        sigma.  Computed once per protocol.
+        sigma.
         """
-        if "working_set_mb" not in self._cache:
-            shapes = [(m.shape[1], st.shape[1], len(at)) for m, st, at in self._groups()]
-            s, r, count = np.array(shapes, dtype=float).reshape(-1, 3).T
-            gram = float((count * r**2).sum())
-            batch = np.minimum(count, np.maximum(1, _CHUNK_ELEMS // s**2)) * (s**2 + s * r)
-            entries = gram + batch.max(initial=0.0) + self._sized_entries() + self._gram().nnz
-            self._cache["working_set_mb"] = _BYTES_PER_ENTRY * entries / 2**20
-        return self._cache["working_set_mb"]
+        shapes = [(m.shape[1], st.shape[1], len(m)) for m, st in self._groups[0]]
+        s, r, count = np.array(shapes, dtype=float).reshape(-1, 3).T
+        gram = float((count * r**2).sum())
+        batch = np.minimum(count, np.maximum(1, _CHUNK_ELEMS // s**2)) * (s**2 + s * r)
+        entries = gram + batch.max(initial=0.0) + self._sized_entries() + self._gram.nnz
+        return _BYTES_PER_ENTRY * entries / 2**20
 
     def _sized_entries(self) -> int:
         """The terms of `working_set_mb` that the sizes alone fix: 8 per
@@ -156,73 +161,70 @@ class TruncatedProtocol:
     def sigma_sparse(self, i: int) -> sp.csr_matrix:
         if not 1 <= i <= self.ports:
             raise ValueError(f"port index {i} outside 1..{self.ports}")
-        key = ("sigma", i)
-        if key not in self._cache:
-            ds = self.levels ** (self.ports - 1)
-            phi = self._port_states()[:, (i - 1) * ds : i * ds]
-            self._cache[key] = (phi @ phi.T).tocsr().sorted_indices()
-        return self._cache[key]
+        ds = self.levels ** (self.ports - 1)
+        phi = self._phi[:, (i - 1) * ds : i * ds]
+        return (phi @ phi.T).tocsr().sorted_indices()
 
     def rho_sparse(self) -> sp.csr_matrix:
-        if "rho" not in self._cache:
-            # at most ports * dim entries, each with at most one term per port, added
-            # in port order: bitwise the sum of the sigmas
-            require_memory(_BYTES_PER_ENTRY * 2 * self.ports * self.dim / 2**20, "sparse rho")
-            phi = self._port_states()
-            self._cache["rho"] = (phi @ phi.T).tocsr().sorted_indices()
-        return self._cache["rho"]
+        # at most ports * dim entries, each with at most one term per port, added
+        # in port order: bitwise the sum of the sigmas
+        require_memory(_BYTES_PER_ENTRY * 2 * self.ports * self.dim / 2**20, "sparse rho")
+        return (self._phi @ self._phi.T).tocsr().sorted_indices()
 
-    def _port_states(self) -> sp.csr_matrix:
+    @cached_property
+    def _phi(self) -> sp.csr_matrix:
         """Phi, whose columns are the port states
         phi_(i,x) = sqrt(1 - ly^2) sum_c (-ly)^c |C = c, A_i = c, spectators = x>,
         port i slowest, then the spectator digits x; sigma_i = sum_x
         phi_(i,x) phi_(i,x)^T (`sigma_sparse`), so rho = Phi Phi^T."""
-        if "phi" not in self._cache:
-            d, n = self.levels, self.ports
-            ds = d ** (n - 1)
-            c = np.arange(d)
-            amps = np.sqrt(1 - self.params.lambda_y**2) * (-self.params.lambda_y) ** c
-            place = d ** (n - np.arange(1, n + 1))[:, None]  # place values d^(N-i) of A_1..A_N
-            x = np.arange(ds)
-            # spectator digits x with a zero digit put in at A_i, then C = A_i = c
-            rows = (x // place * (d * place) + x % place)[:, :, None] + (d**n + place)[:, :, None] * c
-            rows = rows.ravel()  # (i, x, c)
-            cols = np.repeat(np.arange(n * ds), d)
-            vals = np.tile(amps, n * ds)
-            self._cache["phi"] = sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, n * ds))
-        return self._cache["phi"]
+        d, n = self.levels, self.ports
+        ds = d ** (n - 1)
+        c = np.arange(d)
+        amps = np.sqrt(1 - self.params.lambda_y**2) * (-self.params.lambda_y) ** c
+        place = d ** (n - np.arange(1, n + 1))[:, None]  # place values d^(N-i) of A_1..A_N
+        x = np.arange(ds)
+        # spectator digits x with a zero digit put in at A_i, then C = A_i = c
+        rows = (x // place * (d * place) + x % place)[:, :, None] + (d**n + place)[:, :, None] * c
+        rows = rows.ravel()  # (i, x, c)
+        cols = np.repeat(np.arange(n * ds), d)
+        vals = np.tile(amps, n * ds)
+        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, n * ds))
 
+    @cached_property
     def _gram(self) -> sp.csr_matrix:
         """G = Phi^T Phi, the overlaps of the port states."""
-        if "gram" not in self._cache:
-            phi = self._port_states()
-            self._cache["gram"] = (phi.T @ phi).tocsr()
-        return self._cache["gram"]
+        return (self._phi.T @ self._phi).tocsr()
 
     # -- spectral decomposition over connected components --------------------
 
-    def _labels(self) -> np.ndarray:
-        """Connected-component label of every basis index under rho's sparsity.
+    @cached_property
+    def _groups(self):
+        """rho's components grouped by their s indices and r port states, and
+        the indices no port state touches: ([(members (k, s), states (k, r)),
+        ...], lone), one pair per (s, r) in ascending (s, r), each row the
+        ascending members and port states of one component.
 
         rho = Phi Phi^T links two indices exactly when a chain of overlapping
         port states joins them, so the components are those of G's pattern,
-        carried to the indices each port state touches; the indices no port
-        state touches are singletons."""
-        if "labels" not in self._cache:
-            count, state_labels = csgraph.connected_components(self._gram(), directed=False)
-            phi = self._port_states().tocoo()
-            labels = np.full(self.dim, -1, dtype=np.int64)
-            labels[phi.row] = state_labels[phi.col]
-            lone = labels < 0
-            labels[lone] = count + np.arange(lone.sum())
-            self._cache["labels"] = labels
-            self._cache["state_labels"] = state_labels
-        return self._cache["labels"]
-
-    def _state_labels(self) -> np.ndarray:
-        """Component label of every port state, in the numbering of `_labels`."""
-        self._labels()
-        return self._cache["state_labels"]
+        carried to the indices each port state touches.  A port state touches
+        D >= 2 indices, so every component has s > 1; the `lone` indices,
+        ascending, are untouched by rho: kernel."""
+        count, state_labels = csgraph.connected_components(self._gram, directed=False)
+        phi = self._phi.tocoo()
+        labels = np.full(self.dim, count, dtype=np.int64)  # untouched indices sort last
+        labels[phi.row] = state_labels[phi.col]
+        sizes = np.bincount(labels, minlength=count + 1)[:count]
+        ranks = np.bincount(state_labels, minlength=count)
+        order = np.argsort(labels, kind="stable")  # members of each label, ascending
+        state_order = np.argsort(state_labels, kind="stable")
+        starts, state_starts = np.cumsum(sizes) - sizes, np.cumsum(ranks) - ranks
+        pairs = np.stack([sizes, ranks], axis=1)
+        groups = []
+        for s, r in np.unique(pairs, axis=0):
+            comps = np.flatnonzero((pairs[:, 0] == s) & (pairs[:, 1] == r))
+            members = order[starts[comps][:, None] + np.arange(s)]
+            groups.append((members, state_order[state_starts[comps][:, None] + np.arange(r)]))
+        return groups, order[sizes.sum() :]
 
     @staticmethod
     def _dense_blocks(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -239,29 +241,6 @@ class TruncatedProtocol:
         out[sub.row // s, sub.row % s, pos[sub.col]] = sub.data
         return out
 
-    def _groups(self):
-        """Components of more than one index by their s indices and r port
-        states, in ascending (s, r): [(members (k, s), states (k, r), at), ...],
-        rows ascending, `at` the places of the k components when all are
-        ordered by smallest member.  Singletons are untouched by rho: kernel."""
-        if "groups" not in self._cache:
-            labels, state_labels = self._labels(), self._state_labels()
-            sizes = np.bincount(labels)
-            ranks = np.bincount(state_labels, minlength=sizes.size)
-            order = np.argsort(labels, kind="stable")  # members of each label, ascending
-            state_order = np.argsort(state_labels, kind="stable")
-            starts, state_starts = np.cumsum(sizes) - sizes, np.cumsum(ranks) - ranks
-            comps = np.argsort(order[starts], kind="stable")  # by smallest member
-            comps = comps[sizes[comps] > 1]
-            pairs = np.stack([sizes[comps], ranks[comps]], axis=1)
-            groups = []
-            for s, r in np.unique(pairs, axis=0):
-                at = np.flatnonzero((pairs[:, 0] == s) & (pairs[:, 1] == r))
-                members = order[starts[comps[at]][:, None] + np.arange(s)]
-                groups.append((members, state_order[state_starts[comps[at]][:, None] + np.arange(r)], at))
-            self._cache["groups"] = groups
-        return self._cache["groups"]
-
     def _components(self):
         """Invariant blocks of rho discovered from its sparsity pattern alone,
         each diagonalised through the Gram matrix of its port states.
@@ -270,44 +249,35 @@ class TruncatedProtocol:
         the Gram block G = Phi^T Phi (r x r) carries all of rho's nonzero
         spectrum there; the other s - r eigenvalues are exact zeros.
 
-        Returns ([(idx, states, g, V), ...], max_eig): one entry per component
-        of more than one index, ordered by smallest member, each with its
-        ascending members, ascending port-state columns and the
-        eigendecomposition of its Gram block.  Components of equal (s, r)
-        (`_groups`) share one stacked eigh.  The stacks are kept with the one
-        kernel cut, each block's count of eigenvalues above kernel_tol * max_eig.
+        Returns ([(members, states, w, V, kept), ...], max_eig): one stack per
+        (s, r) group of `_groups`, its components' Gram blocks diagonalised by
+        one stacked eigh, with the one kernel cut, each block's count of
+        eigenvalues above kernel_tol * max_eig.  The stage is `_eighs`,
+        computed on the first call.
         """
-        if "components" not in self._cache:
-            groups = self._groups()
-            blocks = [None] * sum(len(at) for _, _, at in groups)
-            stacks = []
-            for members, states, at in groups:
-                w, v = np.linalg.eigh(self._dense_blocks(self._gram(), states, states))
-                stacks.append((members, states, w, v))
-                for j, c in enumerate(at):
-                    blocks[c] = (members[j], states[j], w[j], v[j])
-            max_eig = max((float(w.max()) for _, _, w, _ in stacks), default=0.0)
-            cut = self.kernel_tol * max_eig  # w ascends, so the kept are each block's last
-            self._cache["stacks"] = [(m, st, w, v, (w > cut).sum(axis=1)) for m, st, w, v in stacks]
-            self._cache["components"] = (blocks, max_eig)
-        return self._cache["components"]
+        return self._eighs
+
+    @cached_property
+    def _eighs(self):
+        stacks = []
+        for members, states in self._groups[0]:
+            w, v = np.linalg.eigh(self._dense_blocks(self._gram, states, states))
+            stacks.append((members, states, w, v))
+        max_eig = max((float(w.max()) for _, _, w, _ in stacks), default=0.0)
+        cut = self.kernel_tol * max_eig  # w ascends, so the kept are each block's last
+        return [(m, st, w, v, (w > cut).sum(axis=1)) for m, st, w, v in stacks], max_eig
 
     def eigenvalue_census(self) -> dict:
         """Counts of kernel / suspect-band / support eigenvalues of rho.
 
         Kernel is all but the Gram eigenvalues kept by the cut of `_components`
         (untouched indices and each component's s - r exact zeros included),
-        support the kept ones above the suspect band, suspect the rest.  Counted
-        once per protocol; each call returns its own copy."""
-        if "census" not in self._cache:
-            _, max_eig = self._components()
-            stacks = self._cache["stacks"]
-            kept = sum(int(k.sum()) for *_, k in stacks)
-            support = sum(int((w > SUSPECT_BAND * max_eig).sum()) for _, _, w, _, _ in stacks)
-            self._cache["census"] = dict(
-                kernel=self.dim - kept, suspect=kept - support, support=support, max_eigenvalue=max_eig
-            )
-        return dict(self._cache["census"])
+        support the kept ones above the suspect band, suspect the rest.  Each
+        call returns a new dict."""
+        stacks, max_eig = self._components()
+        kept = sum(int(k.sum()) for *_, k in stacks)
+        support = sum(int((w > SUSPECT_BAND * max_eig).sum()) for _, _, w, _, _ in stacks)
+        return dict(kernel=self.dim - kept, suspect=kept - support, support=support, max_eigenvalue=max_eig)
 
     def _povm_blocks(self):
         """First measurement element, one batch at a time, as (members, blocks):
@@ -323,11 +293,10 @@ class TruncatedProtocol:
         holds components of one (s, r) and one k.  The indices rho does not
         touch come last, as 1x1 blocks holding 1/N.
         """
-        self._components()
-        phi = self._port_states()
+        stacks, _ = self._components()
         n = self.ports
         first_port = self.levels ** (n - 1)  # port-1 states are Phi's first columns
-        for members, states, _, v, kept in self._cache["stacks"]:
+        for members, states, _, v, kept in stacks:
             s, r = members.shape[1], states.shape[1]
             step = max(1, _CHUNK_ELEMS // (s * s))
             for k in np.unique(kept):
@@ -335,50 +304,49 @@ class TruncatedProtocol:
                 for lo in range(0, same.size, step):
                     part = same[lo : lo + step]
                     idx, st, vk = members[part], states[part], v[part][:, :, r - k :]
-                    basis = self._dense_blocks(phi, idx, st) @ vk
+                    basis = self._dense_blocks(self._phi, idx, st) @ vk
                     basis /= np.linalg.norm(basis, axis=1, keepdims=True)
                     port1 = vk * (st < first_port)[:, :, None]
                     inner = vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n
                     block = (basis @ inner) @ basis.transpose(0, 2, 1)
                     block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
                     yield idx, block
-        labels = self._labels()
-        lone = np.flatnonzero(np.bincount(labels)[labels] == 1)  # untouched by rho
+        lone = self._groups[1]
         yield lone[:, None], np.full((lone.size, 1, 1), 1 / n)
 
-    def _gather_table(self):
+    @cached_property
+    def _gather(self):
         """Measurement entries whose row and column spectator digits (A_2..A_N) agree.
 
         Sorted by (row C digit b, column C digit a), then row, then column,
         with offsets per (b, a); each entry keeps its A_1 digits (p of the
         row, q of the column) and its value times the spectator thermal
-        product prod_k chi_x(r_k).
+        product prod_k chi_x(r_k).  The sort key is unique per entry, so the
+        order in which `_povm_blocks` yields its batches does not matter.
         """
-        if "gather" not in self._cache:
-            d, n = self.levels, self.ports
-            dn, ds = d**n, d ** (n - 1)
-            if d * self.dim**2 >= 2**63:
-                raise ValueError(f"the gather sort key of {n} ports at cutoff {d} overflows int64")
-            parts = []
-            for members, blocks in self._povm_blocks():
-                spectators = members % ds
-                hit = spectators[:, :, None] == spectators[:, None, :]
-                rows = np.broadcast_to(members[:, :, None], blocks.shape)[hit]
-                cols = np.broadcast_to(members[:, None, :], blocks.shape)[hit]
-                parts.append((rows, cols, blocks[hit]))
-            rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-            chi_x = chi_vector(self.params.lambda_x, d)
-            thermal = np.ones(1)
-            for _ in range(n - 1):
-                thermal = np.multiply.outer(thermal, chi_x).ravel()
-            key = (rows // dn) * d + cols // dn
-            # (key, row, column) in one int64: the row's C digit is already in key
-            order = np.argsort((key * dn + rows % dn) * self.dim + cols, kind="stable")
-            offsets = np.searchsorted(key[order], np.arange(d * d + 1))
-            rows, cols = rows[order], cols[order]
-            vals = vals[order] * thermal[rows % ds]
-            self._cache["gather"] = (offsets, (rows // ds) % d, (cols // ds) % d, vals)
-        return self._cache["gather"]
+        d, n = self.levels, self.ports
+        dn, ds = d**n, d ** (n - 1)
+        if d * self.dim**2 >= 2**63:
+            raise ValueError(f"the gather sort key of {n} ports at cutoff {d} overflows int64")
+        parts = []
+        for members, blocks in self._povm_blocks():
+            spectators = members % ds
+            hit = spectators[:, :, None] == spectators[:, None, :]
+            rows = np.broadcast_to(members[:, :, None], blocks.shape)[hit]
+            cols = np.broadcast_to(members[:, None, :], blocks.shape)[hit]
+            parts.append((rows, cols, blocks[hit]))
+        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+        chi_x = chi_vector(self.params.lambda_x, d)
+        thermal = np.ones(1)
+        for _ in range(n - 1):
+            thermal = np.multiply.outer(thermal, chi_x).ravel()
+        key = (rows // dn) * d + cols // dn
+        # (key, row, column) in one int64: the row's C digit is already in key
+        order = np.argsort((key * dn + rows % dn) * self.dim + cols, kind="stable")
+        offsets = np.searchsorted(key[order], np.arange(d * d + 1))
+        rows, cols = rows[order], cols[order]
+        vals = vals[order] * thermal[rows % ds]
+        return offsets, (rows // ds) % d, (cols // ds) % d, vals
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +439,7 @@ def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOpera
     # the sized terms first: `working_set_mb` labels every basis index
     require_memory(_BYTES_PER_ENTRY * proto._sized_entries() / 2**20, "channel gather")
     require_memory(proto.working_set_mb(), "channel gather")
-    offsets, p, q, vals = proto._gather_table()
+    offsets, p, q, vals = proto._gather
     span = slice(offsets[b * d + a], offsets[b * d + a + 1])
     gathered = np.zeros((d, d))
     np.add.at(gathered, (q[span], p[span]), vals[span])

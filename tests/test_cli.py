@@ -228,6 +228,24 @@ class TestFidelitySweep:
         assert not out.exists()
         assert "--cap applies to three ports only" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["bell2", "bell3"])
+    @pytest.mark.parametrize("from_config", [False, True])
+    def test_cutoff_with_bell_input_is_validation_error(self, tmp_path, capsys, kind, from_config):
+        # a Bell input compares on its own 2 or 3 levels, so a given cutoff would be dropped silently
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cutoff": 20000}))
+        given = ["--config", str(cfg)] if from_config else []
+        cutoff = [] if from_config else ["--cutoff", "20000"]
+        code, out = run(tmp_path, *given, "fidelity-sweep", "--input", kind, *cutoff, *SWEEP_RANGES)
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        assert "--cutoff applies to the tmsv input only" in capsys.readouterr().err
+
+    def test_tmsv_cutoff_defaults_to_twelve(self, tmp_path):
+        code, out = run(tmp_path, "fidelity-sweep", "--input", "tmsv", "--lambda-in", "0.3", *SWEEP_RANGES)
+        assert code == EXIT_OK
+        assert read_table(str(out)).metadata["output_cutoff"] == 12
+
     def test_huge_cap_is_budget_refusal(self, tmp_path, monkeypatch, capsys):
         # refused from the declared build size, before any sector is listed
         monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
@@ -401,12 +419,16 @@ class TestConfigFile:
 
 
 def sized(command, n):
-    """argv of `command` at size n: an n x n parameter grid, or cutoff n."""
+    """argv of `command` at size n: an n x n parameter grid, cutoff n, or n
+    energies of the lossy bound in the positive or negative regime."""
     grid = ["--lambda-x-range", f"0.1:0.5:{n}", "--lambda-y-range", f"0.1:0.5:{n}"]
+    lossy = ["bounds", "--kind", "lossy", "--energy-range", f"0:5:{n}"]
     return {
         "energy": ["energy", *grid],
         "fidelity-sweep": ["fidelity-sweep", "--input", "bell2", *grid],
         "twoport-coherent": ["twoport-coherent", "--lambda-x", "0.5", "--lambda-y", "0.5", "--cutoff", str(n)],
+        "bounds-lossy": [*lossy, "--lambda-x", "0.5", "--lambda-y", "0.5"],
+        "bounds-lossy-negative": [*lossy, "--lambda-x", "0.3", "--lambda-y", "0.2"],
     }[command]
 
 
@@ -428,7 +450,14 @@ class TestOversizeInputs:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
-        "command, sizes", [("energy", (50, 100)), ("fidelity-sweep", (50, 100)), ("twoport-coherent", (100, 200))]
+        "command, sizes",
+        [
+            ("energy", (50, 100)),
+            ("fidelity-sweep", (50, 100)),
+            ("twoport-coherent", (100, 200)),
+            ("bounds-lossy", (1000, 10000)),
+            ("bounds-lossy-negative", (1000, 10000)),
+        ],
     )
     def test_declared_size_bounds_traced_peak(self, tmp_path, monkeypatch, command, sizes, fmt):
         declared = []

@@ -1,4 +1,5 @@
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -376,7 +377,7 @@ COUNTS = ("kernel", "suspect", "support")
 
 def port_state_columns(proto, idx):
     """Ascending columns of Phi whose support lies in the component idx."""
-    phi = proto._port_states().tocsc()
+    phi = proto._phi.tocsc()
     inside = np.isin(phi.indices, idx)
     return np.flatnonzero(np.add.reduceat(inside, phi.indptr[:-1]) == np.diff(phi.indptr))
 
@@ -388,8 +389,11 @@ class TestStackedStages:
         # bitwise one eigh of that component's Gram block alone
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         ref, _ = components_per_block(proto)
-        blocks, _ = proto._components()
-        gram = proto._gram()
+        stacks, _ = proto._components()
+        blocks = sorted(
+            ((m[j], st[j], w[j], v[j]) for m, st, w, v, _ in stacks for j in range(len(m))), key=lambda b: b[0][0]
+        )
+        gram = proto._gram
         assert len(blocks) == len(ref)
         for (idx, states, g, v), (ridx, _, _) in zip(blocks, ref):
             assert np.array_equal(idx, ridx)
@@ -423,17 +427,17 @@ class TestStackedStages:
         params = ChannelParams(lx, ly, ports=ports)
         proto = TruncatedProtocol(params, Cutoff(d))
         census = TruncatedProtocol(params, Cutoff(d)).eigenvalue_census()
-        ref = census_per_block(proto, *components_per_block(proto))
+        blocks, max_eig = components_per_block(proto)
+        ref = census_per_block(proto, blocks, max_eig)
         assert {key: census[key] for key in COUNTS} == {key: ref[key] for key in COUNTS}
-        sizes = np.bincount(proto._labels())
-        ranks = np.bincount(proto._state_labels(), minlength=sizes.size)
-        pairs, count = np.unique(np.stack([sizes, ranks], axis=1)[sizes > 1], axis=0, return_counts=True)
+        shapes = [(len(idx), len(port_state_columns(proto, idx))) for idx, _, _ in blocks]
+        pairs, count = np.unique(shapes, axis=0, return_counts=True)
         s, r = pairs.T.astype(float)
         batch = np.minimum(count, np.maximum(1, (1 << 18) // s**2)) * (s**2 + s * r)
-        sparse = proto._port_states().nnz + proto._gram().nnz
+        sparse = proto._phi.nnz + proto._gram.nnz
         entries = (count * r**2).sum() + batch.max() + 8 * proto.dim + sparse
         working_set = 24 * entries / 2**20
-        for _ in range(2):  # the first call fills the cache, the second reads it
+        for _ in range(2):  # the first call runs the stages, the second reads them
             assert proto.eigenvalue_census() == census
             assert proto.working_set_mb() == working_set
         elements = []
@@ -448,7 +452,7 @@ class TestStackedStages:
         assert elements[1].meta == proto.eigenvalue_census() == census
 
     def test_gather_order_is_lexsort_order(self, ports, d, lx, ly):
-        # the one-key argsort of `_gather_table` against (key, row, column) lexsort
+        # the one-key argsort of `_gather` against (key, row, column) lexsort
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
         parts = []
@@ -459,12 +463,42 @@ class TestStackedStages:
         rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
         key = (rows // dn) * d + cols // dn
         order = np.lexsort((cols, rows, key))
-        offsets, p, q, gathered = proto._gather_table()
+        offsets, p, q, gathered = proto._gather
         assert np.array_equal(offsets, np.searchsorted(key[order], np.arange(d * d + 1)))
         assert np.array_equal(p, (rows[order] // ds) % d) and np.array_equal(q, (cols[order] // ds) % d)
         chi_x = chi_vector(lx, d)
         thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
         assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
+
+    def test_each_stage_runs_once_per_protocol(self, ports, d, lx, ly, monkeypatch):
+        # one connected_components call, and one eigh per (s, r) group, across
+        # two whole reports on one protocol
+        calls = {"components": 0, "eigh": 0}
+        components, eigh = csgraph.connected_components, np.linalg.eigh
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                if sys._getframe(1).f_globals.get("__name__") == "cvpbt.oracle":
+                    calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        groups = {(len(idx), len(port_state_columns(proto, idx))) for idx, _, _ in components_per_block(proto)[0]}
+        monkeypatch.setattr(csgraph, "connected_components", counting("components", components))
+        monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
+        for _ in range(2):
+            verification_report(proto, 3, 3)
+            assert calls == {"components": 1, "eigh": len(groups)}
+
+    def test_equal_protocols_compare_equal_after_running(self, ports, d, lx, ly):
+        params = ChannelParams(lx, ly, ports=ports)
+        first, second = TruncatedProtocol(params, Cutoff(d)), TruncatedProtocol(params, Cutoff(d))
+        verification_report(first, 3, 3)
+        verification_report(second, 3, 3)
+        assert first == second
+        assert first != TruncatedProtocol(params, Cutoff(d + 1))
 
     def test_gather_matches_dense_slice(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
@@ -496,10 +530,10 @@ def test_gram_spectra_are_rho_spectra(ports, d, ly):
     # the rest of rho's spectrum there lies under the kernel cut.  One
     # component of every (s, r) is checked.
     proto = TruncatedProtocol(ChannelParams(0.3, ly, ports=ports), Cutoff(d))
-    blocks, max_eig = proto._components()
+    stacks, max_eig = proto._components()
     rho = proto.rho_sparse()
-    shapes = {(len(idx), len(states)): (idx, states, g) for idx, states, g, _ in blocks}
-    for idx, states, g in shapes.values():
+    for members, port_states, w, _, _ in stacks:
+        idx, states, g = members[0], port_states[0], w[0]
         spectrum = np.linalg.eigvalsh(rho[idx][:, idx].toarray())
         r = len(states)
         assert np.abs(spectrum[len(idx) - r :] - g).max() <= 1e-13 * max_eig
@@ -573,7 +607,7 @@ def test_budget_refusal_allocates_nothing_sized(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak_mb < 1
-    assert "labels" not in proto._cache
+    assert "_groups" not in vars(proto)
 
 
 def test_two_port_report_compares_against_the_uncapped_closed_form():
