@@ -14,9 +14,11 @@ inside one of them, so G splits by the same labels into blocks of r port
 states, far fewer than the s indices of the rho block they stand for.
 Components of one (s, r) share a stacked eigh of their Gram blocks, and
 the square-root measurement comes from those stacks one batch of blocks
-at a time.  Each channel element reads only the measurement entries that
-the partial trace keeps, from a table gathered once per protocol out of
-those batches.
+at a time, as two s x k factors per block.  The partial trace keeps only
+the measurement entries whose row and column agree in the spectator
+digits, so a window of channel elements pairs those rows and columns and
+forms each kept entry from the factors alone: no s x s block and no table
+over all d^2 elements is made on the verification path.
 
 Mode order is (C, A_1, ..., A_N), C slowest; the receiver mode B_1
 joins only in the reduced resource.
@@ -46,13 +48,14 @@ __all__ = [
     "povm_element_explicit",
     "reduced_resource",
     "brute_channel_element",
+    "channel_elements",
     "verification_report",
 ]
 
 DEFAULT_BUDGET_MB = 2048.0
 SUSPECT_BAND = 1e-6  # relative; eigenvalues between kernel_tol and this are flagged
 _BYTES_PER_ENTRY = 24  # see TruncatedProtocol.working_set_mb
-_CHUNK_ELEMS = 1 << 18  # block entries per stacked POVM batch, which bounds its temporaries
+_CHUNK_ELEMS = 1 << 16  # entries per factor batch, pair chunk or dense-block chunk, which bounds their temporaries
 
 
 class MemoryBudgetError(RuntimeError):
@@ -99,10 +102,12 @@ class TruncatedProtocol:
 
     Each stage is one cached attribute, computed on first use and returned
     whole: Phi (`_phi`), G (`_gram`), the (s, r) grouping of rho's
-    components (`_groups`), their stacked Gram eighs with the kernel cut
-    (`_eighs`, read through `_components`) and the gather table (`_gather`).
-    They are not fields, so two protocols of equal params and cutoff
-    compare equal whichever stages have run.
+    components (`_groups`) and their stacked Gram eighs with the kernel cut
+    (`_eighs`, read through `_components`).  They are not fields, so two
+    protocols of equal params and cutoff compare equal whichever stages
+    have run.  The measurement is not kept: `_factors` streams it batch by
+    batch, and each window of channel elements (`_window`) or dense element
+    (`_povm_blocks`) reads the stream once.
     """
 
     kernel_tol: ClassVar[float] = 1e-10
@@ -131,30 +136,46 @@ class TruncatedProtocol:
         d = self.levels ** (self.ports + 1 + extra_modes)
         return d * d * 8 / 2**20
 
-    def working_set_mb(self) -> float:
-        """Peak of the Gram route, from the component sizes before any eigh.
+    def working_set_mb(self, a_range: range | None = None, b_range: range | None = None) -> float:
+        """Peak of the Gram route gathering the channel elements of a window,
+        from the component sizes before any eigh.  The window defaults to
+        a, b <= 3 within the cutoff, the elements `oracle-verify` reports
+        by default.
 
         Counted in entries of _BYTES_PER_ENTRY bytes over the components of
         s indices and r port states: sum(r^2) for the Gram eigenvector
         stacks, one (s, r) group's stacked eigh input and eigh's own copies;
-        b (s^2 + s r) for the largest measurement batch, b components with
-        b s^2 <= _CHUNK_ELEMS or one larger component (its Phi block, support
-        basis and blocks, and the copies the gather takes of them); 8 per
-        basis index for the component labels and the gather table; and the
-        entries of the sparse Phi and G.  The route builds no sparse rho or
-        sigma.
+        b (s r + r^2) for the largest batch of `_factors`, b components with
+        b s r <= _CHUNK_ELEMS or one larger component (its Phi block, B, L
+        and the k x k products); per group, the pair temporaries of its
+        window entries, at most _CHUNK_ELEMS or the entries times r; 2 per
+        window entry (their keys, values and sort); `_sized_entries`; and the
+        entries of the sparse G.  The route builds no sparse rho or sigma, no s x s block and no
+        table over all d^2 elements.
         """
-        shapes = [(m.shape[1], st.shape[1], len(m)) for m, st in self._groups[0]]
-        s, r, count = np.array(shapes, dtype=float).reshape(-1, 3).T
-        gram = float((count * r**2).sum())
-        batch = np.minimum(count, np.maximum(1, _CHUNK_ELEMS // s**2)) * (s**2 + s * r)
-        entries = gram + batch.max(initial=0.0) + self._sized_entries() + self._gram.nnz
+        d, dn = self.levels, self.levels**self.ports
+        default = range(min(4, d))
+        a_range = default if a_range is None else a_range
+        b_range = default if b_range is None else b_range
+        lone = self._groups[1] // dn
+        window = int(((lone >= max(a_range.start, b_range.start)) & (lone < min(a_range.stop, b_range.stop))).sum())
+        gram = factors = pairs = 0
+        for members, states in self._groups[0]:
+            count, s = members.shape
+            r = states.shape[1]
+            gram += count * r * r
+            factors = max(factors, min(count, max(1, _CHUNK_ELEMS // (s * r))) * (s * r + r * r))
+            hits = int(self._join(members, a_range, b_range)[3].sum())
+            window += hits
+            pairs = max(pairs, min(_CHUNK_ELEMS, hits * r))
+        entries = gram + factors + pairs + 2 * window + self._sized_entries() + self._gram.nnz
         return _BYTES_PER_ENTRY * entries / 2**20
 
     def _sized_entries(self) -> int:
-        """The terms of `working_set_mb` that the sizes alone fix: 8 per
-        basis index and Phi's N D^N entries."""
-        return 8 * self.dim + self.ports * self.levels**self.ports
+        """The terms of `working_set_mb` that the sizes alone fix: 2 per
+        basis index (the component labels, their order and members) and
+        Phi's N D^N entries."""
+        return 2 * self.dim + self.ports * self.levels**self.ports
 
     # -- sparse protocol objects --------------------------------------------
 
@@ -279,74 +300,144 @@ class TruncatedProtocol:
         support = sum(int((w > SUSPECT_BAND * max_eig).sum()) for _, _, w, _, _ in stacks)
         return dict(kernel=self.dim - kept, suspect=kept - support, support=support, max_eigenvalue=max_eig)
 
-    def _povm_blocks(self):
-        """First measurement element, one batch at a time, as (members, blocks):
-        blocks[j] is the element on the ascending indices members[j].
+    def _factors(self):
+        """First measurement element in factored form, one batch at a time, as
+        (members, L, B): the element on the ascending indices members[j] is
+        L[j] B[j]^T + I/N, with L and B each (s, k).
 
         With G = V g V^T and V_k its k eigenvectors above the cut, the columns
         of B = Phi V_k g_k^(-1/2) are an orthonormal basis of rho's support,
         and rho^(-1/2) sigma_1 rho^(-1/2) = B V_k^T E_1 V_k B^T, where E_1
-        masks the port-1 states.  So each block is
-        B (V_k^T E_1 V_k - I/N) B^T + I/N.  Each column Phi v_j of B is
-        divided by its computed norm, which is sqrt(g_j) in exact arithmetic
-        but carries none of the eigenvalue error of a small g_j.  Each batch
-        holds components of one (s, r) and one k.  The indices rho does not
-        touch come last, as 1x1 blocks holding 1/N.
+        masks the port-1 states.  So L = B (V_k^T E_1 V_k - I/N).  Each column
+        Phi v_j of B is divided by its computed norm, which is sqrt(g_j) in
+        exact arithmetic but carries none of the eigenvalue error of a small
+        g_j.  Each batch holds components of one (s, r) and one k, at most
+        _CHUNK_ELEMS entries of their Phi blocks or one larger component.  The
+        indices rho does not touch are not in any batch; the element holds
+        1/N on their diagonal.
         """
         stacks, _ = self._components()
         n = self.ports
         first_port = self.levels ** (n - 1)  # port-1 states are Phi's first columns
         for members, states, _, v, kept in stacks:
             s, r = members.shape[1], states.shape[1]
-            step = max(1, _CHUNK_ELEMS // (s * s))
+            step = max(1, _CHUNK_ELEMS // (s * r))
             for k in np.unique(kept):
                 same = np.flatnonzero(kept == k)
                 for lo in range(0, same.size, step):
                     part = same[lo : lo + step]
                     idx, st, vk = members[part], states[part], v[part][:, :, r - k :]
                     basis = self._dense_blocks(self._phi, idx, st) @ vk
-                    basis /= np.linalg.norm(basis, axis=1, keepdims=True)
+                    basis /= np.sqrt((basis * basis).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
                     port1 = vk * (st < first_port)[:, :, None]
-                    inner = vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n
-                    block = (basis @ inner) @ basis.transpose(0, 2, 1)
-                    block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
-                    yield idx, block
+                    yield idx, basis @ (vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n), basis
+
+    def _povm_blocks(self):
+        """First measurement element, one batch of `_factors` at a time, as
+        (members, blocks): blocks[j] is the element on the ascending indices
+        members[j].  Each entry is the sum over k of L[i] * B[j], the one
+        arithmetic `_window` uses, formed in chunks of at most _CHUNK_ELEMS
+        products and never more than the dense element's own dim^2.  The
+        indices rho does not touch come last, as 1x1 blocks holding 1/N.
+        """
+        n = self.ports
+        limit = min(_CHUNK_ELEMS, self.dim**2)
+        for members, left, basis in self._factors():
+            count, s, k = basis.shape
+            rows = max(1, min(s, limit // max(1, s * k)))  # block rows per chunk
+            comps = max(1, limit // max(1, rows * s * k))
+            block = np.empty((count, s, s))
+            for j in range(0, count, comps):
+                for i in range(0, s, rows):
+                    pair = left[j : j + comps, i : i + rows, None, :] * basis[j : j + comps, None, :, :]
+                    block[j : j + comps, i : i + rows] = pair.sum(axis=-1)
+            block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
+            yield members, block
         lone = self._groups[1]
         yield lone[:, None], np.full((lone.size, 1, 1), 1 / n)
 
-    @cached_property
-    def _gather(self):
-        """Measurement entries whose row and column spectator digits (A_2..A_N) agree.
+    def _join(self, members: np.ndarray, a_range: range, b_range: range):
+        """The window entries of components `members` (count, s): row C digit in
+        b_range, column C digit in a_range, equal spectator digits (A_2..A_N).
 
-        Sorted by (row C digit b, column C digit a), then row, then column,
-        with offsets per (b, a); each entry keeps its A_1 digits (p of the
-        row, q of the column) and its value times the spectator thermal
-        product prod_k chi_x(r_k).  The sort key is unique per entry, so the
-        order in which `_povm_blocks` yields its batches does not matter.
+        A sorted join on (component, spectator) over positions in
+        members.ravel(): returns (rows, cols, lo, hits), the row positions,
+        the column positions sorted by key, and for each row the first
+        matching column `lo` and the count `hits` of its matches."""
+        d, n = self.levels, self.ports
+        dn, ds = d**n, d ** (n - 1)
+        s = members.shape[1]
+        flat = members.ravel()
+        digit = flat // dn
+        rows = np.flatnonzero((digit >= b_range.start) & (digit < b_range.stop))
+        cols = np.flatnonzero((digit >= a_range.start) & (digit < a_range.stop))
+        row_key = rows // s * ds + flat[rows] % ds  # position // s is the component
+        col_key = cols // s * ds + flat[cols] % ds
+        by_key = np.argsort(col_key)
+        cols, col_key = cols[by_key], col_key[by_key]
+        lo = np.searchsorted(col_key, row_key, "left")
+        return rows, cols, lo, np.searchsorted(col_key, row_key, "right") - lo
+
+    def _window(self, a_range: range, b_range: range):
+        """The measurement entries the partial trace reads for the channel
+        elements |a><b| with a in a_range and b in b_range: row C digit b,
+        column C digit a, and equal row and column spectator digits
+        (A_2..A_N).
+
+        Streams `_factors` once.  In each batch the rows and columns of
+        `_join` are paired, and each pair's entry is L[i] . B[j], the sum
+        over k of L[i] * B[j] taken _CHUNK_ELEMS products at a time, plus
+        1/N on the diagonal; untouched indices enter as 1/N diagonal
+        entries.  Sorted by (b, a), then row, then column, with offsets per
+        element (b - b0) len(a_range) + (a - a0); each entry keeps its A_1
+        digits (p of the row, q of the column) and its value times the
+        spectator thermal product prod_k chi_x(r_k).  The sort key is unique
+        per entry, so the order of the batches does not matter.
         """
         d, n = self.levels, self.ports
         dn, ds = d**n, d ** (n - 1)
-        if d * self.dim**2 >= 2**63:
+        na, nb = len(a_range), len(b_range)
+        if na * nb * dn * self.dim >= 2**63:
             raise ValueError(f"the gather sort key of {n} ports at cutoff {d} overflows int64")
-        parts = []
-        for members, blocks in self._povm_blocks():
-            spectators = members % ds
-            hit = spectators[:, :, None] == spectators[:, None, :]
-            rows = np.broadcast_to(members[:, :, None], blocks.shape)[hit]
-            cols = np.broadcast_to(members[:, None, :], blocks.shape)[hit]
-            parts.append((rows, cols, blocks[hit]))
-        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+
+        def sort_key(rows, cols):  # (b, a, row, column) in one int64
+            element = (rows // dn - b_range.start) * na + cols // dn - a_range.start
+            return (element * dn + rows % dn) * self.dim + cols
+
+        keys, parts = [], []
+        for members, left, basis in self._factors():
+            rows, cols, lo, hits = self._join(members, a_range, b_range)
+            ends = np.cumsum(hits)
+            cols = cols[np.arange(hits.sum()) - np.repeat(ends - hits - lo, hits)]
+            rows = np.repeat(rows, hits)
+            k = basis.shape[2]
+            left, basis = left.reshape(-1, k), basis.reshape(-1, k)
+            vals = np.empty(rows.size)
+            step = max(1, _CHUNK_ELEMS // max(1, k))
+            for i in range(0, rows.size, step):
+                pair = left[rows[i : i + step]]
+                pair *= basis[cols[i : i + step]]
+                vals[i : i + step] = pair.sum(axis=-1)
+            vals[rows == cols] += 1 / n  # identity share
+            flat = members.ravel()
+            keys.append(sort_key(flat[rows], flat[cols]))
+            parts.append(vals)
+        lone = self._groups[1]
+        lone = lone[(lone // dn >= max(a_range.start, b_range.start)) & (lone // dn < min(a_range.stop, b_range.stop))]
+        keys.append(sort_key(lone, lone))
+        parts.append(np.full(lone.size, 1 / n))
+        key, vals = np.concatenate(keys), np.concatenate(parts)
+        del keys, parts  # `working_set_mb` counts two copies of the entries at a time
+        order = np.argsort(key)  # the key is unique, so any sort gives this order
+        key, vals = key[order], vals[order]
+        del order
+        offsets = np.searchsorted(key // (dn * self.dim), np.arange(na * nb + 1))
+        rows, cols = key // self.dim % dn, key % self.dim  # the row without its C digit
         chi_x = chi_vector(self.params.lambda_x, d)
         thermal = np.ones(1)
         for _ in range(n - 1):
             thermal = np.multiply.outer(thermal, chi_x).ravel()
-        key = (rows // dn) * d + cols // dn
-        # (key, row, column) in one int64: the row's C digit is already in key
-        order = np.argsort((key * dn + rows % dn) * self.dim + cols, kind="stable")
-        offsets = np.searchsorted(key[order], np.arange(d * d + 1))
-        rows, cols = rows[order], cols[order]
-        vals = vals[order] * thermal[rows % ds]
-        return offsets, (rows // ds) % d, (cols // ds) % d, vals
+        return offsets, rows // ds, (cols // ds) % d, vals * thermal[rows % ds]
 
 
 # ---------------------------------------------------------------------------
@@ -423,37 +514,56 @@ def reduced_resource(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     return FockOperator(permute_modes(mat, perm, d), n + 2, proto.cutoff)
 
 
-def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
-    """Channel output for |a><b| straight from the protocol: N times the
-    partial trace of the measurement against the reduced resource.
+def channel_elements(proto: TruncatedProtocol, a_range: range, b_range: range) -> np.ndarray:
+    """Channel outputs for |a><b| straight from the protocol, for every a in
+    a_range and b in b_range: out[a - a_range.start, b - b_range.start] is
+    N times the partial trace of the measurement against the reduced
+    resource, a real d x d array.
 
     The resource fixes C to (a, b), ties A_1 to the output mode, and is
     diagonal in the spectators A_2..A_N with thermal weights chi_x.  So the
     trace reads only the measurement entries with row C = b, column C = a
-    and equal spectator digits; these come from the sparse measurement's
-    gather table and are summed into the output with no dense slice made.
+    and equal spectator digits; one `_window` gathers them for the whole
+    window, and each element sums its share with no dense slice made.
     """
     d, n = proto.levels, proto.ports
-    if not (0 <= a < d and 0 <= b < d):
-        raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
+    for name, window in (("a", a_range), ("b", b_range)):
+        if not (window.step == 1 and 0 <= window.start < window.stop <= d):
+            raise ValueError(f"{name} window {window} is not a non-empty run of levels inside cutoff {d}")
     # the sized terms first: `working_set_mb` labels every basis index
     require_memory(_BYTES_PER_ENTRY * proto._sized_entries() / 2**20, "channel gather")
-    require_memory(proto.working_set_mb(), "channel gather")
-    offsets, p, q, vals = proto._gather
-    span = slice(offsets[b * d + a], offsets[b * d + a + 1])
-    gathered = np.zeros((d, d))
-    np.add.at(gathered, (q[span], p[span]), vals[span])
+    require_memory(proto.working_set_mb(a_range, b_range), "channel gather")
+    offsets, p, q, vals = proto._window(a_range, b_range)
     lx = proto.params.lambda_x
     signs = (-lx) ** np.arange(d)
-    out = n * (1 - lx**2) * np.outer(signs, signs) * gathered
+    out = np.empty((len(a_range), len(b_range), d, d))
+    for i in range(len(a_range)):
+        for j in range(len(b_range)):
+            span = slice(offsets[j * len(a_range) + i], offsets[j * len(a_range) + i + 1])
+            gathered = np.zeros((d, d))
+            np.add.at(gathered, (q[span], p[span]), vals[span])
+            out[i, j] = n * (1 - lx**2) * np.outer(signs, signs) * gathered
+    return out
+
+
+def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
+    """Channel output for |a><b| straight from the protocol: the one-element
+    window of `channel_elements`, with the eigenvalue census in `meta`."""
+    d = proto.levels
+    if not (0 <= a < d and 0 <= b < d):
+        raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
+    out = channel_elements(proto, range(a, a + 1), range(b, b + 1))[0, 0]
     return FockOperator(out.astype(complex), 1, proto.cutoff, meta=proto.eigenvalue_census())
 
 
 def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: float = 1e-6) -> dict:
     """Compare the protocol channel against the analytic one element by element.
 
-    Returns a JSON-ready report: per-element deviations, trace deviations,
-    eigenvalue census, dimensions, and runtimes.
+    The protocol side is one `channel_elements` window, a <= a_max and
+    b <= b_max; the analytic side reads (C, T) once from `arrays`, the
+    entries `number_element` returns.  Returns a JSON-ready report:
+    per-element deviations, trace deviations, eigenvalue census,
+    dimensions, and runtimes.
     """
     if a_max >= proto.levels or b_max >= proto.levels:
         raise ValueError("element range exceeds the cutoff")
@@ -465,13 +575,20 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
 
     t0 = time.perf_counter()
     channel = nport.make_channel(proto.params, cap=proto.levels - 1 if proto.ports > 2 else None)
+    c, t = channel.arrays(proto.levels)  # what `number_element` reads, read once
+    elements = channel_elements(proto, range(a_max + 1), range(b_max + 1))
     rows = []
     worst = 0.0
     for a in range(a_max + 1):
         for b in range(b_max + 1):
             t1 = time.perf_counter()
-            brute = brute_channel_element(a, b, proto).matrix
-            dev = float(np.abs(brute - channel.number_element(a, b, proto.cutoff).matrix).max())
+            brute = elements[a, b].astype(complex)
+            analytic = np.zeros((proto.levels, proto.levels), dtype=complex)
+            if a != b:
+                analytic[a, b] = c[a, b]
+            else:
+                np.fill_diagonal(analytic, t[a])
+            dev = float(np.abs(brute - analytic).max())
             rows.append({
                 "a": a,
                 "b": b,

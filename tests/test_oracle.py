@@ -8,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from cvpbt.fock import Cutoff, chi, chi_vector, permute_modes
-from cvpbt.nport import ThreePortChannel
+from cvpbt.nport import ThreePortChannel, make_channel
 from cvpbt.oracle import (
     DEFAULT_BUDGET_MB,
     MemoryBudgetError,
@@ -17,6 +17,7 @@ from cvpbt.oracle import (
     build_povm_element,
     build_rho,
     build_sigma,
+    channel_elements,
     memory_budget,
     povm_element_explicit,
     reduced_resource,
@@ -369,6 +370,32 @@ def element_from_table(a, b, proto, table):
     return (n * (1 - lx**2) * np.outer(signs, signs) * gathered).astype(complex)
 
 
+def declared_working_set(proto, blocks, w=4):
+    """`working_set_mb` for the window a, b < w, from the reference components:
+    24 bytes per entry of the Gram stacks, the largest factor batch, the
+    largest group's pair temporaries, 2 per window entry and the sized terms."""
+    d, n = proto.levels, proto.ports
+    dn, ds = d**n, d ** (n - 1)
+    w = min(w, d)
+    shapes, hits = [], []
+    for idx, _, _ in blocks:
+        shapes.append((len(idx), len(port_state_columns(proto, idx))))
+        rows, cols = idx[idx // dn < w], idx[idx // dn < w]
+        hits.append(int((rows[:, None] % ds == cols[None, :] % ds).sum()))
+    touched = np.concatenate([idx for idx, _, _ in blocks])
+    lone = np.setdiff1d(np.arange(proto.dim), touched)
+    window = int((lone // dn < w).sum()) + sum(hits)
+    gram = factors = pairs = 0
+    for s, r in sorted(set(shapes)):
+        count = shapes.count((s, r))
+        gram += count * r * r
+        factors = max(factors, min(count, max(1, (1 << 16) // (s * r))) * (s * r + r * r))
+        group_hits = sum(h for shape, h in zip(shapes, hits) if shape == (s, r))
+        pairs = max(pairs, min(1 << 16, group_hits * r))
+    sized = 2 * proto.dim + n * d**n + proto._gram.nnz
+    return 24 * (gram + factors + pairs + 2 * window + sized) / 2**20
+
+
 STACK_POINTS = [(3, 6, 0.5, 0.4), (4, 4, 0.3, 0.35)]
 
 
@@ -430,13 +457,7 @@ class TestStackedStages:
         blocks, max_eig = components_per_block(proto)
         ref = census_per_block(proto, blocks, max_eig)
         assert {key: census[key] for key in COUNTS} == {key: ref[key] for key in COUNTS}
-        shapes = [(len(idx), len(port_state_columns(proto, idx))) for idx, _, _ in blocks]
-        pairs, count = np.unique(shapes, axis=0, return_counts=True)
-        s, r = pairs.T.astype(float)
-        batch = np.minimum(count, np.maximum(1, (1 << 18) // s**2)) * (s**2 + s * r)
-        sparse = proto._phi.nnz + proto._gram.nnz
-        entries = (count * r**2).sum() + batch.max() + 8 * proto.dim + sparse
-        working_set = 24 * entries / 2**20
+        working_set = declared_working_set(proto, blocks)
         for _ in range(2):  # the first call runs the stages, the second reads them
             assert proto.eigenvalue_census() == census
             assert proto.working_set_mb() == working_set
@@ -452,23 +473,57 @@ class TestStackedStages:
         assert elements[1].meta == proto.eigenvalue_census() == census
 
     def test_gather_order_is_lexsort_order(self, ports, d, lx, ly):
-        # the one-key argsort of `_gather` against (key, row, column) lexsort
+        # the one-key argsort of `_window` against (key, row, column) lexsort
+        # of the window's entries read off the dense measurement blocks, for
+        # the whole cutoff and for windows that start off zero, a or b first
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
-        parts = []
-        for members, blocks in proto._povm_blocks():
-            hit = (members % ds)[:, :, None] == (members % ds)[:, None, :]
-            parts.append((np.broadcast_to(members[:, :, None], blocks.shape)[hit],
-                          np.broadcast_to(members[:, None, :], blocks.shape)[hit], blocks[hit]))
-        rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-        key = (rows // dn) * d + cols // dn
-        order = np.lexsort((cols, rows, key))
-        offsets, p, q, gathered = proto._gather
-        assert np.array_equal(offsets, np.searchsorted(key[order], np.arange(d * d + 1)))
-        assert np.array_equal(p, (rows[order] // ds) % d) and np.array_equal(q, (cols[order] // ds) % d)
         chi_x = chi_vector(lx, d)
         thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
-        assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
+        for a_range, b_range in [(range(d), range(d)), (range(1, 3), range(2, d)), (range(2, d), range(1, 3))]:
+            parts = []
+            for members, blocks in proto._povm_blocks():
+                rows = np.broadcast_to(members[:, :, None], blocks.shape)
+                cols = np.broadcast_to(members[:, None, :], blocks.shape)
+                hit = (rows % ds == cols % ds) & np.isin(rows // dn, b_range) & np.isin(cols // dn, a_range)
+                parts.append((rows[hit], cols[hit], blocks[hit]))
+            rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
+            key = (rows // dn - b_range.start) * len(a_range) + cols // dn - a_range.start
+            order = np.lexsort((cols, rows, key))
+            offsets, p, q, gathered = proto._window(a_range, b_range)
+            assert np.array_equal(offsets, np.searchsorted(key[order], np.arange(len(a_range) * len(b_range) + 1)))
+            assert np.array_equal(p, (rows[order] // ds) % d) and np.array_equal(q, (cols[order] // ds) % d)
+            assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
+
+    def test_report_elements_are_brute_elements_bitwise(self, ports, d, lx, ly):
+        # the report's one window gives each element bitwise as its own
+        # one-element window does, and so the same deviations
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        report = verification_report(proto, 3, 2)
+        window = channel_elements(proto, range(4), range(3))
+        channel = make_channel(proto.params, cap=d - 1 if ports > 2 else None)
+        assert [(e["a"], e["b"]) for e in report["elements"]] == [(a, b) for a in range(4) for b in range(3)]
+        for e in report["elements"]:
+            brute = brute_channel_element(e["a"], e["b"], proto).matrix
+            assert window[e["a"], e["b"]].astype(complex).tobytes() == brute.tobytes()
+            analytic = channel.number_element(e["a"], e["b"], proto.cutoff).matrix
+            assert e["max_deviation"] == float(np.abs(brute - analytic).max())
+            if e["a"] == e["b"]:
+                assert e["trace_deviation"] == abs(float(brute.trace().real) - 1.0)
+
+    @pytest.mark.parametrize("window", ["a_max=0", "b_max=d-1", "a!=b"])
+    def test_edge_windows_match_single_elements_bitwise(self, ports, d, lx, ly, window):
+        # a window of one a, one up to the cutoff in b, and one with a != b
+        # everywhere, which holds no diagonal entry and no untouched index
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        a_range, b_range = {"a_max=0": (range(1), range(3)), "b_max=d-1": (range(3), range(d)),
+                            "a!=b": (range(2), range(2, 4))}[window]
+        elements = channel_elements(proto, a_range, b_range)
+        assert elements.shape == (len(a_range), len(b_range), d, d)
+        for i, a in enumerate(a_range):
+            for j, b in enumerate(b_range):
+                single = brute_channel_element(a, b, proto).matrix
+                assert elements[i, j].astype(complex).tobytes() == single.tobytes()
 
     def test_each_stage_runs_once_per_protocol(self, ports, d, lx, ly, monkeypatch):
         # one connected_components call, and one eigh per (s, r) group, across
@@ -628,6 +683,13 @@ class TestInputChecks:
         proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4))
         with pytest.raises(ValueError):
             verification_report(proto, a_max, b_max)
+
+    @pytest.mark.parametrize("a_range,b_range", [(range(0), range(2)), (range(0, 4, 2), range(2)),
+                                                 (range(2), range(3, 5)), (range(-1, 1), range(2))])
+    def test_bad_element_window(self, a_range, b_range):
+        proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4))
+        with pytest.raises(ValueError):
+            channel_elements(proto, a_range, b_range)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0, 0.0])
     def test_bad_tolerance(self, tol):
