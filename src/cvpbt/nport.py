@@ -642,21 +642,21 @@ def _orbit_segments(arr: Arrangements):
 
 def _build_mb(ports: int, cap: int) -> float:
     """Declared peak of an `NPortChannel` build in MiB, from its sizes alone:
-    per sector, its multiset in the sector list and its row of the pattern
-    walk's levels; 64 bytes per entry of the (cap+3)^2 level sums and their
+    per sector, its row of the pattern walk's levels (the sector list is
+    not made); 64 bytes per entry of the (cap+3)^2 level sums and their
     final folds; 48 bytes per entry of the (N-1)! x (N-1)! tables of
     S_(N-1) (`_group_tables`: the irrep and product tables, 16 bytes, and
     the temporaries that build them); and the largest Gamma stack: 128
     bytes per entry of a full batch of b size^2 <= _STACK_ELEMS (small
     sectors carry most overhead), or 24 per entry of the size x size/N
     gather table and B of one larger sector, the layout with the most
-    distinct levels.  A negative cap is refused by `enumerate_multisets`."""
+    distinct levels.  The cap must be nonnegative."""
     sectors = math.comb(cap + ports - 1, ports - 1)
     k = max(1, min(ports - 1, cap + 1))  # distinct levels of the largest layout, spread evenly
     q, r = divmod(ports - 1, k)
     size = math.factorial(ports) // (math.factorial(q + 1) ** r * math.factorial(q) ** (k - r))
     stack = max(128 * _STACK_ELEMS, 24 * size**2 // ports)
-    return (sectors * (112 + 16 * ports) + 64 * (cap + 3) ** 2 + 48 * math.factorial(ports - 1) ** 2 + stack) / 2**20
+    return (sectors * (72 + 8 * ports) + 64 * (cap + 3) ** 2 + 48 * math.factorial(ports - 1) ** 2 + stack) / 2**20
 
 
 def _pattern_walk(ports: int, cap: int):
@@ -702,8 +702,9 @@ class NPortChannel:
     def __init__(self, params: ChannelParams, cap: int | None = None, gammas=_gamma_stack):
         self.params = params
         self.cap = default_cap(params) if cap is None else int(cap)
+        if self.cap < 0:
+            raise ValueError("cap must be nonnegative")
         require_memory(_build_mb(params.ports, self.cap), f"the {params.ports}-port sector build at cap {self.cap}")
-        self.sectors = enumerate_multisets(params.ports, self.cap)
         self._gamma_max = 0.0
         # lx^(2 t) per level total t, scalar pows: numpy's vector power can differ in the last bit
         powers = np.array([params.lambda_x ** (2 * t) for t in range((params.ports - 1) * self.cap + 1)])
@@ -746,7 +747,7 @@ class NPortChannel:
         if params.ports != 2:
             raise ValueError("the closed form is the two-port case")
         channel = cls.__new__(cls)
-        channel.params, channel.cap, channel.sectors = params, None, []
+        channel.params, channel.cap = params, None
         om, channel._omega_tail = omega(params)
         channel._base = om / _per_point(lambda lx: 2 * (1 - lx**2), params.lambda_x)
         return channel
@@ -757,9 +758,15 @@ class NPortChannel:
         p = self.params
         channel = self.__class__.__new__(self.__class__)
         channel.params = ChannelParams(np.ravel(p.lambda_x)[index], np.ravel(p.lambda_y)[index], p.ports)
-        channel.cap, channel.sectors = None, []
+        channel.cap = None
         channel._base, channel._omega_tail = np.ravel(self._base)[index], np.ravel(self._omega_tail)[index]
         return channel
+
+    @functools.cached_property
+    def sectors(self) -> list[tuple[int, ...]]:
+        """The multisets up to the cap, listed on first read (the build walks
+        their patterns); [] for the closed two-port channel."""
+        return [] if self.cap is None else enumerate_multisets(self.params.ports, self.cap)
 
     def _sums(self, levels: int):
         """S and F on levels 0..levels-1, F with its diagonal unset; stacked

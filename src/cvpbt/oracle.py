@@ -136,11 +136,9 @@ class TruncatedProtocol:
         d = self.levels ** (self.ports + 1 + extra_modes)
         return d * d * 8 / 2**20
 
-    def working_set_mb(self, a_range: range | None = None, b_range: range | None = None) -> float:
-        """Peak of the Gram route gathering the channel elements of a window,
-        from the component sizes before any eigh.  The window defaults to
-        a, b <= 3 within the cutoff, the elements `oracle-verify` reports
-        by default.
+    def working_set_mb(self, a_range: range, b_range: range) -> float:
+        """Peak of the Gram route gathering the channel elements of a window
+        and comparing them, from the component sizes before any eigh.
 
         Counted in entries of _BYTES_PER_ENTRY bytes over the components of
         s indices and r port states: sum(r^2) for the Gram eigenvector
@@ -149,14 +147,14 @@ class TruncatedProtocol:
         b s r <= _CHUNK_ELEMS or one larger component (its Phi block, B, L
         and the k x k products); per group, the pair temporaries of its
         window entries, at most _CHUNK_ELEMS or the entries times r; 2 per
-        window entry (their keys, values and sort); `_sized_entries`; and the
-        entries of the sparse G.  The route builds no sparse rho or sigma, no s x s block and no
-        table over all d^2 elements.
+        window entry (their keys, values and sort); 2 per value of the dense
+        (len(a), len(b), d, d) output, which covers its scatter and scaled
+        copy, then the report's analytic window and their difference;
+        `_sized_entries`; and the entries of the sparse G.  The route builds
+        no sparse rho or sigma, no s x s block and no table over all d^2
+        elements.
         """
         d, dn = self.levels, self.levels**self.ports
-        default = range(min(4, d))
-        a_range = default if a_range is None else a_range
-        b_range = default if b_range is None else b_range
         lone = self._groups[1] // dn
         window = int(((lone >= max(a_range.start, b_range.start)) & (lone < min(a_range.stop, b_range.stop))).sum())
         gram = factors = pairs = 0
@@ -168,7 +166,8 @@ class TruncatedProtocol:
             hits = int(self._join(members, a_range, b_range)[3].sum())
             window += hits
             pairs = max(pairs, min(_CHUNK_ELEMS, hits * r))
-        entries = gram + factors + pairs + 2 * window + self._sized_entries() + self._gram.nnz
+        dense = len(a_range) * len(b_range) * d * d
+        entries = gram + factors + pairs + 2 * window + 2 * dense + self._sized_entries() + self._gram.nnz
         return _BYTES_PER_ENTRY * entries / 2**20
 
     def _sized_entries(self) -> int:
@@ -388,11 +387,11 @@ class TruncatedProtocol:
         `_join` are paired, and each pair's entry is L[i] . B[j], the sum
         over k of L[i] * B[j] taken _CHUNK_ELEMS products at a time, plus
         1/N on the diagonal; untouched indices enter as 1/N diagonal
-        entries.  Sorted by (b, a), then row, then column, with offsets per
-        element (b - b0) len(a_range) + (a - a0); each entry keeps its A_1
-        digits (p of the row, q of the column) and its value times the
-        spectator thermal product prod_k chi_x(r_k).  The sort key is unique
-        per entry, so the order of the batches does not matter.
+        entries.  Sorted by (b, a), then row, then column; each entry keeps
+        its element index (b - b0) len(a_range) + (a - a0), its A_1 digits
+        (p of the row, q of the column) and its value times the spectator
+        thermal product prod_k chi_x(r_k).  The sort key is unique per
+        entry, so the order of the batches does not matter.
         """
         d, n = self.levels, self.ports
         dn, ds = d**n, d ** (n - 1)
@@ -431,13 +430,16 @@ class TruncatedProtocol:
         order = np.argsort(key)  # the key is unique, so any sort gives this order
         key, vals = key[order], vals[order]
         del order
-        offsets = np.searchsorted(key // (dn * self.dim), np.arange(na * nb + 1))
-        rows, cols = key // self.dim % dn, key % self.dim  # the row without its C digit
+        element, key = np.divmod(key, dn * self.dim)  # what is left: (row without its C digit, column)
+        p, spectators = np.divmod(key // self.dim, ds)
+        q = key % self.dim // ds % d
+        del key
         chi_x = chi_vector(self.params.lambda_x, d)
         thermal = np.ones(1)
         for _ in range(n - 1):
             thermal = np.multiply.outer(thermal, chi_x).ravel()
-        return offsets, rows // ds, (cols // ds) % d, vals * thermal[rows % ds]
+        vals *= thermal[spectators]
+        return element, p, q, vals
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +526,8 @@ def channel_elements(proto: TruncatedProtocol, a_range: range, b_range: range) -
     diagonal in the spectators A_2..A_N with thermal weights chi_x.  So the
     trace reads only the measurement entries with row C = b, column C = a
     and equal spectator digits; one `_window` gathers them for the whole
-    window, and each element sums its share with no dense slice made.
+    window, and one scatter sums them in the order a one-element window
+    would, with no dense slice made.
     """
     d, n = proto.levels, proto.ports
     for name, window in (("a", a_range), ("b", b_range)):
@@ -533,17 +536,12 @@ def channel_elements(proto: TruncatedProtocol, a_range: range, b_range: range) -
     # the sized terms first: `working_set_mb` labels every basis index
     require_memory(_BYTES_PER_ENTRY * proto._sized_entries() / 2**20, "channel gather")
     require_memory(proto.working_set_mb(a_range, b_range), "channel gather")
-    offsets, p, q, vals = proto._window(a_range, b_range)
+    element, p, q, vals = proto._window(a_range, b_range)
+    gathered = np.zeros((len(b_range), len(a_range), d, d))
+    np.add.at(gathered.reshape(-1, d, d), (element, q, p), vals)
     lx = proto.params.lambda_x
     signs = (-lx) ** np.arange(d)
-    out = np.empty((len(a_range), len(b_range), d, d))
-    for i in range(len(a_range)):
-        for j in range(len(b_range)):
-            span = slice(offsets[j * len(a_range) + i], offsets[j * len(a_range) + i + 1])
-            gathered = np.zeros((d, d))
-            np.add.at(gathered, (q[span], p[span]), vals[span])
-            out[i, j] = n * (1 - lx**2) * np.outer(signs, signs) * gathered
-    return out
+    return n * (1 - lx**2) * np.outer(signs, signs) * gathered.transpose(1, 0, 2, 3)
 
 
 def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
@@ -560,10 +558,11 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
     """Compare the protocol channel against the analytic one element by element.
 
     The protocol side is one `channel_elements` window, a <= a_max and
-    b <= b_max; the analytic side reads (C, T) once from `arrays`, the
-    entries `number_element` returns.  Returns a JSON-ready report:
-    per-element deviations, trace deviations, eigenvalue census,
-    dimensions, and runtimes.
+    b <= b_max; the analytic side is the same window laid out from (C, T),
+    read once from `arrays`: C[a, b] at (a, b) for a != b and T[a] on the
+    diagonal for a = b, the entries `number_element` returns.  Returns a
+    JSON-ready report: per-element deviations, trace deviations,
+    eigenvalue census, dimensions, and the total runtime.
     """
     if a_max >= proto.levels or b_max >= proto.levels:
         raise ValueError("element range exceeds the cutoff")
@@ -577,26 +576,20 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
     channel = nport.make_channel(proto.params, cap=proto.levels - 1 if proto.ports > 2 else None)
     c, t = channel.arrays(proto.levels)  # what `number_element` reads, read once
     elements = channel_elements(proto, range(a_max + 1), range(b_max + 1))
-    rows = []
-    worst = 0.0
-    for a in range(a_max + 1):
-        for b in range(b_max + 1):
-            t1 = time.perf_counter()
-            brute = elements[a, b].astype(complex)
-            analytic = np.zeros((proto.levels, proto.levels), dtype=complex)
-            if a != b:
-                analytic[a, b] = c[a, b]
-            else:
-                np.fill_diagonal(analytic, t[a])
-            dev = float(np.abs(brute - analytic).max())
-            rows.append({
-                "a": a,
-                "b": b,
-                "max_deviation": dev,
-                "trace_deviation": abs(float(brute.trace().real) - 1.0) if a == b else None,
-                "seconds": time.perf_counter() - t1,
-            })
-            worst = max(worst, dev)
+    a, b = np.arange(a_max + 1)[:, None], np.arange(b_max + 1)
+    same, m = np.arange(min(a_max, b_max) + 1), np.arange(proto.levels)  # the elements a = b; output levels
+    analytic = np.zeros_like(elements)
+    analytic[a, b, a, b] = c[a, b]  # C's diagonal is zero, and T[a] fills the diagonal of |a><a|
+    analytic[same[:, None], same[:, None], m, m] = t[same]
+    dev = np.abs(elements - analytic).max(axis=(2, 3))
+    # traces of the complex elements: numpy pairs a complex sum's terms differently from a real one's
+    trace_dev = np.abs(np.trace(elements[same, same].astype(complex), axis1=1, axis2=2).real - 1.0).tolist()
+    rows = [
+        {"a": i, "b": j, "max_deviation": x, "trace_deviation": trace_dev[i] if i == j else None}
+        for i, row in enumerate(dev.tolist())
+        for j, x in enumerate(row)
+    ]
+    worst = float(dev.max())
     return {
         "ports": proto.ports,
         "levels": proto.levels,

@@ -796,7 +796,28 @@ class TestBuildBudget:
         with pytest.raises(ValueError):
             NPortChannel(p, cap=2)
 
-    @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (4, 30), (5, 8), (6, 4), (7, 3)])
+    def test_negative_cap_is_refused_before_sizing(self, monkeypatch):
+        def unsized(*args):
+            raise AssertionError("a negative cap was sized")
+
+        monkeypatch.setattr(nport, "_build_mb", unsized)
+        with pytest.raises(ValueError, match="cap must be nonnegative"):
+            NPortChannel(ChannelParams(0.3, 0.3, ports=3), cap=-1)
+
+    def test_sector_list_is_made_on_first_read(self, monkeypatch):
+        # the build walks patterns and lists no multiset; `sectors` lists them when read
+        def unlisted(*args):
+            raise AssertionError("the build listed the sectors")
+
+        monkeypatch.setattr(nport, "enumerate_multisets", unlisted)
+        channel = NPortChannel(ChannelParams(0.5, 0.45, ports=3), 300)
+        monkeypatch.undo()
+        assert "sectors" not in vars(channel)
+        assert len(channel.sectors) == math.comb(300 + 2, 2)
+        assert channel.sectors == enumerate_multisets(3, 300)
+        assert NPortChannel.closed_two_port(ChannelParams(0.5, 0.45)).sectors == []
+
+    @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (3, 300), (4, 30), (5, 8), (6, 4), (7, 3)])
     def test_declared_size_bounds_traced_peak(self, ports, cap):
         tracemalloc.start()
         try:

@@ -373,7 +373,8 @@ def element_from_table(a, b, proto, table):
 def declared_working_set(proto, blocks, w=4):
     """`working_set_mb` for the window a, b < w, from the reference components:
     24 bytes per entry of the Gram stacks, the largest factor batch, the
-    largest group's pair temporaries, 2 per window entry and the sized terms."""
+    largest group's pair temporaries, 2 per window entry, 2 per value of the
+    dense (w, w, d, d) output and the sized terms."""
     d, n = proto.levels, proto.ports
     dn, ds = d**n, d ** (n - 1)
     w = min(w, d)
@@ -393,7 +394,7 @@ def declared_working_set(proto, blocks, w=4):
         group_hits = sum(h for shape, h in zip(shapes, hits) if shape == (s, r))
         pairs = max(pairs, min(1 << 16, group_hits * r))
     sized = 2 * proto.dim + n * d**n + proto._gram.nnz
-    return 24 * (gram + factors + pairs + 2 * window + sized) / 2**20
+    return 24 * (gram + factors + pairs + 2 * window + 2 * w * w * d * d + sized) / 2**20
 
 
 STACK_POINTS = [(3, 6, 0.5, 0.4), (4, 4, 0.3, 0.35)]
@@ -460,7 +461,7 @@ class TestStackedStages:
         working_set = declared_working_set(proto, blocks)
         for _ in range(2):  # the first call runs the stages, the second reads them
             assert proto.eigenvalue_census() == census
-            assert proto.working_set_mb() == working_set
+            assert proto.working_set_mb(range(4), range(4)) == working_set
         elements = []
         for a in range(2):
             for b in range(2):
@@ -490,26 +491,32 @@ class TestStackedStages:
             rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
             key = (rows // dn - b_range.start) * len(a_range) + cols // dn - a_range.start
             order = np.lexsort((cols, rows, key))
-            offsets, p, q, gathered = proto._window(a_range, b_range)
-            assert np.array_equal(offsets, np.searchsorted(key[order], np.arange(len(a_range) * len(b_range) + 1)))
+            element, p, q, gathered = proto._window(a_range, b_range)
+            assert np.array_equal(element, key[order])
             assert np.array_equal(p, (rows[order] // ds) % d) and np.array_equal(q, (cols[order] // ds) % d)
             assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
 
     def test_report_elements_are_brute_elements_bitwise(self, ports, d, lx, ly):
         # the report's one window gives each element bitwise as its own
-        # one-element window does, and so the same deviations
+        # one-element window does, and so the same deviations, with more a
+        # than b and more b than a
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
-        report = verification_report(proto, 3, 2)
-        window = channel_elements(proto, range(4), range(3))
         channel = make_channel(proto.params, cap=d - 1 if ports > 2 else None)
-        assert [(e["a"], e["b"]) for e in report["elements"]] == [(a, b) for a in range(4) for b in range(3)]
-        for e in report["elements"]:
-            brute = brute_channel_element(e["a"], e["b"], proto).matrix
-            assert window[e["a"], e["b"]].astype(complex).tobytes() == brute.tobytes()
-            analytic = channel.number_element(e["a"], e["b"], proto.cutoff).matrix
-            assert e["max_deviation"] == float(np.abs(brute - analytic).max())
-            if e["a"] == e["b"]:
-                assert e["trace_deviation"] == abs(float(brute.trace().real) - 1.0)
+        for a_max, b_max in [(3, 2), (2, 3)]:
+            report = verification_report(proto, a_max, b_max)
+            window = channel_elements(proto, range(a_max + 1), range(b_max + 1))
+            pairs = [(a, b) for a in range(a_max + 1) for b in range(b_max + 1)]
+            assert [(e["a"], e["b"]) for e in report["elements"]] == pairs
+            for e in report["elements"]:
+                brute = brute_channel_element(e["a"], e["b"], proto).matrix
+                assert window[e["a"], e["b"]].astype(complex).tobytes() == brute.tobytes()
+                analytic = channel.number_element(e["a"], e["b"], proto.cutoff).matrix
+                assert e["max_deviation"] == float(np.abs(brute - analytic).max())
+                if e["a"] == e["b"]:
+                    assert e["trace_deviation"] == abs(float(brute.trace().real) - 1.0)
+                else:
+                    assert e["trace_deviation"] is None
+            assert report["max_deviation"] == max(e["max_deviation"] for e in report["elements"])
 
     @pytest.mark.parametrize("window", ["a_max=0", "b_max=d-1", "a!=b"])
     def test_edge_windows_match_single_elements_bitwise(self, ports, d, lx, ly, window):
@@ -631,7 +638,7 @@ def test_six_ports_within_default_budget(traced_report, monkeypatch):
     proto, report, _ = traced_report(6, 5, 0.1)
     assert memory_budget() == DEFAULT_BUDGET_MB
     assert report["passed"]
-    assert proto.working_set_mb() < DEFAULT_BUDGET_MB
+    assert proto.working_set_mb(range(4), range(4)) < DEFAULT_BUDGET_MB
 
 
 @pytest.mark.parametrize("ports,d,lam", [(6, 6, 0.1), (7, 4, 0.1)])
@@ -640,13 +647,13 @@ def test_reach_within_default_budget(traced_report, monkeypatch, ports, d, lam):
     proto, report, peak_mb = traced_report(ports, d, lam)
     assert memory_budget() == DEFAULT_BUDGET_MB
     assert report["passed"]
-    assert peak_mb <= proto.working_set_mb() <= min(4 * peak_mb, DEFAULT_BUDGET_MB)
+    assert peak_mb <= proto.working_set_mb(range(4), range(4)) <= min(4 * peak_mb, DEFAULT_BUDGET_MB)
 
 
 @pytest.mark.parametrize("ports,d,lam", [(3, 16, 0.3), (4, 9, 0.25), (5, 6, 0.25), (6, 5, 0.1)])
 def test_working_set_bounds_traced_peak(traced_report, ports, d, lam):
     proto, _, peak_mb = traced_report(ports, d, lam)
-    declared = proto.working_set_mb()
+    declared = proto.working_set_mb(range(4), range(4))
     assert peak_mb <= declared <= 4 * peak_mb
 
 
