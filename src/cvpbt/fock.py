@@ -43,11 +43,12 @@ class Cutoff:
 
     def __post_init__(self):
         if not isinstance(self.levels, (int, np.integer)) or self.levels < 2:
-            raise ValueError(f"cutoff must retain at least two Fock levels, got {self.levels}")
+            raise ValueError(f"cutoff must be an integer of at least two Fock levels, got {self.levels!r}")
+        object.__setattr__(self, "levels", int(self.levels))  # numpy integers become Python ints
 
 
 def as_cutoff(cutoff) -> Cutoff:
-    return cutoff if isinstance(cutoff, Cutoff) else Cutoff(int(cutoff))
+    return cutoff if isinstance(cutoff, Cutoff) else Cutoff(cutoff)
 
 
 def adaptive_cutoff(lam: float, tol: float = 1e-12, minimum: int = 2) -> Cutoff:

@@ -701,6 +701,8 @@ class NPortChannel:
 
     def __init__(self, params: ChannelParams, cap: int | None = None, gammas=_gamma_stack):
         self.params = params
+        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, np.integer))):
+            raise ValueError(f"cap must be an integer, got {cap!r}")
         self.cap = default_cap(params) if cap is None else int(cap)
         if self.cap < 0:
             raise ValueError("cap must be nonnegative")

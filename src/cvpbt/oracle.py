@@ -14,11 +14,12 @@ inside one of them, so G splits by the same labels into blocks of r port
 states, far fewer than the s indices of the rho block they stand for.
 Components of one (s, r) share a stacked eigh of their Gram blocks, and
 the square-root measurement comes from those stacks one batch of blocks
-at a time, as two s x k factors per block.  The partial trace keeps only
-the measurement entries whose row and column agree in the spectator
-digits, so a window of channel elements pairs those rows and columns and
-forms each kept entry from the factors alone: no s x s block and no table
-over all d^2 elements is made on the verification path.
+at a time, as two s x k factors per block (untouched indices last, of
+rank zero).  The partial trace keeps only the measurement entries whose
+row and column agree in the spectator digits, so a window of channel
+elements pairs those rows and columns and forms each kept entry from the
+factors alone: no s x s block and no table over all d^2 elements is made
+on the verification path.
 
 Mode order is (C, A_1, ..., A_N), C slowest; the receiver mode B_1
 joins only in the reduced resource.
@@ -106,8 +107,8 @@ class TruncatedProtocol:
     (`_eighs`, read through `_components`).  They are not fields, so two
     protocols of equal params and cutoff compare equal whichever stages
     have run.  The measurement is not kept: `_factors` streams it batch by
-    batch, and each window of channel elements (`_window`) or dense element
-    (`_povm_blocks`) reads the stream once.
+    batch, and a window of channel elements (`_window`) or the dense element
+    (`build_povm_element`) reads it once, forming entries with `_pairs`.
     """
 
     kernel_tol: ClassVar[float] = 1e-10
@@ -169,6 +170,15 @@ class TruncatedProtocol:
         dense = len(a_range) * len(b_range) * d * d
         entries = gram + factors + pairs + 2 * window + 2 * dense + self._sized_entries() + self._gram.nnz
         return _BYTES_PER_ENTRY * entries / 2**20
+
+    def povm_mb(self) -> float:
+        """Peak of `build_povm_element`: the dense output, the stage terms of
+        `working_set_mb` (its figure for an empty window) and the largest
+        chunk, m <= _CHUNK_ELEMS pairs of one (s, r) group: 2 m entries for
+        their positions and values, min(_CHUNK_ELEMS, m r) for products."""
+        sizes = [(min(_CHUNK_ELEMS, m.size * m.shape[1]), st.shape[1]) for m, st in self._groups[0]]
+        chunk = max((2 * m + min(_CHUNK_ELEMS, m * r) for m, r in sizes), default=0)
+        return self.dense_mb() + self.working_set_mb(range(0), range(0)) + _BYTES_PER_ENTRY * chunk / 2**20
 
     def _sized_entries(self) -> int:
         """The terms of `working_set_mb` that the sizes alone fix: 2 per
@@ -311,9 +321,9 @@ class TruncatedProtocol:
         Phi v_j of B is divided by its computed norm, which is sqrt(g_j) in
         exact arithmetic but carries none of the eigenvalue error of a small
         g_j.  Each batch holds components of one (s, r) and one k, at most
-        _CHUNK_ELEMS entries of their Phi blocks or one larger component.  The
-        indices rho does not touch are not in any batch; the element holds
-        1/N on their diagonal.
+        _CHUNK_ELEMS entries of their Phi blocks or one larger component.  Last
+        come the indices rho does not touch, `_groups[1]`, as members (lone, 1)
+        with L and B (lone, 1, 0) of rank zero: their entries are 1/N alone.
         """
         stacks, _ = self._components()
         n = self.ports
@@ -330,30 +340,23 @@ class TruncatedProtocol:
                     basis /= np.sqrt((basis * basis).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
                     port1 = vk * (st < first_port)[:, :, None]
                     yield idx, basis @ (vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n), basis
+        lone = self._groups[1][:, None]
+        yield lone, np.zeros(lone.shape + (0,)), np.zeros(lone.shape + (0,))
 
-    def _povm_blocks(self):
-        """First measurement element, one batch of `_factors` at a time, as
-        (members, blocks): blocks[j] is the element on the ascending indices
-        members[j].  Each entry is the sum over k of L[i] * B[j], the one
-        arithmetic `_window` uses, formed in chunks of at most _CHUNK_ELEMS
-        products and never more than the dense element's own dim^2.  The
-        indices rho does not touch come last, as 1x1 blocks holding 1/N.
-        """
-        n = self.ports
-        limit = min(_CHUNK_ELEMS, self.dim**2)
-        for members, left, basis in self._factors():
-            count, s, k = basis.shape
-            rows = max(1, min(s, limit // max(1, s * k)))  # block rows per chunk
-            comps = max(1, limit // max(1, rows * s * k))
-            block = np.empty((count, s, s))
-            for j in range(0, count, comps):
-                for i in range(0, s, rows):
-                    pair = left[j : j + comps, i : i + rows, None, :] * basis[j : j + comps, None, :, :]
-                    block[j : j + comps, i : i + rows] = pair.sum(axis=-1)
-            block.reshape(-1, s * s)[:, :: s + 1] += 1 / n  # identity share
-            yield members, block
-        lone = self._groups[1]
-        yield lone[:, None], np.full((lone.size, 1, 1), 1 / n)
+    def _pairs(self, left: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The one kernel of measurement entries: for one `_factors` batch, at
+        (row, column) positions in members.ravel(), the sum over k of
+        L[i] * B[j], _CHUNK_ELEMS products at a time, plus 1/N if row = column."""
+        count, s, k = basis.shape
+        left, basis = left.reshape(count * s, k), basis.reshape(count * s, k)
+        vals = np.empty(rows.size)
+        step = max(1, _CHUNK_ELEMS // max(1, k))
+        for i in range(0, rows.size, step):
+            pair = left[rows[i : i + step]]
+            pair *= basis[cols[i : i + step]]
+            vals[i : i + step] = pair.sum(axis=-1)
+        vals[rows == cols] += 1 / self.ports  # identity share
+        return vals
 
     def _join(self, members: np.ndarray, a_range: range, b_range: range):
         """The window entries of components `members` (count, s): row C digit in
@@ -384,14 +387,13 @@ class TruncatedProtocol:
         (A_2..A_N).
 
         Streams `_factors` once.  In each batch the rows and columns of
-        `_join` are paired, and each pair's entry is L[i] . B[j], the sum
-        over k of L[i] * B[j] taken _CHUNK_ELEMS products at a time, plus
-        1/N on the diagonal; untouched indices enter as 1/N diagonal
-        entries.  Sorted by (b, a), then row, then column; each entry keeps
-        its element index (b - b0) len(a_range) + (a - a0), its A_1 digits
-        (p of the row, q of the column) and its value times the spectator
-        thermal product prod_k chi_x(r_k).  The sort key is unique per
-        entry, so the order of the batches does not matter.
+        `_join` are paired and `_pairs` forms their entries; an untouched
+        index, in the last batch, pairs only with itself, where its C digit
+        lies in both ranges.  Sorted by (b, a), then row, then column; each
+        entry keeps its element index (b - b0) len(a_range) + (a - a0), its
+        A_1 digits (p of the row, q of the column) and its value times the
+        spectator thermal product prod_k chi_x(r_k).  The sort key is unique
+        per entry, so the order of the batches does not matter.
         """
         d, n = self.levels, self.ports
         dn, ds = d**n, d ** (n - 1)
@@ -409,22 +411,9 @@ class TruncatedProtocol:
             ends = np.cumsum(hits)
             cols = cols[np.arange(hits.sum()) - np.repeat(ends - hits - lo, hits)]
             rows = np.repeat(rows, hits)
-            k = basis.shape[2]
-            left, basis = left.reshape(-1, k), basis.reshape(-1, k)
-            vals = np.empty(rows.size)
-            step = max(1, _CHUNK_ELEMS // max(1, k))
-            for i in range(0, rows.size, step):
-                pair = left[rows[i : i + step]]
-                pair *= basis[cols[i : i + step]]
-                vals[i : i + step] = pair.sum(axis=-1)
-            vals[rows == cols] += 1 / n  # identity share
             flat = members.ravel()
             keys.append(sort_key(flat[rows], flat[cols]))
-            parts.append(vals)
-        lone = self._groups[1]
-        lone = lone[(lone // dn >= max(a_range.start, b_range.start)) & (lone // dn < min(a_range.stop, b_range.stop))]
-        keys.append(sort_key(lone, lone))
-        parts.append(np.full(lone.size, 1 / n))
+            parts.append(self._pairs(left, basis, rows, cols))
         key, vals = np.concatenate(keys), np.concatenate(parts)
         del keys, parts  # `working_set_mb` counts two copies of the entries at a time
         order = np.argsort(key)  # the key is unique, so any sort gives this order
@@ -459,11 +448,19 @@ def build_rho(proto: TruncatedProtocol) -> FockOperator:
 
 
 def build_povm_element(proto: TruncatedProtocol) -> FockOperator:
-    """First POVM element, dense, with the eigenvalue census in `meta`."""
-    require_memory(proto.dense_mb(), "dense measurement element")
+    """First POVM element, dense, with the eigenvalue census in `meta`: `_pairs`
+    at every in-component pair of each `_factors` batch, _CHUNK_ELEMS at a time."""
+    require_memory(proto.dense_mb(), "dense measurement element")  # before `povm_mb` runs the stages
+    require_memory(proto.povm_mb(), "dense measurement element")
     mat = np.zeros((proto.dim, proto.dim))
-    for members, blocks in proto._povm_blocks():
-        mat[members[:, :, None], members[:, None, :]] = blocks
+    for members, left, basis in proto._factors():
+        count, s = members.shape
+        flat = members.ravel()
+        for lo in range(0, count * s * s, _CHUNK_ELEMS):
+            pair = np.arange(lo, min(lo + _CHUNK_ELEMS, count * s * s))  # (component, row, column), row-major
+            rows = pair // s
+            cols = rows - rows % s + pair % s
+            mat[flat[rows], flat[cols]] = proto._pairs(left, basis, rows, cols)
     return FockOperator(mat, proto.ports + 1, proto.cutoff, meta=proto.eigenvalue_census())
 
 
@@ -497,7 +494,8 @@ def reduced_resource(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     d, n = proto.levels, proto.ports
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
-    require_memory(proto.dense_mb(extra_modes=1), "dense reduced resource")
+    # the output and the copy permute_modes makes of it, and the operands of the last np.kron
+    require_memory(2 * proto.dense_mb(extra_modes=1) + proto.dense_mb() + d * d * 8 / 2**20, "dense reduced resource")
     lx = proto.params.lambda_x
     signal = np.zeros((d, d))
     signal[a, b] = 1.0

@@ -10,6 +10,7 @@ from cvpbt.fock import (
     DensityOperator,
     FockOperator,
     adaptive_cutoff,
+    as_cutoff,
     chi,
     coherent_cutoff,
     coherent_ket,
@@ -56,6 +57,15 @@ class TestCutoffs:
     def test_cutoff_invariant(self):
         with pytest.raises(ValueError):
             Cutoff(1)
+
+    @pytest.mark.parametrize("levels", [2.9, "12", 5.0])
+    def test_non_integral_cutoff_is_refused(self, levels):
+        with pytest.raises(ValueError, match="integer"):
+            as_cutoff(levels)
+
+    def test_numpy_integer_cutoff_is_kept_as_an_int(self):
+        cutoff = as_cutoff(np.int64(5))
+        assert cutoff == Cutoff(5) and type(cutoff.levels) is int
 
     def test_adaptive_geometric(self):
         c = adaptive_cutoff(0.5, 1e-12)

@@ -804,6 +804,23 @@ class TestBuildBudget:
         with pytest.raises(ValueError, match="cap must be nonnegative"):
             NPortChannel(ChannelParams(0.3, 0.3, ports=3), cap=-1)
 
+    @pytest.mark.parametrize("cap", [2.5, True])
+    def test_non_integral_cap_is_refused(self, cap):
+        with pytest.raises(ValueError, match="cap must be an integer"):
+            NPortChannel(ChannelParams(0.3, 0.3, ports=4), cap=cap)
+
+    def test_numpy_integer_sizes_build(self):
+        p = ChannelParams(0.3, 0.3, ports=4)
+        assert NPortChannel(p, cap=np.int64(2)).cap == 2
+        two = ChannelParams(0.3, 0.35)
+        assert input_output_fidelity("tmsv", two, lambda_in=0.3, levels=np.int64(5)) == input_output_fidelity(
+            "tmsv", two, lambda_in=0.3, levels=5
+        )
+
+    def test_non_integral_levels_are_refused(self):
+        with pytest.raises(ValueError, match="integer"):
+            input_output_fidelity("tmsv", ChannelParams(0.3, 0.35), lambda_in=0.3, levels=5.7)
+
     def test_sector_list_is_made_on_first_read(self, monkeypatch):
         # the build walks patterns and lists no multiset; `sectors` lists them when read
         def unlisted(*args):

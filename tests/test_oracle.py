@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
+from cvpbt import oracle
 from cvpbt.fock import Cutoff, chi, chi_vector, permute_modes
 from cvpbt.nport import ThreePortChannel, make_channel
 from cvpbt.oracle import (
@@ -475,17 +476,20 @@ class TestStackedStages:
 
     def test_gather_order_is_lexsort_order(self, ports, d, lx, ly):
         # the one-key argsort of `_window` against (key, row, column) lexsort
-        # of the window's entries read off the dense measurement blocks, for
-        # the whole cutoff and for windows that start off zero, a or b first
+        # of the window's entries read off the dense measurement over the
+        # members of `_groups`, untouched indices last, for the whole cutoff
+        # and for windows that start off zero, a or b first
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
         chi_x = chi_vector(lx, d)
         thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
+        mat = build_povm_element(proto).matrix
+        groups, lone = proto._groups
         for a_range, b_range in [(range(d), range(d)), (range(1, 3), range(2, d)), (range(2, d), range(1, 3))]:
             parts = []
-            for members, blocks in proto._povm_blocks():
-                rows = np.broadcast_to(members[:, :, None], blocks.shape)
-                cols = np.broadcast_to(members[:, None, :], blocks.shape)
+            for members in [members for members, _ in groups] + [lone[:, None]]:
+                rows, cols = np.broadcast_arrays(members[:, :, None], members[:, None, :])
+                blocks = mat[rows, cols]
                 hit = (rows % ds == cols % ds) & np.isin(rows // dn, b_range) & np.isin(cols // dn, a_range)
                 parts.append((rows[hit], cols[hit], blocks[hit]))
             rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
@@ -495,6 +499,31 @@ class TestStackedStages:
             assert np.array_equal(element, key[order])
             assert np.array_equal(p, (rows[order] // ds) % d) and np.array_equal(q, (cols[order] // ds) % d)
             assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
+
+    def test_untouched_indices_are_the_zero_rank_batch(self, ports, d, lx, ly, monkeypatch):
+        # the last batch of `_factors` is `_groups[1]` with zero-width factors;
+        # a window reading it alone gives those indices 1/N, as the dense
+        # element does, only where their C digit lies in both ranges
+        proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        dn, ds = d**ports, d ** (ports - 1)
+        lone = proto._groups[1]
+        *_, last = proto._factors()
+        assert np.array_equal(last[0], lone[:, None])
+        assert last[1].shape == last[2].shape == (lone.size, 1, 0)
+        mat = build_povm_element(proto).matrix
+        assert np.all(mat[lone, lone] == 1 / ports)
+        assert np.count_nonzero(mat[lone]) == np.count_nonzero(mat[:, lone]) == lone.size
+        a_range, b_range = range(2, 4), range(1, 3)
+        monkeypatch.setattr(proto, "_factors", lambda: iter([last]))
+        element, p, q, vals = proto._window(a_range, b_range)
+        inside = lone[np.isin(lone // dn, a_range) & np.isin(lone // dn, b_range)]
+        c = inside // dn
+        assert inside.size and np.all(c == 2)
+        chi_x = chi_vector(lx, d)
+        thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
+        assert np.array_equal(element, (c - b_range.start) * len(a_range) + c - a_range.start)
+        assert np.array_equal(p, inside % dn // ds) and np.array_equal(q, p)
+        assert vals.tobytes() == (mat[inside, inside] * thermal[inside % ds]).tobytes()
 
     def test_report_elements_are_brute_elements_bitwise(self, ports, d, lx, ly):
         # the report's one window gives each element bitwise as its own
@@ -655,6 +684,28 @@ def test_working_set_bounds_traced_peak(traced_report, ports, d, lam):
     proto, _, peak_mb = traced_report(ports, d, lam)
     declared = proto.working_set_mb(range(4), range(4))
     assert peak_mb <= declared <= 4 * peak_mb
+
+
+@pytest.mark.parametrize("surface,ports,d", [("resource", 2, 6), ("resource", 3, 4), ("resource", 4, 3),
+                                             ("povm", 2, 8), ("povm", 3, 5), ("povm", 4, 4)])
+def test_dense_surfaces_declare_their_traced_peak(surface, ports, d, monkeypatch):
+    # what a dense surface declares to the budget gate covers its traced peak
+    # and stays within 4 times it
+    declared, gate = [], oracle.require_memory
+
+    def recording(mb, what):
+        declared.append(mb)
+        gate(mb, what)
+
+    monkeypatch.setattr(oracle, "require_memory", recording)
+    proto = TruncatedProtocol(ChannelParams(0.3, 0.35, ports=ports), Cutoff(d))
+    tracemalloc.start()
+    try:
+        reduced_resource(1, 0, proto) if surface == "resource" else build_povm_element(proto)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mb <= max(declared) <= 4 * peak_mb
 
 
 def test_budget_refusal_allocates_nothing_sized(monkeypatch):
