@@ -6,12 +6,15 @@ operator rho, the square-root measurement, and the channel as a
 partial trace.  No closed-form channel expression enters, which makes
 this module the independent ground truth for the analytic ones.
 
-Everything stays sparse.  Each sigma_i is a sum of rank-one terms over the
-port states phi_(i,x), so rho = Phi Phi^T, and the Gram matrix
-G = Phi^T Phi has exactly rho's nonzero spectrum.  rho splits into the
-connected components of its sparsity pattern, and each port state lies
-inside one of them, so G splits by the same labels into blocks of r port
-states, far fewer than the s indices of the rho block they stand for.
+Phi stays an index table, and numpy is the only dependency.  Each sigma_i
+is a sum of rank-one terms over the port states phi_(i,x), and each port
+state holds D amplitudes at rows a formula gives, so rho = Phi Phi^T is
+known from that table of rows, and the Gram matrix G = Phi^T Phi has
+exactly rho's nonzero spectrum.  rho splits into the connected components
+of the graph joining each port state to the indices it touches, and each
+port state lies inside one of them, so G splits by the same labels into
+blocks of r port states, far fewer than the s indices of the rho block
+they stand for; the Phi and Gram blocks are scattered from the table.
 Components of one (s, r) share a stacked eigh of their Gram blocks, and
 the square-root measurement comes from those stacks one batch of blocks
 at a time, as two s x k factors per block (untouched indices last, of
@@ -34,8 +37,6 @@ from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .fock import Cutoff, FockOperator, as_cutoff, chi_vector, permute_modes
 from .two_port import ChannelParams
@@ -102,7 +103,7 @@ class TruncatedProtocol:
     first; a bad CVPBT_MEM_BUDGET_MB already fails construction.
 
     Each stage is one cached attribute, computed on first use and returned
-    whole: Phi (`_phi`), G (`_gram`), the (s, r) grouping of rho's
+    whole: Phi as an index table (`_phi`), the (s, r) grouping of rho's
     components (`_groups`) and their stacked Gram eighs with the kernel cut
     (`_eighs`, read through `_components`).  They are not fields, so two
     protocols of equal params and cutoff compare equal whichever stages
@@ -144,31 +145,33 @@ class TruncatedProtocol:
         Counted in entries of _BYTES_PER_ENTRY bytes over the components of
         s indices and r port states: sum(r^2) for the Gram eigenvector
         stacks, one (s, r) group's stacked eigh input and eigh's own copies;
-        b (s r + r^2) for the largest batch of `_factors`, b components with
-        b s r <= _CHUNK_ELEMS or one larger component (its Phi block, B, L
-        and the k x k products); per group, the pair temporaries of its
+        count r (D + 2N) for the pairing temporaries of the largest group's
+        Gram blocks (its rows of `_phi` and the shared index, partner and
+        value of each port pair); b (s r + r^2) for the largest batch of
+        `_factors`, b components with b s r <= _CHUNK_ELEMS or one larger
+        component (its Phi block, B, L and the k x k products); per group, the pair temporaries of its
         window entries, at most _CHUNK_ELEMS or the entries times r; 2 per
         window entry (their keys, values and sort); 2 per value of the dense
         (len(a), len(b), d, d) output, which covers its scatter and scaled
-        copy, then the report's analytic window and their difference;
-        `_sized_entries`; and the entries of the sparse G.  The route builds
-        no sparse rho or sigma, no s x s block and no table over all d^2
-        elements.
+        copy, then the report's analytic window and their difference; and
+        `_sized_entries`.  The route builds no rho or sigma, no s x s block
+        and no table over all d^2 elements.
         """
-        d, dn = self.levels, self.levels**self.ports
+        d, n, dn = self.levels, self.ports, self.levels**self.ports
         lone = self._groups[1] // dn
         window = int(((lone >= max(a_range.start, b_range.start)) & (lone < min(a_range.stop, b_range.stop))).sum())
-        gram = factors = pairs = 0
+        gram = pairing = factors = pairs = 0
         for members, states in self._groups[0]:
             count, s = members.shape
             r = states.shape[1]
             gram += count * r * r
+            pairing = max(pairing, count * r * (d + 2 * n))
             factors = max(factors, min(count, max(1, _CHUNK_ELEMS // (s * r))) * (s * r + r * r))
             hits = int(self._join(members, a_range, b_range)[3].sum())
             window += hits
             pairs = max(pairs, min(_CHUNK_ELEMS, hits * r))
         dense = len(a_range) * len(b_range) * d * d
-        entries = gram + factors + pairs + 2 * window + 2 * dense + self._sized_entries() + self._gram.nnz
+        entries = gram + pairing + factors + pairs + 2 * window + 2 * dense + self._sized_entries()
         return _BYTES_PER_ENTRY * entries / 2**20
 
     def povm_mb(self) -> float:
@@ -182,48 +185,35 @@ class TruncatedProtocol:
 
     def _sized_entries(self) -> int:
         """The terms of `working_set_mb` that the sizes alone fix: 2 per
-        basis index (the component labels, their order and members) and
-        Phi's N D^N entries."""
+        basis index (the component labels, their order and members, and each
+        member's position in `_factors`) and the N D^N entries of the `_phi`
+        table (and the labels `_groups` gathers from it)."""
         return 2 * self.dim + self.ports * self.levels**self.ports
 
-    # -- sparse protocol objects --------------------------------------------
-
-    def sigma_sparse(self, i: int) -> sp.csr_matrix:
-        if not 1 <= i <= self.ports:
-            raise ValueError(f"port index {i} outside 1..{self.ports}")
-        ds = self.levels ** (self.ports - 1)
-        phi = self._phi[:, (i - 1) * ds : i * ds]
-        return (phi @ phi.T).tocsr().sorted_indices()
-
-    def rho_sparse(self) -> sp.csr_matrix:
-        # at most ports * dim entries, each with at most one term per port, added
-        # in port order: bitwise the sum of the sigmas
-        require_memory(_BYTES_PER_ENTRY * 2 * self.ports * self.dim / 2**20, "sparse rho")
-        return (self._phi @ self._phi.T).tocsr().sorted_indices()
+    # -- the port states ----------------------------------------------------
 
     @cached_property
-    def _phi(self) -> sp.csr_matrix:
-        """Phi, whose columns are the port states
-        phi_(i,x) = sqrt(1 - ly^2) sum_c (-ly)^c |C = c, A_i = c, spectators = x>,
-        port i slowest, then the spectator digits x; sigma_i = sum_x
-        phi_(i,x) phi_(i,x)^T (`sigma_sparse`), so rho = Phi Phi^T."""
+    def _phi(self) -> np.ndarray:
+        """Phi as its index table: the port state
+        phi_(i,x) = sum_c amps[c] |C = c, A_i = c, spectators = x>, column
+        (i, x) of Phi (port i slowest, then the spectator digits x), holds
+        `_amps`[c] at row rows[(i, x), c], an int64 table of shape
+        (N D^(N-1), D).  sigma_i = sum_x phi_(i,x) phi_(i,x)^T, so
+        rho = Phi Phi^T."""
         d, n = self.levels, self.ports
         ds = d ** (n - 1)
         c = np.arange(d)
-        amps = np.sqrt(1 - self.params.lambda_y**2) * (-self.params.lambda_y) ** c
         place = d ** (n - np.arange(1, n + 1))[:, None]  # place values d^(N-i) of A_1..A_N
         x = np.arange(ds)
         # spectator digits x with a zero digit put in at A_i, then C = A_i = c
         rows = (x // place * (d * place) + x % place)[:, :, None] + (d**n + place)[:, :, None] * c
-        rows = rows.ravel()  # (i, x, c)
-        cols = np.repeat(np.arange(n * ds), d)
-        vals = np.tile(amps, n * ds)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.dim, n * ds))
+        return rows.reshape(n * ds, d)
 
-    @cached_property
-    def _gram(self) -> sp.csr_matrix:
-        """G = Phi^T Phi, the overlaps of the port states."""
-        return (self._phi.T @ self._phi).tocsr()
+    @property
+    def _amps(self) -> np.ndarray:
+        """Each port state's amplitudes sqrt(1 - ly^2) (-ly)^c, c < D."""
+        ly = self.params.lambda_y
+        return np.sqrt(1 - ly**2) * (-ly) ** np.arange(self.levels)
 
     # -- spectral decomposition over connected components --------------------
 
@@ -232,17 +222,37 @@ class TruncatedProtocol:
         """rho's components grouped by their s indices and r port states, and
         the indices no port state touches: ([(members (k, s), states (k, r)),
         ...], lone), one pair per (s, r) in ascending (s, r), each row the
-        ascending members and port states of one component.
+        ascending members and port states of one component, components of
+        one (s, r) in order of their smallest port state.
 
-        rho = Phi Phi^T links two indices exactly when a chain of overlapping
-        port states joins them, so the components are those of G's pattern,
-        carried to the indices each port state touches.  A port state touches
+        rho = Phi Phi^T links two indices exactly when a chain of port states
+        sharing an index joins them, so the components are those of the
+        index <-> port-state graph of `_phi`.  Each port state starts with
+        its own number as label; every index takes the least label of the
+        port states touching it, every port state the least of its indices',
+        then the label its label has, until nothing changes: each label is
+        then the smallest port state of its component.  A port state touches
         D >= 2 indices, so every component has s > 1; the `lone` indices,
         ascending, are untouched by rho: kernel."""
-        count, state_labels = csgraph.connected_components(self._gram, directed=False)
-        phi = self._phi.tocoo()
-        labels = np.full(self.dim, count, dtype=np.int64)  # untouched indices sort last
-        labels[phi.row] = state_labels[phi.col]
+        rows = self._phi
+        total = rows.shape[0]
+        span = total // self.ports
+        state_labels = np.arange(total)
+        while True:
+            labels = np.full(self.dim, total)  # untouched indices keep `total`
+            for lo in range(0, total, span):  # one port's table holds an index at most once
+                part = rows[lo : lo + span]
+                labels[part] = np.minimum(labels[part], state_labels[lo : lo + span, None])
+            least = labels[rows].min(axis=1)
+            least = least[least]
+            if np.array_equal(least, state_labels):
+                break
+            state_labels = least
+        firsts, state_labels = np.unique(state_labels, return_inverse=True)
+        count = firsts.size
+        number = np.full(total + 1, count)  # untouched indices sort last
+        number[firsts] = np.arange(count)
+        labels = number[labels]
         sizes = np.bincount(labels, minlength=count + 1)[:count]
         ranks = np.bincount(state_labels, minlength=count)
         order = np.argsort(labels, kind="stable")  # members of each label, ascending
@@ -256,19 +266,37 @@ class TruncatedProtocol:
             groups.append((members, state_order[state_starts[comps][:, None] + np.arange(r)]))
         return groups, order[sizes.sum() :]
 
-    @staticmethod
-    def _dense_blocks(mat: sp.csr_matrix, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Stack of mat[rows[j]][:, cols[j]], shape (k, s, r), read from the CSR
-        rows of `rows` alone.  Every entry of those rows must lie in the
-        columns of its own block, as it does for Phi and G, whose entries never
-        join two components."""
-        k, s = rows.shape
-        r = cols.shape[1]
-        sub = mat[rows.ravel()].tocoo()  # row t of sub is row rows.flat[t] of mat
-        pos = np.empty(mat.shape[1], dtype=np.int64)
-        pos[cols.ravel()] = np.tile(np.arange(r), k)
+    def _phi_blocks(self, states: np.ndarray, where: np.ndarray, s: int) -> np.ndarray:
+        """Phi on the s indices and r port states of each component, shape
+        (k, s, r), one scatter of `_amps` from the rows of `states` (k, r);
+        `where` gives each index's position among its component's members."""
+        k, r = states.shape
         out = np.zeros((k, s, r))
-        out[sub.row // s, sub.row % s, pos[sub.col]] = sub.data
+        out[np.arange(k)[:, None, None], where[self._phi[states]], np.arange(r)[:, None]] = self._amps
+        return out
+
+    def _gram_blocks(self, states: np.ndarray, where: np.ndarray) -> np.ndarray:
+        """The Gram blocks G = Phi^T Phi on the port states of each row of
+        `states` (k, r), shape (k, r, r); `where` gives each port state's
+        position in its row.
+
+        Port states (i, x) and (j, y) with i != j share one index, the one
+        whose C digit c is x's A_j digit, and overlap amps[c]^2 there; two
+        states of one port share none.  A diagonal entry is sum_c amps[c]^2,
+        added one term at a time in ascending c, as a sparse product
+        Phi^T Phi adds it (np.sum would pair the terms differently)."""
+        d, n = self.levels, self.ports
+        dn, ds = d**n, d ** (n - 1)
+        place = d ** (n - 1 - np.arange(n))  # place values of A_1..A_N
+        square = self._amps * self._amps
+        rows = self._phi[states]  # (k, r, D); column 0 holds the spectator digits, A_i = 0
+        digit = rows[..., :1] // place % d  # (k, r, N): the C digit shared with each port, 0 at its own
+        shared = np.take_along_axis(rows, digit, axis=-1) % dn
+        partner = np.arange(n) * ds + shared // (d * place) * place + shared % place
+        k, r = states.shape
+        out = np.zeros((k, r, r))
+        out[np.arange(k)[:, None, None], np.arange(r)[:, None], where[partner]] = square[digit]
+        out[:, np.arange(r), np.arange(r)] = np.cumsum(square)[-1]  # overwrites the own-port term
         return out
 
     def _components(self):
@@ -290,8 +318,10 @@ class TruncatedProtocol:
     @cached_property
     def _eighs(self):
         stacks = []
+        where = np.empty(self._phi.shape[0], dtype=np.int64)
         for members, states in self._groups[0]:
-            w, v = np.linalg.eigh(self._dense_blocks(self._gram, states, states))
+            where[states] = np.arange(states.shape[1])
+            w, v = np.linalg.eigh(self._gram_blocks(states, where))
             stacks.append((members, states, w, v))
         max_eig = max((float(w.max()) for _, _, w, _ in stacks), default=0.0)
         cut = self.kernel_tol * max_eig  # w ascends, so the kept are each block's last
@@ -328,6 +358,9 @@ class TruncatedProtocol:
         stacks, _ = self._components()
         n = self.ports
         first_port = self.levels ** (n - 1)  # port-1 states are Phi's first columns
+        where = np.empty(self.dim, dtype=np.int64)  # each index's position among its component's members
+        for members, *_ in stacks:
+            where[members] = np.arange(members.shape[1])
         for members, states, _, v, kept in stacks:
             s, r = members.shape[1], states.shape[1]
             step = max(1, _CHUNK_ELEMS // (s * r))
@@ -336,7 +369,7 @@ class TruncatedProtocol:
                 for lo in range(0, same.size, step):
                     part = same[lo : lo + step]
                     idx, st, vk = members[part], states[part], v[part][:, :, r - k :]
-                    basis = self._dense_blocks(self._phi, idx, st) @ vk
+                    basis = self._phi_blocks(st, where, s) @ vk
                     basis /= np.sqrt((basis * basis).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
                     port1 = vk * (st < first_port)[:, :, None]
                     yield idx, basis @ (vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n), basis
@@ -371,8 +404,12 @@ class TruncatedProtocol:
         s = members.shape[1]
         flat = members.ravel()
         digit = flat // dn
-        rows = np.flatnonzero((digit >= b_range.start) & (digit < b_range.stop))
-        cols = np.flatnonzero((digit >= a_range.start) & (digit < a_range.stop))
+        in_b = (digit >= b_range.start) & (digit < b_range.stop)
+        in_a = (digit >= a_range.start) & (digit < a_range.stop)
+        if s == 1:  # untouched indices: each pairs with itself alone, if its C digit lies in both ranges
+            both = np.flatnonzero(in_b & in_a)
+            return both, both, np.arange(both.size), np.ones(both.size, dtype=np.int64)
+        rows, cols = np.flatnonzero(in_b), np.flatnonzero(in_a)
         row_key = rows // s * ds + flat[rows] % ds  # position // s is the component
         col_key = cols // s * ds + flat[cols] % ds
         by_key = np.argsort(col_key)
@@ -436,15 +473,31 @@ class TruncatedProtocol:
 # ---------------------------------------------------------------------------
 
 
+def _overlaps(proto: TruncatedProtocol, ports) -> FockOperator:
+    """sum_x phi_(i,x) phi_(i,x)^T over the ports i, dense, each port's
+    outer(amps, amps) scattered in turn: an entry gets at most one term per
+    port, added in port order as in Phi Phi^T."""
+    d = proto.levels
+    rows = proto._phi.reshape(proto.ports, -1, d)
+    pair = np.outer(proto._amps, proto._amps)
+    mat = np.zeros((proto.dim, proto.dim))
+    for i in ports:
+        mat[rows[i - 1][:, :, None], rows[i - 1][:, None, :]] += pair
+    return FockOperator(mat, proto.ports + 1, proto.cutoff)
+
+
 def build_sigma(i: int, proto: TruncatedProtocol) -> FockOperator:
     """Port overlap operator for port i on modes (C, A_1..A_N), dense."""
+    if not 1 <= i <= proto.ports:
+        raise ValueError(f"port index {i} outside 1..{proto.ports}")
     require_memory(proto.dense_mb(), "dense sigma")
-    return FockOperator(proto.sigma_sparse(i).toarray(), proto.ports + 1, proto.cutoff)
+    return _overlaps(proto, [i])
 
 
 def build_rho(proto: TruncatedProtocol) -> FockOperator:
+    """rho = sum_i sigma_i, dense."""
     require_memory(proto.dense_mb(), "dense rho")
-    return FockOperator(proto.rho_sparse().toarray(), proto.ports + 1, proto.cutoff)
+    return _overlaps(proto, range(1, proto.ports + 1))
 
 
 def build_povm_element(proto: TruncatedProtocol) -> FockOperator:

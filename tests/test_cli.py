@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import cvpbt
 from cvpbt import bounds, oracle, two_port
 from cvpbt.cli import EXIT_BUDGET, EXIT_OK, EXIT_TOLERANCE, EXIT_VALIDATION, main, read_table, result_table_schema
 
@@ -479,3 +484,49 @@ class TestOversizeInputs:
                 tracemalloc.stop()
             assert code == EXIT_OK
             assert peak_mb <= max(declared) <= 4 * peak_mb
+
+
+# -- the package runs on numpy alone -------------------------------------------
+
+NUMPY_ALONE_COMMANDS = {
+    "energy": ["energy", "--lambda-x-range", "0.1:0.5:3", "--lambda-y-range", "0.1:0.5:3"],
+    "fidelity-sweep": ["fidelity-sweep", "--ports", "3", "--input", "tmsv", "--lambda-in", "0.3",
+                       "--lambda-x-range", "0.2:0.5:2", "--lambda-y-range", "0.2:0.5:2"],
+    "bounds": ["bounds", "--kind", "lossy", "--lambda-x", "0.6", "--lambda-y", "0.6", "--energy-range", "0:2:3"],
+    "oracle-verify": ["oracle-verify", "--ports", "3", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "8"],
+}
+
+
+def run_python(code: str, cwd: Path, block_scipy: bool) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter that imports this cvpbt, with
+    sys.modules["scipy"] = None first if `block_scipy`, so that any scipy
+    import raises ImportError."""
+    package_root = str(Path(cvpbt.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    prelude = 'import sys; sys.modules["scipy"] = None\n' if block_scipy else ""
+    return subprocess.run([sys.executable, "-c", prelude + code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+class TestNumpyAlone:
+    @pytest.mark.parametrize("command", list(NUMPY_ALONE_COMMANDS))
+    def test_command_runs_with_scipy_blocked(self, tmp_path, command):
+        out = tmp_path / "out.json"
+        argv = NUMPY_ALONE_COMMANDS[command] + ["--format", "json", "--out", str(out)]
+        done = run_python(f"from cvpbt.cli import main; raise SystemExit(main({argv!r}))", tmp_path, block_scipy=True)
+        assert done.returncode == EXIT_OK, done.stderr
+        table = json.loads(out.read_text())
+        if command == "oracle-verify":
+            assert table["metadata"]["passed"] is True
+
+    def test_import_and_oracle_run_load_no_scipy(self, tmp_path):
+        argv = NUMPY_ALONE_COMMANDS["oracle-verify"] + ["--out", str(tmp_path / "out.csv")]
+        code = (
+            "import sys, cvpbt.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+            f"assert cvpbt.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        )
+        done = run_python(code, tmp_path, block_scipy=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "[]"]

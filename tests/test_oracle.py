@@ -73,14 +73,19 @@ class TestRho:
 
     @pytest.mark.parametrize("ports, d", [(2, 8), (3, 6), (4, 4), (5, 3)])
     def test_sparse_rho_is_the_sum_of_sparse_sigmas_bitwise(self, ports, d):
-        # Phi Phi^T adds at most one term per port to an entry, in port order
+        # Phi Phi^T adds at most one term per port to an entry, in port order,
+        # and the dense surfaces scattered from the index table are those
+        # sparse products bitwise
         proto = TruncatedProtocol(ChannelParams(0.45, 0.55, ports=ports), Cutoff(d))
-        total = proto.sigma_sparse(1)
+        total = sparse_sigma(proto, 1)
         for i in range(2, ports + 1):
-            total = total + proto.sigma_sparse(i)
-        rho = proto.rho_sparse()
+            total = total + sparse_sigma(proto, i)
+        rho = sparse_rho(proto)
         for name in ("indptr", "indices", "data"):
             assert getattr(rho, name).tobytes() == getattr(total, name).tobytes()
+        assert build_rho(proto).matrix.tobytes() == rho.toarray().tobytes()
+        for i in range(1, ports + 1):
+            assert build_sigma(i, proto).matrix.tobytes() == sparse_sigma(proto, i).toarray().tobytes()
 
     def test_kernel_vectors(self, proto_small):
         # |p q r> with p not in {q, r} lies in the kernel
@@ -272,11 +277,77 @@ class TestReport:
 
 
 # -- per-block references for the stacked oracle stages ----------------------
+#
+# The references are scipy's sparse products and graph components of Phi,
+# built as a CSR matrix from the oracle's index table: column (i, x) holds
+# amps[c] at row rows[(i, x), c].
+
+
+def sparse_phi(proto):
+    rows = proto._phi
+    count, d = rows.shape
+    data = np.tile(proto._amps, count)
+    return sp.csr_matrix((data, (rows.ravel(), np.repeat(np.arange(count), d))), shape=(proto.dim, count))
+
+
+def sparse_sigma(proto, i):
+    ds = proto.levels ** (proto.ports - 1)
+    phi = sparse_phi(proto)[:, (i - 1) * ds : i * ds]
+    return (phi @ phi.T).tocsr().sorted_indices()
+
+
+def sparse_rho(proto):
+    phi = sparse_phi(proto)
+    return (phi @ phi.T).tocsr().sorted_indices()
+
+
+def sparse_gram(proto):
+    phi = sparse_phi(proto)
+    return (phi.T @ phi).tocsr()
+
+
+def sparse_groups(proto):
+    """`_groups` from csgraph's components of G's pattern, numbered as csgraph
+    numbers them, by their smallest port state."""
+    phi = sparse_phi(proto).tocoo()
+    count, state_labels = csgraph.connected_components(sparse_gram(proto), directed=False)
+    labels = np.full(proto.dim, count, dtype=np.int64)
+    labels[phi.row] = state_labels[phi.col]
+    sizes = np.bincount(labels, minlength=count + 1)[:count]
+    ranks = np.bincount(state_labels, minlength=count)
+    order = np.argsort(labels, kind="stable")
+    state_order = np.argsort(state_labels, kind="stable")
+    starts, state_starts = np.cumsum(sizes) - sizes, np.cumsum(ranks) - ranks
+    pairs = np.stack([sizes, ranks], axis=1)
+    groups = []
+    for s, r in np.unique(pairs, axis=0):
+        comps = np.flatnonzero((pairs[:, 0] == s) & (pairs[:, 1] == r))
+        groups.append((order[starts[comps][:, None] + np.arange(s)],
+                       state_order[state_starts[comps][:, None] + np.arange(r)]))
+    return groups, order[sizes.sum() :]
+
+
+@pytest.mark.parametrize("ports,d", [(2, 12), (3, 6), (4, 4), (5, 3), (6, 3)])
+def test_groups_and_gram_blocks_are_the_sparse_reference_bitwise(ports, d):
+    proto = TruncatedProtocol(ChannelParams(0.4, 0.45, ports=ports), Cutoff(d))
+    groups, lone = proto._groups
+    ref_groups, ref_lone = sparse_groups(proto)
+    assert lone.tobytes() == ref_lone.tobytes()
+    assert len(groups) == len(ref_groups)
+    gram = sparse_gram(proto)
+    where = np.empty(proto._phi.shape[0], dtype=np.int64)
+    for (members, states), (ref_members, ref_states) in zip(groups, ref_groups):
+        assert members.tobytes() == ref_members.tobytes() and members.shape == ref_members.shape
+        assert states.tobytes() == ref_states.tobytes() and states.shape == ref_states.shape
+        where[states] = np.arange(states.shape[1])
+        blocks = proto._gram_blocks(states, where)
+        ref = np.stack([gram[st][:, st].toarray() for st in states])
+        assert blocks.tobytes() == ref.tobytes()
 
 
 def components_per_block(proto):
     """One eigh per component, components in order of their smallest member."""
-    rho = proto.rho_sparse()
+    rho = sparse_rho(proto)
     pattern = rho.copy()
     pattern.data = np.ones_like(pattern.data)
     _, labels = csgraph.connected_components(pattern, directed=False)
@@ -295,7 +366,7 @@ def components_per_block(proto):
 
 
 def povm_per_block(proto, blocks, max_eig):
-    s1 = proto.sigma_sparse(1)
+    s1 = sparse_sigma(proto, 1)
     n = proto.ports
     rows, cols, vals = [], [], []
     for idx, w, v in blocks:
@@ -373,9 +444,10 @@ def element_from_table(a, b, proto, table):
 
 def declared_working_set(proto, blocks, w=4):
     """`working_set_mb` for the window a, b < w, from the reference components:
-    24 bytes per entry of the Gram stacks, the largest factor batch, the
-    largest group's pair temporaries, 2 per window entry, 2 per value of the
-    dense (w, w, d, d) output and the sized terms."""
+    24 bytes per entry of the Gram stacks, the largest group's Gram pairing
+    temporaries, the largest factor batch, the largest group's pair
+    temporaries, 2 per window entry, 2 per value of the dense (w, w, d, d)
+    output and the sized terms."""
     d, n = proto.levels, proto.ports
     dn, ds = d**n, d ** (n - 1)
     w = min(w, d)
@@ -387,15 +459,16 @@ def declared_working_set(proto, blocks, w=4):
     touched = np.concatenate([idx for idx, _, _ in blocks])
     lone = np.setdiff1d(np.arange(proto.dim), touched)
     window = int((lone // dn < w).sum()) + sum(hits)
-    gram = factors = pairs = 0
+    gram = pairing = factors = pairs = 0
     for s, r in sorted(set(shapes)):
         count = shapes.count((s, r))
         gram += count * r * r
+        pairing = max(pairing, count * r * (d + 2 * n))
         factors = max(factors, min(count, max(1, (1 << 16) // (s * r))) * (s * r + r * r))
         group_hits = sum(h for shape, h in zip(shapes, hits) if shape == (s, r))
         pairs = max(pairs, min(1 << 16, group_hits * r))
-    sized = 2 * proto.dim + n * d**n + proto._gram.nnz
-    return 24 * (gram + factors + pairs + 2 * window + 2 * w * w * d * d + sized) / 2**20
+    sized = 2 * proto.dim + n * d**n
+    return 24 * (gram + pairing + factors + pairs + 2 * window + 2 * w * w * d * d + sized) / 2**20
 
 
 STACK_POINTS = [(3, 6, 0.5, 0.4), (4, 4, 0.3, 0.35)]
@@ -406,7 +479,7 @@ COUNTS = ("kernel", "suspect", "support")
 
 def port_state_columns(proto, idx):
     """Ascending columns of Phi whose support lies in the component idx."""
-    phi = proto._phi.tocsc()
+    phi = sparse_phi(proto).tocsc()
     inside = np.isin(phi.indices, idx)
     return np.flatnonzero(np.add.reduceat(inside, phi.indptr[:-1]) == np.diff(phi.indptr))
 
@@ -422,12 +495,12 @@ class TestStackedStages:
         blocks = sorted(
             ((m[j], st[j], w[j], v[j]) for m, st, w, v, _ in stacks for j in range(len(m))), key=lambda b: b[0][0]
         )
-        gram = proto._gram
+        gram = sparse_gram(proto)
         assert len(blocks) == len(ref)
         for (idx, states, g, v), (ridx, _, _) in zip(blocks, ref):
             assert np.array_equal(idx, ridx)
             assert np.array_equal(states, port_state_columns(proto, idx))
-            rg, rv = np.linalg.eigh(proto._dense_blocks(gram, states[None], states[None])[0])
+            rg, rv = np.linalg.eigh(gram[states][:, states].toarray())
             assert np.array_equal(g, rg)
             assert np.array_equal(v, rv)
 
@@ -562,14 +635,15 @@ class TestStackedStages:
                 assert elements[i, j].astype(complex).tobytes() == single.tobytes()
 
     def test_each_stage_runs_once_per_protocol(self, ports, d, lx, ly, monkeypatch):
-        # one connected_components call, and one eigh per (s, r) group, across
-        # two whole reports on one protocol
+        # one component labelling (the `_groups` stage), and one eigh per
+        # (s, r) group, across two whole reports on one protocol
         calls = {"components": 0, "eigh": 0}
-        components, eigh = csgraph.connected_components, np.linalg.eigh
+        stage = vars(TruncatedProtocol)["_groups"]
+        components, eigh = stage.func, np.linalg.eigh
 
-        def counting(name, fn):
+        def counting(name, fn, caller="cvpbt.oracle"):
             def wrapped(*args, **kwargs):
-                if sys._getframe(1).f_globals.get("__name__") == "cvpbt.oracle":
+                if caller in (None, sys._getframe(1).f_globals.get("__name__")):
                     calls[name] += 1
                 return fn(*args, **kwargs)
 
@@ -577,7 +651,7 @@ class TestStackedStages:
 
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         groups = {(len(idx), len(port_state_columns(proto, idx))) for idx, _, _ in components_per_block(proto)[0]}
-        monkeypatch.setattr(csgraph, "connected_components", counting("components", components))
+        monkeypatch.setattr(stage, "func", counting("components", components, caller=None))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
         for _ in range(2):
             verification_report(proto, 3, 3)
@@ -622,7 +696,7 @@ def test_gram_spectra_are_rho_spectra(ports, d, ly):
     # component of every (s, r) is checked.
     proto = TruncatedProtocol(ChannelParams(0.3, ly, ports=ports), Cutoff(d))
     stacks, max_eig = proto._components()
-    rho = proto.rho_sparse()
+    rho = sparse_rho(proto)
     for members, port_states, w, _, _ in stacks:
         idx, states, g = members[0], port_states[0], w[0]
         spectrum = np.linalg.eigvalsh(rho[idx][:, idx].toarray())
