@@ -124,7 +124,7 @@ def _require_table(args, rows: int, columns: int, row_bytes: int = 0, work_bytes
     """Refuse a table of `rows` rows of `columns` values, plus `row_bytes` of
     work per row and `work_bytes` of work besides, whose declared size
     exceeds the memory budget."""
-    mb = (_TABLE_BYTES + work_bytes + rows * (columns * _CELL_BYTES[args.format] + row_bytes)) / 2**20
+    mb = oracle.mib(_TABLE_BYTES + work_bytes + rows * (columns * _CELL_BYTES[args.format] + row_bytes))
     oracle.require_memory(mb, f"{args.command}: a table of {rows} rows")
 
 
@@ -253,7 +253,7 @@ def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
     else:
         levels = 2 if args.input == "bell2" else 3
     grid = _grid(args, 4, args.ports)
-    oracle.require_memory(levels**2 * _ENTRY_BYTES / 2**20, f"fidelity-sweep at cutoff {levels}")
+    oracle.require_memory(oracle.mib(levels**2 * _ENTRY_BYTES), f"fidelity-sweep at cutoff {levels}")
     options = {"lambda_in": args.lambda_in, "levels": levels, "cap": args.cap}
     if args.ports == 2:  # the closed form takes the whole grid at once
         fids, meta = nport.input_output_fidelity(args.input, grid, **options)

@@ -177,8 +177,11 @@ def _per_point(fn, *args):
 
 
 def _abs2(alpha: complex) -> float:
-    """|alpha|^2, refused as a validation error where it overflows a float."""
+    """|alpha|^2, refused as a validation error where alpha is not finite or
+    |alpha|^2 overflows a float."""
     try:
+        if not (math.isfinite(alpha.real) and math.isfinite(alpha.imag)):
+            raise ValueError(f"amplitude {alpha!r} is not finite")
         return abs(alpha) ** 2
     except OverflowError:
         raise ValueError(f"amplitude {alpha!r} is too large: |alpha|^2 overflows a float") from None

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .fock import DensityOperator, FockOperator, _per_point, as_cutoff, chi_vector
-from .oracle import require_memory
+from .oracle import mib, require_memory
 from .two_port import _BLOCK_ELEMS, ChannelParams, _diag_tail_bound, _inv_root, omega
 
 __all__ = [
@@ -601,15 +601,25 @@ def lm_closed_basis(l: int, m: int, lam_y: float) -> SectorBasis:
 
 
 def default_cap(params: ChannelParams) -> int:
-    """Smallest multiset cap whose geometric remainder falls below CAP_TOL."""
+    """Smallest multiset cap whose geometric remainder
+    (N-1) lx^(2 (cap+1)) / (1 - lx^2) falls below CAP_TOL.
+
+    The cap is solved for from logs, then stepped by that remainder, as
+    computed, to the smallest cap where it falls below CAP_TOL: the one a
+    search up from zero finds.  A cap too large to build is refused by the
+    build's memory declaration, not here."""
     lx, n = params.lambda_x, params.ports
     if lx == 0:
         return 0
-    cap = 0
-    while (n - 1) * lx ** (2 * (cap + 1)) / (1 - lx**2) >= CAP_TOL:
+
+    def above(cap):
+        return (n - 1) * lx ** (2 * (cap + 1)) / (1 - lx**2) >= CAP_TOL
+
+    cap = max(0, math.ceil(math.log(CAP_TOL * (1 - lx**2) / (n - 1)) / (2 * math.log(lx))) - 1)
+    while cap > 0 and not above(cap - 1):
+        cap -= 1
+    while above(cap):
         cap += 1
-        if cap > 100_000:
-            raise RuntimeError("cap search failed to converge")
     return cap
 
 
@@ -656,7 +666,7 @@ def _build_mb(ports: int, cap: int) -> float:
     q, r = divmod(ports - 1, k)
     size = math.factorial(ports) // (math.factorial(q + 1) ** r * math.factorial(q) ** (k - r))
     stack = max(128 * _STACK_ELEMS, 24 * size**2 // ports)
-    return (sectors * (72 + 8 * ports) + 64 * (cap + 3) ** 2 + 48 * math.factorial(ports - 1) ** 2 + stack) / 2**20
+    return mib(sectors * (72 + 8 * ports) + 64 * (cap + 3) ** 2 + 48 * math.factorial(ports - 1) ** 2 + stack)
 
 
 def _pattern_walk(ports: int, cap: int):

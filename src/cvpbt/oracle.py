@@ -10,11 +10,14 @@ Phi stays an index table, and numpy is the only dependency.  Each sigma_i
 is a sum of rank-one terms over the port states phi_(i,x), and each port
 state holds D amplitudes at rows a formula gives, so rho = Phi Phi^T is
 known from that table of rows, and the Gram matrix G = Phi^T Phi has
-exactly rho's nonzero spectrum.  rho splits into the connected components
-of the graph joining each port state to the indices it touches, and each
-port state lies inside one of them, so G splits by the same labels into
-blocks of r port states, far fewer than the s indices of the rho block
-they stand for; the Phi and Gram blocks are scattered from the table.
+exactly rho's nonzero spectrum.  rho splits into one component per
+multiset of N - 1 levels, the sectors of the analytic channel: port
+state (i, x) touches only indices whose A digits less one copy of C
+form the multiset of x, and the arrangements of one multiset are joined
+by swapping the marker.  Each port state lies inside one component, so
+G splits by the same labels into blocks of r port states, far fewer
+than the s indices of the rho block they stand for; the Phi and Gram
+blocks are scattered from the table.
 Components of one (s, r) share a stacked eigh of their Gram blocks, and
 the square-root measurement comes from those stacks one batch of blocks
 at a time, as two s x k factors per block (untouched indices last, of
@@ -62,10 +65,8 @@ _CHUNK_ELEMS = 1 << 16  # entries per factor batch, pair chunk or dense-block ch
 
 class MemoryBudgetError(RuntimeError):
     def __init__(self, required_mb: float, budget_mb: float, what: str):
-        super().__init__(
-            f"{what} needs about {required_mb:.0f} MiB, budget is {budget_mb:.0f} MiB "
-            "(raise CVPBT_MEM_BUDGET_MB to override)"
-        )
+        need = f"about {required_mb:.0f} MiB" if math.isfinite(required_mb) else "more MiB than a float holds"
+        super().__init__(f"{what} needs {need}, budget is {budget_mb:.0f} MiB (raise CVPBT_MEM_BUDGET_MB to override)")
         self.required_mb = required_mb
         self.budget_mb = budget_mb
 
@@ -82,6 +83,15 @@ def memory_budget() -> float:
     if not (math.isfinite(mb) and mb > 0):
         raise ValueError(f"memory budget must be finite and > 0 MiB, got {mb!r}")
     return mb
+
+
+def mib(nbytes: int) -> float:
+    """`nbytes` in MiB, or inf where the quotient overflows a float, so that
+    `require_memory` refuses a declaration too large to count."""
+    try:
+        return nbytes / 2**20
+    except OverflowError:
+        return math.inf
 
 
 def require_memory(mb: float, what: str):
@@ -136,7 +146,7 @@ class TruncatedProtocol:
 
     def dense_mb(self, extra_modes: int = 0) -> float:
         d = self.levels ** (self.ports + 1 + extra_modes)
-        return d * d * 8 / 2**20
+        return mib(d * d * 8)
 
     def working_set_mb(self, a_range: range, b_range: range) -> float:
         """Peak of the Gram route gathering the channel elements of a window
@@ -172,7 +182,7 @@ class TruncatedProtocol:
             pairs = max(pairs, min(_CHUNK_ELEMS, hits * r))
         dense = len(a_range) * len(b_range) * d * d
         entries = gram + pairing + factors + pairs + 2 * window + 2 * dense + self._sized_entries()
-        return _BYTES_PER_ENTRY * entries / 2**20
+        return mib(_BYTES_PER_ENTRY * entries)
 
     def povm_mb(self) -> float:
         """Peak of `build_povm_element`: the dense output, the stage terms of
@@ -181,13 +191,21 @@ class TruncatedProtocol:
         their positions and values, min(_CHUNK_ELEMS, m r) for products."""
         sizes = [(min(_CHUNK_ELEMS, m.size * m.shape[1]), st.shape[1]) for m, st in self._groups[0]]
         chunk = max((2 * m + min(_CHUNK_ELEMS, m * r) for m, r in sizes), default=0)
-        return self.dense_mb() + self.working_set_mb(range(0), range(0)) + _BYTES_PER_ENTRY * chunk / 2**20
+        return self.dense_mb() + self.working_set_mb(range(0), range(0)) + mib(_BYTES_PER_ENTRY * chunk)
+
+    def _require_window(self, a_range: range, b_range: range, what: str):
+        """Declare `working_set_mb` of a window to `require_memory`, the sized
+        terms first: they refuse a size too large to label before
+        `working_set_mb` runs the `_groups` stage on every basis index."""
+        require_memory(mib(_BYTES_PER_ENTRY * self._sized_entries()), what)
+        require_memory(self.working_set_mb(a_range, b_range), what)
 
     def _sized_entries(self) -> int:
         """The terms of `working_set_mb` that the sizes alone fix: 2 per
         basis index (the component labels, their order and members, and each
         member's position in `_factors`) and the N D^N entries of the `_phi`
-        table (and the labels `_groups` gathers from it)."""
+        table (and the port-state keys and labels `_groups` sorts and
+        scatters through it)."""
         return 2 * self.dim + self.ports * self.levels**self.ports
 
     # -- the port states ----------------------------------------------------
@@ -226,42 +244,34 @@ class TruncatedProtocol:
         one (s, r) in order of their smallest port state.
 
         rho = Phi Phi^T links two indices exactly when a chain of port states
-        sharing an index joins them, so the components are those of the
-        index <-> port-state graph of `_phi`.  Each port state starts with
-        its own number as label; every index takes the least label of the
-        port states touching it, every port state the least of its indices',
-        then the label its label has, until nothing changes: each label is
-        then the smallest port state of its component.  A port state touches
-        D >= 2 indices, so every component has s > 1; the `lone` indices,
-        ascending, are untouched by rho: kernel."""
-        rows = self._phi
-        total = rows.shape[0]
-        span = total // self.ports
-        state_labels = np.arange(total)
-        while True:
-            labels = np.full(self.dim, total)  # untouched indices keep `total`
-            for lo in range(0, total, span):  # one port's table holds an index at most once
-                part = rows[lo : lo + span]
-                labels[part] = np.minimum(labels[part], state_labels[lo : lo + span, None])
-            least = labels[rows].min(axis=1)
-            least = least[least]
-            if np.array_equal(least, state_labels):
-                break
-            state_labels = least
-        firsts, state_labels = np.unique(state_labels, return_inverse=True)
+        sharing an index joins them.  The components are the multisets of
+        N - 1 levels, the sectors of `nport`: port state (i, x) touches
+        exactly the indices with C = A_i = c and spectators x, so an index it
+        shares with (j, y) has multiset(x) = multiset(A) - {C} = multiset(y),
+        and no chain leaves a multiset; within one, the port states are its
+        arrangements, and swapping the marker joins them all.  So each port
+        state is labelled by its spectator digits sorted ascending, read in
+        base D, which is also the smallest port state of its multiset (a
+        port-1 state), and every index it touches takes that label.  A port
+        state touches D >= 2 indices, so every component has s > 1; the
+        `lone` indices, ascending, are those with no A_i = C, untouched by
+        rho: kernel."""
+        d, n = self.levels, self.ports
+        place = d ** np.arange(n - 2, -1, -1)  # place values of the N - 1 spectator digits
+        spectators = np.sort(np.arange(d ** (n - 1))[:, None] // place % d, axis=1)
+        firsts, state_labels = np.unique(spectators @ place, return_inverse=True)
+        state_labels = np.tile(state_labels, n)  # each port holds every arrangement once
         count = firsts.size
-        number = np.full(total + 1, count)  # untouched indices sort last
-        number[firsts] = np.arange(count)
-        labels = number[labels]
+        labels = np.full(self.dim, count)  # untouched indices sort last
+        labels[self._phi] = state_labels[:, None]
         sizes = np.bincount(labels, minlength=count + 1)[:count]
         ranks = np.bincount(state_labels, minlength=count)
         order = np.argsort(labels, kind="stable")  # members of each label, ascending
         state_order = np.argsort(state_labels, kind="stable")
         starts, state_starts = np.cumsum(sizes) - sizes, np.cumsum(ranks) - ranks
-        pairs = np.stack([sizes, ranks], axis=1)
         groups = []
-        for s, r in np.unique(pairs, axis=0):
-            comps = np.flatnonzero((pairs[:, 0] == s) & (pairs[:, 1] == r))
+        for s, r in sorted(set(zip(sizes.tolist(), ranks.tolist()))):
+            comps = np.flatnonzero((sizes == s) & (ranks == r))
             members = order[starts[comps][:, None] + np.arange(s)]
             groups.append((members, state_order[state_starts[comps][:, None] + np.arange(r)]))
         return groups, order[sizes.sum() :]
@@ -332,8 +342,10 @@ class TruncatedProtocol:
 
         Kernel is all but the Gram eigenvalues kept by the cut of `_components`
         (untouched indices and each component's s - r exact zeros included),
-        support the kept ones above the suspect band, suspect the rest.  Each
-        call returns a new dict."""
+        support the kept ones above the suspect band, suspect the rest.  The
+        stages are declared first, as `working_set_mb` of an empty window.
+        Each call returns a new dict."""
+        self._require_window(range(0), range(0), "eigenvalue census")
         stacks, max_eig = self._components()
         kept = sum(int(k.sum()) for *_, k in stacks)
         support = sum(int((w > SUSPECT_BAND * max_eig).sum()) for _, _, w, _, _ in stacks)
@@ -364,7 +376,7 @@ class TruncatedProtocol:
         for members, states, _, v, kept in stacks:
             s, r = members.shape[1], states.shape[1]
             step = max(1, _CHUNK_ELEMS // (s * r))
-            for k in np.unique(kept):
+            for k in sorted(set(kept.tolist())):
                 same = np.flatnonzero(kept == k)
                 for lo in range(0, same.size, step):
                     part = same[lo : lo + step]
@@ -548,7 +560,7 @@ def reduced_resource(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
     # the output and the copy permute_modes makes of it, and the operands of the last np.kron
-    require_memory(2 * proto.dense_mb(extra_modes=1) + proto.dense_mb() + d * d * 8 / 2**20, "dense reduced resource")
+    require_memory(2 * proto.dense_mb(extra_modes=1) + proto.dense_mb() + mib(d * d * 8), "dense reduced resource")
     lx = proto.params.lambda_x
     signal = np.zeros((d, d))
     signal[a, b] = 1.0
@@ -584,9 +596,7 @@ def channel_elements(proto: TruncatedProtocol, a_range: range, b_range: range) -
     for name, window in (("a", a_range), ("b", b_range)):
         if not (window.step == 1 and 0 <= window.start < window.stop <= d):
             raise ValueError(f"{name} window {window} is not a non-empty run of levels inside cutoff {d}")
-    # the sized terms first: `working_set_mb` labels every basis index
-    require_memory(_BYTES_PER_ENTRY * proto._sized_entries() / 2**20, "channel gather")
-    require_memory(proto.working_set_mb(a_range, b_range), "channel gather")
+    proto._require_window(a_range, b_range, "channel gather")
     element, p, q, vals = proto._window(a_range, b_range)
     gathered = np.zeros((len(b_range), len(a_range), d, d))
     np.add.at(gathered.reshape(-1, d, d), (element, q, p), vals)
@@ -624,9 +634,9 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
     from . import nport
 
     t0 = time.perf_counter()
+    elements = channel_elements(proto, range(a_max + 1), range(b_max + 1))  # declares the oracle's size first
     channel = nport.make_channel(proto.params, cap=proto.levels - 1 if proto.ports > 2 else None)
     c, t = channel.arrays(proto.levels)  # what `number_element` reads, read once
-    elements = channel_elements(proto, range(a_max + 1), range(b_max + 1))
     a, b = np.arange(a_max + 1)[:, None], np.arange(b_max + 1)
     same, m = np.arange(min(a_max, b_max) + 1), np.arange(proto.levels)  # the elements a = b; output levels
     analytic = np.zeros_like(elements)

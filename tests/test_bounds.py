@@ -193,6 +193,12 @@ class TestEdrc:
         with pytest.raises(ValueError, match="overflows"):
             edrc_apply(1e200, ep, Cutoff(5))
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), complex(1, float("inf")), complex(float("nan"), 0)])
+    def test_non_finite_amplitude_is_refused(self, alpha):
+        ep = EdrcParams.matched(ChannelParams(0.5, 0.5))
+        with pytest.raises(ValueError, match="not finite"):
+            edrc_apply(alpha, ep, Cutoff(5))
+
     def test_rejects_superunit_weight(self):
         ep = EdrcParams(kappa=0.0, f=1.5, tau=0.1, h=0.1)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -74,6 +75,18 @@ class TestTwoPortCoherent:
         assert not out.exists()
         err = capsys.readouterr().err
         assert "overflows" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("alpha", ["inf", "1+infj", "nan"])
+    def test_non_finite_amplitude_is_validation_error(self, tmp_path, capsys, alpha):
+        # refused before numpy meets it, so no warning escapes under -W error
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(
+                tmp_path, "twoport-coherent", "--lambda-x", "0.5", "--lambda-y", "0.5", "--alpha", alpha, "--cutoff", "5",
+            )
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith(f"error: amplitude {complex(alpha)!r} is not finite")
 
 
 class TestEnergy:
@@ -262,6 +275,18 @@ class TestFidelitySweep:
         assert not out.exists()
         assert "sector build at cap 100000" in capsys.readouterr().err
 
+    def test_huge_default_cap_is_budget_refusal(self, tmp_path, monkeypatch, capsys):
+        # lambda_x near one asks for a cap of about 1.7 million: too large to
+        # build, not an invalid input
+        monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+        code, out = run(
+            tmp_path, "fidelity-sweep", "--input", "bell2", "--ports", "3",
+            "--lambda-x-range", "0.99999:0.99999:1", "--lambda-y-range", "0.3:0.3:1",
+        )
+        assert code == EXIT_BUDGET
+        assert not out.exists()
+        assert "3-port sector build at cap 1726930" in capsys.readouterr().err
+
 
 class TestOracleVerify:
     def test_passes_at_adequate_cutoff(self, tmp_path):
@@ -327,6 +352,20 @@ class TestOracleVerify:
         monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "nan")
         code, _ = run(tmp_path, "oracle-verify", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "4")
         assert code == EXIT_VALIDATION
+
+    @pytest.mark.parametrize("ports, cutoff, need", [("2", "100000000", "about 45776367645263675392 MiB"),
+                                                     ("8", "4", "about 8772 MiB"),
+                                                     ("200", "200", "more MiB than a float holds")])
+    def test_oversize_is_refused_before_the_analytic_build(self, tmp_path, monkeypatch, capsys, ports, cutoff, need):
+        # the oracle's window is declared first: one line, no traceback
+        monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+        code, out = run(
+            tmp_path, "oracle-verify", "--ports", ports, "--cutoff", cutoff, "--lambda-x", "0.3", "--lambda-y", "0.3",
+        )
+        assert code == EXIT_BUDGET
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: channel gather needs {need}, budget is 2048 MiB " \
+            "(raise CVPBT_MEM_BUDGET_MB to override)\n"
 
 
 class TestTableFormat:
@@ -453,6 +492,14 @@ class TestOversizeInputs:
         assert "budget is 1 MiB" in capsys.readouterr().err
         assert peak < 2**20
 
+    @pytest.mark.parametrize("command", ["energy", "fidelity-sweep", "twoport-coherent", "bounds-lossy"])
+    def test_size_too_large_for_a_float_is_refused(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, *sized(command, 10**400))
+        assert code == EXIT_BUDGET
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "needs more MiB than a float holds" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
         "command, sizes",
@@ -530,3 +577,15 @@ class TestNumpyAlone:
         done = run_python(code, tmp_path, block_scipy=False)
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "[]"]
+
+    def test_import_and_oracle_run_load_no_numpy_ma(self, tmp_path):
+        # np.unique without an index output imports numpy.ma on its first call
+        argv = NUMPY_ALONE_COMMANDS["oracle-verify"] + ["--out", str(tmp_path / "out.csv")]
+        code = (
+            "import sys, cvpbt.cli\n"
+            f"assert cvpbt.cli.main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        done = run_python(code, tmp_path, block_scipy=False)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]"]

@@ -86,6 +86,11 @@ class TestCutoffs:
         with pytest.raises(ValueError, match="double precision"):
             coherent_cutoff(2.0, 1e-20)
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), complex(1, float("inf")), complex(float("nan"), 0)])
+    def test_coherent_non_finite_amplitude_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="not finite"):
+            coherent_cutoff(alpha)
+
     @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-6])
     def test_coherent_bad_tolerance(self, tol):
         with pytest.raises(ValueError, match="tolerance"):
@@ -98,9 +103,14 @@ class TestStates:
         assert k.amplitudes[0] == 1.0
         assert np.all(k.amplitudes[1:] == 0)
 
-    @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308)])
+    @pytest.mark.parametrize("alpha", [1e200, complex(1e308, 1e308), 10**400])
     def test_coherent_overflowing_amplitude_is_refused(self, alpha):
         with pytest.raises(ValueError, match="overflows"):
+            coherent_ket(alpha, Cutoff(5))
+
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), complex(1, float("inf")), complex(float("nan"), 0)])
+    def test_coherent_non_finite_amplitude_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="not finite"):
             coherent_ket(alpha, Cutoff(5))
 
     def test_coherent_norm_and_amplitude(self):

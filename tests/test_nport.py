@@ -613,6 +613,27 @@ class TestGenericChannel:
         assert 2 * lx ** (2 * (cap + 1)) / (1 - lx**2) < 1e-10
         assert 2 * lx ** (2 * cap) / (1 - lx**2) >= 1e-10
 
+    @pytest.mark.parametrize("ports", [3, 4, 5, 6])
+    def test_default_cap_is_the_search_from_zero(self, ports):
+        # the cap from logs, corrected by the remainder, against the search
+        # up from zero that it replaced, over lambda_x up to caps above 10^5
+        def search(lx):
+            cap = 0
+            while (ports - 1) * lx ** (2 * (cap + 1)) / (1 - lx**2) >= nport.CAP_TOL:
+                cap += 1
+            return cap
+
+        grid = np.concatenate([np.linspace(0, 0.999, 300), 1 - np.logspace(-3, -4, 5), [5e-324, 1e-200]])
+        for lx in grid.tolist():
+            for value in (lx, np.float64(lx)):
+                assert default_cap(ChannelParams(value, 0.3, ports=ports)) == search(value)
+
+    def test_default_cap_near_one_is_found_without_a_search(self):
+        # about 1.7 million at three ports, beyond any build
+        cap = default_cap(ChannelParams(0.99999, 0.3, ports=3))
+        assert 2 * 0.99999 ** (2 * (cap + 1)) / (1 - 0.99999**2) < nport.CAP_TOL
+        assert 2 * 0.99999 ** (2 * cap) / (1 - 0.99999**2) >= nport.CAP_TOL
+
 
 def stack_from_dict(gammas):
     """A Gamma stack function that reads each sector's Gamma from a dict keyed
@@ -786,6 +807,13 @@ class TestBuildBudget:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("ports, lx", [(3, 0.99999), (200, 1 - 2**-53)])
+    def test_huge_default_cap_is_refused(self, monkeypatch, ports, lx):
+        # the second declaration is too large for a float, and refused as such
+        monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+        with pytest.raises(MemoryBudgetError, match=f"{ports}-port sector build at cap"):
+            NPortChannel(ChannelParams(lx, 0.3, ports=ports))
 
     def test_budget_comes_from_the_environment(self, monkeypatch):
         p = ChannelParams(0.3, 0.3, ports=4)

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 import tracemalloc
 
@@ -327,7 +328,7 @@ def sparse_groups(proto):
     return groups, order[sizes.sum() :]
 
 
-@pytest.mark.parametrize("ports,d", [(2, 12), (3, 6), (4, 4), (5, 3), (6, 3)])
+@pytest.mark.parametrize("ports,d", [(2, 12), (2, 40), (3, 6), (3, 16), (4, 4), (4, 9), (5, 3), (6, 3), (7, 3), (8, 3)])
 def test_groups_and_gram_blocks_are_the_sparse_reference_bitwise(ports, d):
     proto = TruncatedProtocol(ChannelParams(0.4, 0.45, ports=ports), Cutoff(d))
     groups, lone = proto._groups
@@ -343,6 +344,32 @@ def test_groups_and_gram_blocks_are_the_sparse_reference_bitwise(ports, d):
         blocks = proto._gram_blocks(states, where)
         ref = np.stack([gram[st][:, st].toarray() for st in states])
         assert blocks.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("ports,d", [(2, 12), (3, 6), (4, 5), (5, 3), (6, 3)])
+def test_components_are_the_multisets_of_their_digits(ports, d):
+    # each index (C, A_1..A_N) read from its own digits: untouched exactly
+    # when no A_i = C, else in the component of the multiset of A less one
+    # copy of C, which holds r = N (N-1)! / prod(mult!) port states
+    proto = TruncatedProtocol(ChannelParams(0.4, 0.45, ports=ports), Cutoff(d))
+    groups, lone = proto._groups
+    multisets = {}
+    for index in range(d ** (ports + 1)):
+        c, *a = (index // d ** np.arange(ports, -1, -1) % d).tolist()
+        if c in a:
+            a.remove(c)
+            multisets.setdefault(tuple(sorted(a)), []).append(index)
+    touched = [i for members in multisets.values() for i in members]
+    assert lone.tolist() == sorted(set(range(d ** (ports + 1))) - set(touched))
+    seen = []
+    for members, states in groups:
+        for row, row_states in zip(members.tolist(), states):
+            key = next(k for k, v in multisets.items() if v[0] == row[0])
+            assert row == multisets[key]
+            mults = np.bincount(key).tolist()
+            assert len(row_states) == ports * math.factorial(ports - 1) // math.prod(map(math.factorial, mults))
+            seen.append(key)
+    assert sorted(seen) == sorted(multisets)
 
 
 def components_per_block(proto):
@@ -795,6 +822,48 @@ def test_budget_refusal_allocates_nothing_sized(monkeypatch):
         tracemalloc.stop()
     assert peak_mb < 1
     assert "_groups" not in vars(proto)
+
+
+def test_census_is_declared_before_the_stages_run(monkeypatch):
+    monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "1")
+    proto = TruncatedProtocol(ChannelParams(0.2, 0.3, ports=4), Cutoff(9))
+    for stage in (proto.eigenvalue_census, lambda: channel_elements(proto, range(1), range(1))):
+        with pytest.raises(MemoryBudgetError):
+            stage()
+    assert "_groups" not in vars(proto)
+    monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "64")
+    declared = proto.working_set_mb(range(0), range(0))
+    assert declared > 1
+    monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", str(declared))
+    assert proto.eigenvalue_census() == TruncatedProtocol(proto.params, proto.cutoff).eigenvalue_census()
+
+
+@pytest.mark.parametrize("ports,d,budget,need", [(4, 9, "1", "about 3 MiB"), (8, 4, "2048", "about 8772 MiB"),
+                                                 (2, 10**8, "2048", "about 45776367645263675392 MiB"),
+                                                 (200, 200, "2048", "more MiB than a float holds")])
+def test_report_is_refused_before_the_analytic_build(monkeypatch, ports, d, budget, need):
+    # the oracle declares its window first, so no analytic channel is built
+    # for a refused report (at N = 8 it would take seconds, at two ports and
+    # 10^8 levels it would not fit), and a size too large for a float is a
+    # refusal
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the analytic channel was built")
+
+    from cvpbt import nport
+
+    monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", budget)
+    monkeypatch.setattr(nport, "make_channel", unbuilt)
+    proto = TruncatedProtocol(ChannelParams(0.3, 0.3, ports=ports), Cutoff(d))
+    with pytest.raises(MemoryBudgetError, match=f"channel gather needs {need}"):
+        verification_report(proto, 3, 3)
+
+
+def test_mib_is_the_quotient_or_inf():
+    for nbytes in (0, 3, 2**20, 24 * 10**300):
+        assert oracle.mib(nbytes) == nbytes / 2**20
+    assert oracle.mib(10**400) == float("inf")
+    with pytest.raises(MemoryBudgetError, match="more MiB than a float holds"):
+        oracle.require_memory(oracle.mib(10**400), "a sum")
 
 
 def test_two_port_report_compares_against_the_uncapped_closed_form():

@@ -141,6 +141,11 @@ class TestCoherent:
         with pytest.raises(ValueError, match="overflows"):
             apply_coherent(1e200, ChannelParams(0.5, 0.5), Cutoff(5))
 
+    @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), complex(1, float("inf")), complex(float("nan"), 0)])
+    def test_non_finite_amplitude_is_refused(self, alpha):
+        with pytest.raises(ValueError, match="not finite"):
+            apply_coherent(alpha, ChannelParams(0.5, 0.5), Cutoff(5))
+
     def test_alpha_zero_structure(self):
         p = ChannelParams(0.5, 0.5)
         st = apply_coherent(0, p, Cutoff(25))
