@@ -18,7 +18,7 @@ import numpy as np
 
 from .fock import DensityOperator, FockOperator, _per_point, as_cutoff, chi_vector
 from .oracle import mib, require_memory
-from .two_port import _BLOCK_ELEMS, ChannelParams, _diag_tail_bound, _inv_root, omega
+from .two_port import _BLOCK_ELEMS, ChannelParams, _check_point, _diag_tail_bound, _inv_root, omega
 
 __all__ = [
     "MARKER",
@@ -808,7 +808,9 @@ class NPortChannel:
         return c, np.expand_dims(chi_vector(p.lambda_x, levels), -2) + c0 * (q * q)[..., :, None] * f
 
     def diagonal_profile(self, a: int, levels: int) -> np.ndarray:
-        """Diagonal of the output for an |a><a| input, truncated to `levels`."""
+        """Diagonal of the output for an |a><a| input, truncated to `levels`;
+        one parameter point only."""
+        _check_point(self.params)
         return self.arrays(levels)[1][a]
 
     def tail_bound(self, levels: int) -> float:
@@ -831,6 +833,8 @@ class NPortChannel:
         return pref * per_sector * geo + lx ** (2 * levels)
 
     def number_element(self, a: int, b: int, cutoff) -> FockOperator:
+        """The output for an |a><b| input, at one parameter point."""
+        _check_point(self.params)
         cutoff = as_cutoff(cutoff)
         d = cutoff.levels
         if not (0 <= a < d and 0 <= b < d):

@@ -18,14 +18,15 @@ by swapping the marker.  Each port state lies inside one component, so
 G splits by the same labels into blocks of r port states, far fewer
 than the s indices of the rho block they stand for; the Phi and Gram
 blocks are scattered from the table.
-Components of one (s, r) share a stacked eigh of their Gram blocks, and
-the square-root measurement comes from those stacks one batch of blocks
-at a time, as two s x k factors per block (untouched indices last, of
-rank zero).  The partial trace keeps only the measurement entries whose
-row and column agree in the spectator digits, so a window of channel
-elements pairs those rows and columns and forms each kept entry from the
-factors alone: no s x s block and no table over all d^2 elements is made
-on the verification path.
+One streamed pass visits the components one multiplicity pattern at a
+time, a batch of them at a time: a stacked eigh of their Gram blocks, the
+kernel cut, and the square-root measurement as two s x k factors per
+block (untouched indices last, of rank zero); then the batch is dropped.
+The partial trace keeps only the measurement entries whose row and column
+agree in the spectator digits, so a window of channel elements pairs those
+rows and columns and forms each kept entry from the factors alone: no
+s x s block, no table over the whole basis and none over all d^2 elements
+is made on the verification path.
 
 Mode order is (C, A_1, ..., A_N), C slowest; the receiver mode B_1
 joins only in the reduced resource.
@@ -42,7 +43,7 @@ from typing import ClassVar
 import numpy as np
 
 from .fock import Cutoff, FockOperator, as_cutoff, chi_vector, permute_modes
-from .two_port import ChannelParams
+from .two_port import ChannelParams, _check_point
 
 __all__ = [
     "MemoryBudgetError",
@@ -102,24 +103,39 @@ def require_memory(mb: float, what: str):
         raise MemoryBudgetError(mb, budget, what)
 
 
+def _partitions(total: int, parts: int, largest: int):
+    """The partitions of `total` into at most `parts` parts of at most
+    `largest` each, every part list descending."""
+    if total == 0:
+        yield ()
+    elif parts:
+        for first in range(min(total, largest), 0, -1):
+            for rest in _partitions(total - first, parts - 1, first):
+                yield (first, *rest)
+
+
 @dataclass
 class TruncatedProtocol:
-    """Protocol objects for N ports at a common per-mode cutoff.
+    """Protocol objects for N ports at a common per-mode cutoff, at one
+    parameter point.
 
     kernel_tol, a class constant, is the relative eigenvalue threshold
     separating the kernel of rho from its support; eigenvalues between
     kernel_tol and the suspect band limit are counted and reported rather
-    than silently classified.  Each stage declares its size to `require_memory`
-    first; a bad CVPBT_MEM_BUDGET_MB already fails construction.
+    than silently classified.  Each surface declares its size to
+    `require_memory` first, from counts alone; a parameter grid or a bad
+    CVPBT_MEM_BUDGET_MB already fails construction.
 
-    Each stage is one cached attribute, computed on first use and returned
-    whole: Phi as an index table (`_phi`), the (s, r) grouping of rho's
-    components (`_groups`) and their stacked Gram eighs with the kernel cut
-    (`_eighs`, read through `_components`).  They are not fields, so two
-    protocols of equal params and cutoff compare equal whichever stages
-    have run.  The measurement is not kept: `_factors` streams it batch by
-    batch, and a window of channel elements (`_window`) or the dense element
-    (`build_povm_element`) reads it once, forming entries with `_pairs`.
+    The stages are one streamed pass over rho's components (`_spectra`), one
+    multiplicity pattern at a time and a batch of its components at a time:
+    their members and port states, Gram blocks, one stacked eigh and the
+    kernel cut.  `_factors` turns each batch into the measurement in factored
+    form, and a window of channel elements (`_window`) or the dense element
+    (`build_povm_element`) reads it once, forming entries with `_pairs`; each
+    batch is dropped before the next is made.  Only the Phi index table
+    (`_phi`) and the census recorded by the first pass to finish (`_census`)
+    are kept.  Neither is a field, so two protocols of equal params and
+    cutoff compare equal whichever have run.
     """
 
     kernel_tol: ClassVar[float] = 1e-10
@@ -127,6 +143,7 @@ class TruncatedProtocol:
     cutoff: Cutoff
 
     def __post_init__(self):
+        _check_point(self.params)
         self.cutoff = as_cutoff(self.cutoff)
         memory_budget()
 
@@ -148,65 +165,69 @@ class TruncatedProtocol:
         d = self.levels ** (self.ports + 1 + extra_modes)
         return mib(d * d * 8)
 
-    def working_set_mb(self, a_range: range, b_range: range) -> float:
-        """Peak of the Gram route gathering the channel elements of a window
-        and comparing them, from the component sizes before any eigh.
+    def _batch_shapes(self) -> list[tuple[int, int, int]]:
+        """(b, s, r) for each multiplicity pattern, from counts alone: its
+        components hold s indices and r port states, and `_spectra` takes b
+        of them at a time, b s r <= _CHUNK_ELEMS or one larger component.
 
-        Counted in entries of _BYTES_PER_ENTRY bytes over the components of
-        s indices and r port states: sum(r^2) for the Gram eigenvector
-        stacks, one (s, r) group's stacked eigh input and eigh's own copies;
-        count r (D + 2N) for the pairing temporaries of the largest group's
-        Gram blocks (its rows of `_phi` and the shared index, partner and
-        value of each port pair); b (s r + r^2) for the largest batch of
-        `_factors`, b components with b s r <= _CHUNK_ELEMS or one larger
-        component (its Phi block, B, L and the k x k products); per group, the pair temporaries of its
-        window entries, at most _CHUNK_ELEMS or the entries times r; 2 per
-        window entry (their keys, values and sort); 2 per value of the dense
-        (len(a), len(b), d, d) output, which covers its scatter and scaled
-        copy, then the report's analytic window and their difference; and
-        `_sized_entries`.  The route builds no rho or sigma, no s x s block
-        and no table over all d^2 elements.
-        """
+        N - 1 levels of multiplicities m_1..m_p have r = N!/prod(m!)
+        arrangements of the marker and the levels over N slots, and
+        D!/(D-p)! ways to pick the levels, less the orderings of equal m.
+        An index of the component holds the multiset plus its C digit c in
+        the N A-slots: r arrangements for each of the D - p levels c it
+        lacks, r/(m_j + 1) for its level j."""
+        d, n = self.levels, self.ports
+        shapes = []
+        for mults in _partitions(n - 1, d, n - 1):
+            r = math.factorial(n) // math.prod(map(math.factorial, mults))
+            count = math.perm(d, len(mults)) // math.prod(math.factorial(mults.count(m)) for m in set(mults))
+            s = r * (d - len(mults)) + sum(r // (m + 1) for m in mults)
+            shapes.append((min(count, max(1, _CHUNK_ELEMS // (s * r))), s, r))
+        return shapes
+
+    def working_set_mb(self, a_range: range, b_range: range) -> float:
+        """Peak of the pass gathering the channel elements of a window and
+        comparing them, from counts before anything the size of the basis
+        is made: the largest batch plus the window.
+
+        Counted in entries of _BYTES_PER_ENTRY bytes: b (2 s r + r^2 +
+        r (D + 2N)) for the largest batch of `_batch_shapes` (its Gram blocks,
+        eigenvectors and their kept copy, its Phi blocks, B and L with the
+        k x k products, and the Gram pairing temporaries: its rows of `_phi`
+        and the shared index, partner and value of each port pair); 2 N D^N
+        for the `_phi` table and a pattern's index tables (its port states'
+        rows, their sort and positions); _CHUNK_ELEMS for the pair products
+        of `_pairs`; 2 per window entry (their keys, values and sort); and 2
+        per value of the dense (len(a), len(b), d, d) output, which covers
+        its scatter and scaled copy, then the report's analytic window and
+        their difference.  A declaration that overflows a float is inf before
+        its patterns are counted.  The pass builds no rho or sigma, no s x s
+        block and no table over all d^2 elements.
+
+        The window entries are counted exactly.  Row (b, A) and column
+        (a, A') of one component with equal spectators need
+        multiset(A) - {b} = multiset(A') - {a}, so {A'_1, b} = {A_1, a}:
+        either A_1 = b and A'_1 = a, D^(N-1) rows for each (a, b), or a = b
+        and the column is the row, the other D^N - D^(N-1) rows of each a in
+        both ranges (the untouched among them pair with themselves too)."""
         d, n, dn = self.levels, self.ports, self.levels**self.ports
-        lone = self._groups[1] // dn
-        window = int(((lone >= max(a_range.start, b_range.start)) & (lone < min(a_range.stop, b_range.stop))).sum())
-        gram = pairing = factors = pairs = 0
-        for members, states in self._groups[0]:
-            count, s = members.shape
-            r = states.shape[1]
-            gram += count * r * r
-            pairing = max(pairing, count * r * (d + 2 * n))
-            factors = max(factors, min(count, max(1, _CHUNK_ELEMS // (s * r))) * (s * r + r * r))
-            hits = int(self._join(members, a_range, b_range)[3].sum())
-            window += hits
-            pairs = max(pairs, min(_CHUNK_ELEMS, hits * r))
-        dense = len(a_range) * len(b_range) * d * d
-        entries = gram + pairing + factors + pairs + 2 * window + 2 * dense + self._sized_entries()
-        return mib(_BYTES_PER_ENTRY * entries)
+        elements = len(a_range) * len(b_range)
+        both = len(range(max(a_range.start, b_range.start), min(a_range.stop, b_range.stop)))
+        window = elements * d ** (n - 1) + both * (dn - d ** (n - 1))
+        entries = 2 * n * dn + _CHUNK_ELEMS + 2 * window + 2 * elements * d * d
+        if mib(_BYTES_PER_ENTRY * entries) == math.inf:
+            return math.inf
+        batch = max(b * (2 * s * r + r * r + r * (d + 2 * n)) for b, s, r in self._batch_shapes())
+        return mib(_BYTES_PER_ENTRY * (entries + batch))
 
     def povm_mb(self) -> float:
         """Peak of `build_povm_element`: the dense output, the stage terms of
         `working_set_mb` (its figure for an empty window) and the largest
-        chunk, m <= _CHUNK_ELEMS pairs of one (s, r) group: 2 m entries for
-        their positions and values, min(_CHUNK_ELEMS, m r) for products."""
-        sizes = [(min(_CHUNK_ELEMS, m.size * m.shape[1]), st.shape[1]) for m, st in self._groups[0]]
-        chunk = max((2 * m + min(_CHUNK_ELEMS, m * r) for m, r in sizes), default=0)
+        chunk, m <= _CHUNK_ELEMS pairs of one batch: 2 m entries for their
+        positions and values, min(_CHUNK_ELEMS, m r) for products."""
+        sizes = [(min(_CHUNK_ELEMS, b * s * s), r) for b, s, r in self._batch_shapes()]
+        chunk = max(2 * m + min(_CHUNK_ELEMS, m * r) for m, r in sizes)
         return self.dense_mb() + self.working_set_mb(range(0), range(0)) + mib(_BYTES_PER_ENTRY * chunk)
-
-    def _require_window(self, a_range: range, b_range: range, what: str):
-        """Declare `working_set_mb` of a window to `require_memory`, the sized
-        terms first: they refuse a size too large to label before
-        `working_set_mb` runs the `_groups` stage on every basis index."""
-        require_memory(mib(_BYTES_PER_ENTRY * self._sized_entries()), what)
-        require_memory(self.working_set_mb(a_range, b_range), what)
-
-    def _sized_entries(self) -> int:
-        """The terms of `working_set_mb` that the sizes alone fix: 2 per
-        basis index (the component labels, their order and members, and each
-        member's position in `_factors`) and the N D^N entries of the `_phi`
-        table (and the port-state keys and labels `_groups` sorts and
-        scatters through it)."""
-        return 2 * self.dim + self.ports * self.levels**self.ports
 
     # -- the port states ----------------------------------------------------
 
@@ -233,15 +254,15 @@ class TruncatedProtocol:
         ly = self.params.lambda_y
         return np.sqrt(1 - ly**2) * (-ly) ** np.arange(self.levels)
 
-    # -- spectral decomposition over connected components --------------------
+    # -- the streamed pass over connected components -------------------------
 
-    @cached_property
-    def _groups(self):
-        """rho's components grouped by their s indices and r port states, and
-        the indices no port state touches: ([(members (k, s), states (k, r)),
-        ...], lone), one pair per (s, r) in ascending (s, r), each row the
-        ascending members and port states of one component, components of
-        one (s, r) in order of their smallest port state.
+    def _spectra(self):
+        """rho's components with their Gram eighs, streamed one batch at a
+        time as (members (b, s), states (b, r), pos (b, r, D), w, v, kept):
+        each row the ascending members and port states of one component, pos
+        the rows of each port state as positions among the members, then its
+        Gram block's eigenpairs and the count kept by the kernel cut.  A pass
+        that finishes records the eigenvalue census as `_census`.
 
         rho = Phi Phi^T links two indices exactly when a chain of port states
         sharing an index joins them.  The components are the multisets of
@@ -249,40 +270,79 @@ class TruncatedProtocol:
         exactly the indices with C = A_i = c and spectators x, so an index it
         shares with (j, y) has multiset(x) = multiset(A) - {C} = multiset(y),
         and no chain leaves a multiset; within one, the port states are its
-        arrangements, and swapping the marker joins them all.  So each port
-        state is labelled by its spectator digits sorted ascending, read in
-        base D, which is also the smallest port state of its multiset (a
-        port-1 state), and every index it touches takes that label.  A port
-        state touches D >= 2 indices, so every component has s > 1; the
-        `lone` indices, ascending, are those with no A_i = C, untouched by
-        rho: kernel."""
-        d, n = self.levels, self.ports
-        place = d ** np.arange(n - 2, -1, -1)  # place values of the N - 1 spectator digits
-        spectators = np.sort(np.arange(d ** (n - 1))[:, None] // place % d, axis=1)
-        firsts, state_labels = np.unique(spectators @ place, return_inverse=True)
-        state_labels = np.tile(state_labels, n)  # each port holds every arrangement once
-        count = firsts.size
-        labels = np.full(self.dim, count)  # untouched indices sort last
-        labels[self._phi] = state_labels[:, None]
-        sizes = np.bincount(labels, minlength=count + 1)[:count]
-        ranks = np.bincount(state_labels, minlength=count)
-        order = np.argsort(labels, kind="stable")  # members of each label, ascending
-        state_order = np.argsort(state_labels, kind="stable")
-        starts, state_starts = np.cumsum(sizes) - sizes, np.cumsum(ranks) - ranks
-        groups = []
-        for s, r in sorted(set(zip(sizes.tolist(), ranks.tolist()))):
-            comps = np.flatnonzero((sizes == s) & (ranks == r))
-            members = order[starts[comps][:, None] + np.arange(s)]
-            groups.append((members, state_order[state_starts[comps][:, None] + np.arange(r)]))
-        return groups, order[sizes.sum() :]
+        arrangements, and swapping the marker joins them all.  So the pass
+        reads the components off the D^(N-1) spectator digits: each x is
+        keyed by its digits sorted ascending and read in base D, which is also
+        its multiset's smallest arrangement, and a component's members are its
+        port states' rows of `_phi`, sorted and de-duplicated.  The components
+        of one multiplicity pattern share (s, r) and go in ascending key, b at
+        a time (`_batch_shapes`).  The indices with no A_i = C are touched by
+        no port state: kernel (`_untouched`).
 
-    def _phi_blocks(self, states: np.ndarray, where: np.ndarray, s: int) -> np.ndarray:
-        """Phi on the s indices and r port states of each component, shape
-        (k, s, r), one scatter of `_amps` from the rows of `states` (k, r);
-        `where` gives each index's position among its component's members."""
-        k, r = states.shape
+        The kernel cut needs the largest eigenvalue of all blocks before the
+        first is cut.  It is that of the {0, ..., 0} component, which leads
+        the first batch: a Gram block is entrywise nonnegative, so no
+        eigenvalue exceeds its largest row sum, the diagonal sum_c amps[c]^2
+        plus amps[m]^2 over the row's N - 1 spectator levels m, and every
+        row sum of the {0, ..., 0} block is that bound at m = 0, its largest
+        eigenvalue, while every other row has a level m > 0.  A block above
+        it is a RuntimeError.
+        """
+        d, n = self.levels, self.ports
+        ds = d ** (n - 1)
+        place = d ** np.arange(n - 2, -1, -1)  # place values of the N - 1 spectator digits
+        digits = np.sort(np.arange(ds)[:, None] // place % d, axis=1)
+        # the multisets, ascending, each x's and their arrangement counts
+        keys, labels, sizes = np.unique(digits @ place, return_inverse=True, return_counts=True)
+        multisets = digits[keys]
+        # each slot's level multiplicity, sorted: one row per multiplicity pattern
+        slot_mults = np.sort((multisets[:, :, None] == multisets[:, None, :]).sum(axis=2), axis=1)
+        patterns = np.unique(slot_mults, axis=0, return_inverse=True)[1].ravel()
+        arrangements = np.argsort(labels, kind="stable")  # each multiset's x, ascending
+        starts = np.cumsum(sizes) - sizes
+        where = np.empty(n * ds, dtype=np.int64)  # each port state's position in its component
+        kept_total = support = 0
+        max_eig = None
+        for pattern in dict.fromkeys(patterns.tolist()):  # in order of their first multiset, {0, ..., 0} first
+            comps = np.flatnonzero(patterns == pattern)
+            xs = arrangements[starts[comps][:, None] + np.arange(sizes[comps[0]])]
+            states = (np.arange(n)[:, None] * ds + xs[:, None]).reshape(comps.size, -1)  # port slowest
+            where[states] = np.arange(states.shape[1])
+            offset = np.arange(comps.size)[:, None, None] * self.dim  # one sort keeps the components apart
+            members, pos = np.unique(self._phi[states] + offset, return_inverse=True)
+            members = members.reshape(comps.size, -1) - offset[:, :, 0]
+            pos = pos.reshape(states.shape + (d,)) - offset // self.dim * members.shape[1]
+            step = max(1, _CHUNK_ELEMS // (members.shape[1] * states.shape[1]))
+            for lo in range(0, comps.size, step):
+                part = slice(lo, lo + step)
+                w, v = np.linalg.eigh(self._gram_blocks(states[part], where))
+                if max_eig is None:
+                    max_eig = float(w[0, -1])
+                    cut = self.kernel_tol * max_eig  # w ascends, so the kept are each block's last
+                if w[:, -1].max() > max_eig:
+                    raise RuntimeError("a Gram block's largest eigenvalue exceeds that of the {0, ..., 0} component")
+                kept = (w > cut).sum(axis=1)
+                kept_total += int(kept.sum())
+                support += int((w > SUSPECT_BAND * max_eig).sum())
+                yield members[part], states[part], pos[part], w, v, kept
+        self._census = dict(kernel=self.dim - kept_total, suspect=kept_total - support, support=support,
+                            max_eigenvalue=max_eig)
+
+    def _untouched(self, levels: range) -> np.ndarray:
+        """The indices rho does not touch, ascending, those with C digit in
+        `levels`: no A_i equals C, so A runs over the D - 1 other levels."""
+        d, n = self.levels, self.ports
+        others = np.arange((d - 1) ** n)[:, None] // (d - 1) ** np.arange(n - 1, -1, -1) % (d - 1)
+        c = np.arange(levels.start, levels.stop)[:, None, None]
+        return (c[:, :, 0] * d**n + (others + (others >= c)) @ d ** np.arange(n - 1, -1, -1)).ravel()
+
+    def _phi_blocks(self, pos: np.ndarray, s: int) -> np.ndarray:
+        """Phi on the s members and r port states of each component, shape
+        (k, s, r), one scatter of `_amps`; `pos` (k, r, D) gives each port
+        state's rows as positions among its component's members."""
+        k, r, _ = pos.shape
         out = np.zeros((k, s, r))
-        out[np.arange(k)[:, None, None], where[self._phi[states]], np.arange(r)[:, None]] = self._amps
+        out[np.arange(k)[:, None, None], pos, np.arange(r)[:, None]] = self._amps
         return out
 
     def _gram_blocks(self, states: np.ndarray, where: np.ndarray) -> np.ndarray:
@@ -309,49 +369,22 @@ class TruncatedProtocol:
         out[:, np.arange(r), np.arange(r)] = np.cumsum(square)[-1]  # overwrites the own-port term
         return out
 
-    def _components(self):
-        """Invariant blocks of rho discovered from its sparsity pattern alone,
-        each diagonalised through the Gram matrix of its port states.
-
-        rho = Phi Phi^T, so on the r port states of a component of s indices
-        the Gram block G = Phi^T Phi (r x r) carries all of rho's nonzero
-        spectrum there; the other s - r eigenvalues are exact zeros.
-
-        Returns ([(members, states, w, V, kept), ...], max_eig): one stack per
-        (s, r) group of `_groups`, its components' Gram blocks diagonalised by
-        one stacked eigh, with the one kernel cut, each block's count of
-        eigenvalues above kernel_tol * max_eig.  The stage is `_eighs`,
-        computed on the first call.
-        """
-        return self._eighs
-
-    @cached_property
-    def _eighs(self):
-        stacks = []
-        where = np.empty(self._phi.shape[0], dtype=np.int64)
-        for members, states in self._groups[0]:
-            where[states] = np.arange(states.shape[1])
-            w, v = np.linalg.eigh(self._gram_blocks(states, where))
-            stacks.append((members, states, w, v))
-        max_eig = max((float(w.max()) for _, _, w, _ in stacks), default=0.0)
-        cut = self.kernel_tol * max_eig  # w ascends, so the kept are each block's last
-        return [(m, st, w, v, (w > cut).sum(axis=1)) for m, st, w, v in stacks], max_eig
-
     def eigenvalue_census(self) -> dict:
         """Counts of kernel / suspect-band / support eigenvalues of rho.
 
-        Kernel is all but the Gram eigenvalues kept by the cut of `_components`
-        (untouched indices and each component's s - r exact zeros included),
-        support the kept ones above the suspect band, suspect the rest.  The
-        stages are declared first, as `working_set_mb` of an empty window.
-        Each call returns a new dict."""
-        self._require_window(range(0), range(0), "eigenvalue census")
-        stacks, max_eig = self._components()
-        kept = sum(int(k.sum()) for *_, k in stacks)
-        support = sum(int((w > SUSPECT_BAND * max_eig).sum()) for _, _, w, _, _ in stacks)
-        return dict(kernel=self.dim - kept, suspect=kept - support, support=support, max_eigenvalue=max_eig)
+        Kernel is all but the Gram eigenvalues kept by the kernel cut of
+        `_spectra` (untouched indices and each component's s - r exact zeros
+        included), support the kept ones above the suspect band, suspect the
+        rest.  Read from the census the first finished pass recorded; before
+        one has, a pass runs that forms no measurement, declared first as
+        `working_set_mb` of an empty window.  Each call returns a new dict."""
+        if "_census" not in vars(self):
+            require_memory(self.working_set_mb(range(0), range(0)), "eigenvalue census")
+            for _ in self._spectra():
+                pass
+        return dict(self._census)
 
-    def _factors(self):
+    def _factors(self, untouched: range):
         """First measurement element in factored form, one batch at a time, as
         (members, L, B): the element on the ascending indices members[j] is
         L[j] B[j]^T + I/N, with L and B each (s, k).
@@ -362,30 +395,22 @@ class TruncatedProtocol:
         masks the port-1 states.  So L = B (V_k^T E_1 V_k - I/N).  Each column
         Phi v_j of B is divided by its computed norm, which is sqrt(g_j) in
         exact arithmetic but carries none of the eigenvalue error of a small
-        g_j.  Each batch holds components of one (s, r) and one k, at most
-        _CHUNK_ELEMS entries of their Phi blocks or one larger component.  Last
-        come the indices rho does not touch, `_groups[1]`, as members (lone, 1)
+        g_j.  Each `_spectra` batch is split by k.  Last come the indices rho
+        does not touch whose C digit lies in `untouched`, as members (lone, 1)
         with L and B (lone, 1, 0) of rank zero: their entries are 1/N alone.
         """
-        stacks, _ = self._components()
         n = self.ports
         first_port = self.levels ** (n - 1)  # port-1 states are Phi's first columns
-        where = np.empty(self.dim, dtype=np.int64)  # each index's position among its component's members
-        for members, *_ in stacks:
-            where[members] = np.arange(members.shape[1])
-        for members, states, _, v, kept in stacks:
+        for members, states, pos, _, v, kept in self._spectra():
             s, r = members.shape[1], states.shape[1]
-            step = max(1, _CHUNK_ELEMS // (s * r))
             for k in sorted(set(kept.tolist())):
                 same = np.flatnonzero(kept == k)
-                for lo in range(0, same.size, step):
-                    part = same[lo : lo + step]
-                    idx, st, vk = members[part], states[part], v[part][:, :, r - k :]
-                    basis = self._phi_blocks(st, where, s) @ vk
-                    basis /= np.sqrt((basis * basis).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
-                    port1 = vk * (st < first_port)[:, :, None]
-                    yield idx, basis @ (vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n), basis
-        lone = self._groups[1][:, None]
+                vk = v[same][:, :, r - k :]
+                basis = self._phi_blocks(pos[same], s) @ vk
+                basis /= np.sqrt((basis * basis).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
+                port1 = vk * (states[same] < first_port)[:, :, None]
+                yield members[same], basis @ (vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n), basis
+        lone = self._untouched(untouched)[:, None]
         yield lone, np.zeros(lone.shape + (0,)), np.zeros(lone.shape + (0,))
 
     def _pairs(self, left: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -404,30 +429,28 @@ class TruncatedProtocol:
         return vals
 
     def _join(self, members: np.ndarray, a_range: range, b_range: range):
-        """The window entries of components `members` (count, s): row C digit in
-        b_range, column C digit in a_range, equal spectator digits (A_2..A_N).
+        """The window entries of components `members` (count, s) as (rows,
+        cols), positions in members.ravel(): row C digit b in b_range, column
+        C digit a in a_range, equal spectator digits (A_2..A_N).
 
-        A sorted join on (component, spectator) over positions in
-        members.ravel(): returns (rows, cols, lo, hits), the row positions,
-        the column positions sorted by key, and for each row the first
-        matching column `lo` and the count `hits` of its matches."""
+        Row (b, A) and column (a, A') of one component need
+        multiset(A) - {b} = multiset(A') - {a}, so {A'_1, b} = {A_1, a}: a
+        row with A_1 = b meets the column (a, a, A_2..A_N) of every a, found
+        among its component's sorted members by one searchsorted, and any
+        other row meets itself alone, where its C digit lies in both ranges
+        (an untouched index, a component of its own, among them)."""
         d, n = self.levels, self.ports
         dn, ds = d**n, d ** (n - 1)
-        s = members.shape[1]
+        count, s = members.shape
         flat = members.ravel()
-        digit = flat // dn
+        digit, first = flat // dn, flat // ds % d
         in_b = (digit >= b_range.start) & (digit < b_range.stop)
-        in_a = (digit >= a_range.start) & (digit < a_range.stop)
-        if s == 1:  # untouched indices: each pairs with itself alone, if its C digit lies in both ranges
-            both = np.flatnonzero(in_b & in_a)
-            return both, both, np.arange(both.size), np.ones(both.size, dtype=np.int64)
-        rows, cols = np.flatnonzero(in_b), np.flatnonzero(in_a)
-        row_key = rows // s * ds + flat[rows] % ds  # position // s is the component
-        col_key = cols // s * ds + flat[cols] % ds
-        by_key = np.argsort(col_key)
-        cols, col_key = cols[by_key], col_key[by_key]
-        lo = np.searchsorted(col_key, row_key, "left")
-        return rows, cols, lo, np.searchsorted(col_key, row_key, "right") - lo
+        lead = np.flatnonzero(in_b & (first == digit))
+        itself = np.flatnonzero(in_b & (first != digit) & (digit >= a_range.start) & (digit < a_range.stop))
+        apart = np.arange(count * s) // s * self.dim  # keeps the components' members apart, each ascending
+        wanted = np.arange(a_range.start, a_range.stop) * (dn + ds) + (flat[lead] % ds + apart[lead])[:, None]
+        cols = np.searchsorted(flat + apart, wanted).ravel()
+        return np.concatenate([np.repeat(lead, len(a_range)), itself]), np.concatenate([cols, itself])
 
     def _window(self, a_range: range, b_range: range):
         """The measurement entries the partial trace reads for the channel
@@ -435,10 +458,9 @@ class TruncatedProtocol:
         column C digit a, and equal row and column spectator digits
         (A_2..A_N).
 
-        Streams `_factors` once.  In each batch the rows and columns of
-        `_join` are paired and `_pairs` forms their entries; an untouched
-        index, in the last batch, pairs only with itself, where its C digit
-        lies in both ranges.  Sorted by (b, a), then row, then column; each
+        Streams `_factors` once.  In each batch `_join` pairs the rows and
+        columns and `_pairs` forms their entries; the last batch holds the
+        untouched indices whose C digit lies in both ranges.  Sorted by (b, a), then row, then column; each
         entry keeps its element index (b - b0) len(a_range) + (a - a0), its
         A_1 digits (p of the row, q of the column) and its value times the
         spectator thermal product prod_k chi_x(r_k).  The sort key is unique
@@ -455,11 +477,9 @@ class TruncatedProtocol:
             return (element * dn + rows % dn) * self.dim + cols
 
         keys, parts = [], []
-        for members, left, basis in self._factors():
-            rows, cols, lo, hits = self._join(members, a_range, b_range)
-            ends = np.cumsum(hits)
-            cols = cols[np.arange(hits.sum()) - np.repeat(ends - hits - lo, hits)]
-            rows = np.repeat(rows, hits)
+        both = range(max(a_range.start, b_range.start), min(a_range.stop, b_range.stop))
+        for members, left, basis in self._factors(both):
+            rows, cols = self._join(members, a_range, b_range)
             flat = members.ravel()
             keys.append(sort_key(flat[rows], flat[cols]))
             parts.append(self._pairs(left, basis, rows, cols))
@@ -515,10 +535,9 @@ def build_rho(proto: TruncatedProtocol) -> FockOperator:
 def build_povm_element(proto: TruncatedProtocol) -> FockOperator:
     """First POVM element, dense, with the eigenvalue census in `meta`: `_pairs`
     at every in-component pair of each `_factors` batch, _CHUNK_ELEMS at a time."""
-    require_memory(proto.dense_mb(), "dense measurement element")  # before `povm_mb` runs the stages
     require_memory(proto.povm_mb(), "dense measurement element")
     mat = np.zeros((proto.dim, proto.dim))
-    for members, left, basis in proto._factors():
+    for members, left, basis in proto._factors(range(proto.levels)):
         count, s = members.shape
         flat = members.ravel()
         for lo in range(0, count * s * s, _CHUNK_ELEMS):
@@ -596,7 +615,7 @@ def channel_elements(proto: TruncatedProtocol, a_range: range, b_range: range) -
     for name, window in (("a", a_range), ("b", b_range)):
         if not (window.step == 1 and 0 <= window.start < window.stop <= d):
             raise ValueError(f"{name} window {window} is not a non-empty run of levels inside cutoff {d}")
-    proto._require_window(a_range, b_range, "channel gather")
+    require_memory(proto.working_set_mb(a_range, b_range), "channel gather")
     element, p, q, vals = proto._window(a_range, b_range)
     gathered = np.zeros((len(b_range), len(a_range), d, d))
     np.add.at(gathered.reshape(-1, d, d), (element, q, p), vals)

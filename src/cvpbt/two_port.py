@@ -224,6 +224,12 @@ def _check_two_port(params: ChannelParams):
         raise ValueError("closed-form channel is the two-port case")
 
 
+def _check_point(params: ChannelParams):
+    """Refuse a parameter grid where one point is evaluated."""
+    if np.ndim(params.lambda_x):
+        raise ValueError("this evaluates one parameter point; take a grid's points one at a time (ChannelParams.points)")
+
+
 def _diag_tail_bound(params: ChannelParams, levels: int) -> float:
     """Mass of the diagonal corrections dropped beyond the cutoff."""
     lx, ly = params.lambda_x, params.lambda_y

@@ -353,8 +353,8 @@ class TestOracleVerify:
         code, _ = run(tmp_path, "oracle-verify", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "4")
         assert code == EXIT_VALIDATION
 
-    @pytest.mark.parametrize("ports, cutoff, need", [("2", "100000000", "about 45776367645263675392 MiB"),
-                                                     ("8", "4", "about 8772 MiB"),
+    @pytest.mark.parametrize("ports, cutoff, need", [("2", "100000000", "about 10070800859071 MiB"),
+                                                     ("8", "4", "about 2374 MiB"),
                                                      ("200", "200", "more MiB than a float holds")])
     def test_oversize_is_refused_before_the_analytic_build(self, tmp_path, monkeypatch, capsys, ports, cutoff, need):
         # the oracle's window is declared first: one line, no traceback

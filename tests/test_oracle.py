@@ -328,22 +328,32 @@ def sparse_groups(proto):
     return groups, order[sizes.sum() :]
 
 
+def streamed_components(proto):
+    """(members, states) of every component of the streamed pass, in order
+    of its smallest port state, as csgraph numbers the components."""
+    rows = [(m, st) for members, states, *_ in proto._spectra() for m, st in zip(members, states)]
+    return sorted(rows, key=lambda row: row[1][0])
+
+
 @pytest.mark.parametrize("ports,d", [(2, 12), (2, 40), (3, 6), (3, 16), (4, 4), (4, 9), (5, 3), (6, 3), (7, 3), (8, 3)])
 def test_groups_and_gram_blocks_are_the_sparse_reference_bitwise(ports, d):
+    # every component of the stream, its members, port states and stacked
+    # Gram blocks, and the untouched indices, against csgraph and Phi^T Phi
     proto = TruncatedProtocol(ChannelParams(0.4, 0.45, ports=ports), Cutoff(d))
-    groups, lone = proto._groups
     ref_groups, ref_lone = sparse_groups(proto)
-    assert lone.tobytes() == ref_lone.tobytes()
-    assert len(groups) == len(ref_groups)
-    gram = sparse_gram(proto)
-    where = np.empty(proto._phi.shape[0], dtype=np.int64)
-    for (members, states), (ref_members, ref_states) in zip(groups, ref_groups):
+    assert proto._untouched(range(d)).tobytes() == ref_lone.tobytes()
+    ref = sorted(((m, st) for members, states in ref_groups for m, st in zip(members, states)), key=lambda row: row[1][0])
+    comps = streamed_components(proto)
+    assert len(comps) == len(ref)
+    for (members, states), (ref_members, ref_states) in zip(comps, ref):
         assert members.tobytes() == ref_members.tobytes() and members.shape == ref_members.shape
         assert states.tobytes() == ref_states.tobytes() and states.shape == ref_states.shape
+    gram = sparse_gram(proto)
+    where = np.empty(proto._phi.shape[0], dtype=np.int64)
+    for _, states, *_ in proto._spectra():
         where[states] = np.arange(states.shape[1])
         blocks = proto._gram_blocks(states, where)
-        ref = np.stack([gram[st][:, st].toarray() for st in states])
-        assert blocks.tobytes() == ref.tobytes()
+        assert blocks.tobytes() == np.stack([gram[st][:, st].toarray() for st in states]).tobytes()
 
 
 @pytest.mark.parametrize("ports,d", [(2, 12), (3, 6), (4, 5), (5, 3), (6, 3)])
@@ -352,7 +362,7 @@ def test_components_are_the_multisets_of_their_digits(ports, d):
     # when no A_i = C, else in the component of the multiset of A less one
     # copy of C, which holds r = N (N-1)! / prod(mult!) port states
     proto = TruncatedProtocol(ChannelParams(0.4, 0.45, ports=ports), Cutoff(d))
-    groups, lone = proto._groups
+    lone = proto._untouched(range(d))
     multisets = {}
     for index in range(d ** (ports + 1)):
         c, *a = (index // d ** np.arange(ports, -1, -1) % d).tolist()
@@ -362,13 +372,13 @@ def test_components_are_the_multisets_of_their_digits(ports, d):
     touched = [i for members in multisets.values() for i in members]
     assert lone.tolist() == sorted(set(range(d ** (ports + 1))) - set(touched))
     seen = []
-    for members, states in groups:
-        for row, row_states in zip(members.tolist(), states):
-            key = next(k for k, v in multisets.items() if v[0] == row[0])
-            assert row == multisets[key]
-            mults = np.bincount(key).tolist()
-            assert len(row_states) == ports * math.factorial(ports - 1) // math.prod(map(math.factorial, mults))
-            seen.append(key)
+    for members, states in streamed_components(proto):
+        row = members.tolist()
+        key = next(k for k, v in multisets.items() if v[0] == row[0])
+        assert row == multisets[key]
+        mults = np.bincount(key).tolist()
+        assert len(states) == ports * math.factorial(ports - 1) // math.prod(map(math.factorial, mults))
+        seen.append(key)
     assert sorted(seen) == sorted(multisets)
 
 
@@ -471,10 +481,10 @@ def element_from_table(a, b, proto, table):
 
 def declared_working_set(proto, blocks, w=4):
     """`working_set_mb` for the window a, b < w, from the reference components:
-    24 bytes per entry of the Gram stacks, the largest group's Gram pairing
-    temporaries, the largest factor batch, the largest group's pair
-    temporaries, 2 per window entry, 2 per value of the dense (w, w, d, d)
-    output and the sized terms."""
+    24 bytes per entry of the largest batch of one (s, r) (b components,
+    b s r <= 2^16 or one), 2 per window entry, 2 per value of the dense
+    (w, w, d, d) output, 2 per entry of the Phi table and 2^16 for the pair
+    products."""
     d, n = proto.levels, proto.ports
     dn, ds = d**n, d ** (n - 1)
     w = min(w, d)
@@ -486,16 +496,11 @@ def declared_working_set(proto, blocks, w=4):
     touched = np.concatenate([idx for idx, _, _ in blocks])
     lone = np.setdiff1d(np.arange(proto.dim), touched)
     window = int((lone // dn < w).sum()) + sum(hits)
-    gram = pairing = factors = pairs = 0
-    for s, r in sorted(set(shapes)):
-        count = shapes.count((s, r))
-        gram += count * r * r
-        pairing = max(pairing, count * r * (d + 2 * n))
-        factors = max(factors, min(count, max(1, (1 << 16) // (s * r))) * (s * r + r * r))
-        group_hits = sum(h for shape, h in zip(shapes, hits) if shape == (s, r))
-        pairs = max(pairs, min(1 << 16, group_hits * r))
-    sized = 2 * proto.dim + n * d**n
-    return 24 * (gram + pairing + factors + pairs + 2 * window + 2 * w * w * d * d + sized) / 2**20
+    batch = 0
+    for s, r in set(shapes):
+        b = min(shapes.count((s, r)), max(1, (1 << 16) // (s * r)))
+        batch = max(batch, b * (2 * s * r + r * r + r * (d + 2 * n)))
+    return 24 * (batch + 2 * window + 2 * w * w * d * d + 2 * n * d**n + (1 << 16)) / 2**20
 
 
 STACK_POINTS = [(3, 6, 0.5, 0.4), (4, 4, 0.3, 0.35)]
@@ -518,9 +523,9 @@ class TestStackedStages:
         # bitwise one eigh of that component's Gram block alone
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         ref, _ = components_per_block(proto)
-        stacks, _ = proto._components()
         blocks = sorted(
-            ((m[j], st[j], w[j], v[j]) for m, st, w, v, _ in stacks for j in range(len(m))), key=lambda b: b[0][0]
+            ((m[j], st[j], w[j], v[j]) for m, st, _, w, v, _ in proto._spectra() for j in range(len(m))),
+            key=lambda b: b[0][0],
         )
         gram = sparse_gram(proto)
         assert len(blocks) == len(ref)
@@ -577,17 +582,17 @@ class TestStackedStages:
     def test_gather_order_is_lexsort_order(self, ports, d, lx, ly):
         # the one-key argsort of `_window` against (key, row, column) lexsort
         # of the window's entries read off the dense measurement over the
-        # members of `_groups`, untouched indices last, for the whole cutoff
-        # and for windows that start off zero, a or b first
+        # members of the streamed components, untouched indices last, for the
+        # whole cutoff and for windows that start off zero, a or b first
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
         chi_x = chi_vector(lx, d)
         thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
         mat = build_povm_element(proto).matrix
-        groups, lone = proto._groups
+        members_list = [members for members, *_ in proto._spectra()] + [proto._untouched(range(d))[:, None]]
         for a_range, b_range in [(range(d), range(d)), (range(1, 3), range(2, d)), (range(2, d), range(1, 3))]:
             parts = []
-            for members in [members for members, _ in groups] + [lone[:, None]]:
+            for members in members_list:
                 rows, cols = np.broadcast_arrays(members[:, :, None], members[:, None, :])
                 blocks = mat[rows, cols]
                 hit = (rows % ds == cols % ds) & np.isin(rows // dn, b_range) & np.isin(cols // dn, a_range)
@@ -601,20 +606,22 @@ class TestStackedStages:
             assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
 
     def test_untouched_indices_are_the_zero_rank_batch(self, ports, d, lx, ly, monkeypatch):
-        # the last batch of `_factors` is `_groups[1]` with zero-width factors;
-        # a window reading it alone gives those indices 1/N, as the dense
-        # element does, only where their C digit lies in both ranges
+        # the last batch of `_factors` is the untouched indices, those with no
+        # A_i = C, with zero-width factors; a window reading it alone gives
+        # those indices 1/N, as the dense element does, only where their C
+        # digit lies in both ranges
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
-        lone = proto._groups[1]
-        *_, last = proto._factors()
+        digits = np.arange(proto.dim)[:, None] // d ** np.arange(ports, -1, -1) % d
+        lone = np.flatnonzero((digits[:, 1:] != digits[:, :1]).all(axis=1))
+        *_, last = proto._factors(range(d))
         assert np.array_equal(last[0], lone[:, None])
         assert last[1].shape == last[2].shape == (lone.size, 1, 0)
         mat = build_povm_element(proto).matrix
         assert np.all(mat[lone, lone] == 1 / ports)
         assert np.count_nonzero(mat[lone]) == np.count_nonzero(mat[:, lone]) == lone.size
         a_range, b_range = range(2, 4), range(1, 3)
-        monkeypatch.setattr(proto, "_factors", lambda: iter([last]))
+        monkeypatch.setattr(proto, "_factors", lambda untouched: iter([last]))
         element, p, q, vals = proto._window(a_range, b_range)
         inside = lone[np.isin(lone // dn, a_range) & np.isin(lone // dn, b_range)]
         c = inside // dn
@@ -662,27 +669,27 @@ class TestStackedStages:
                 assert elements[i, j].astype(complex).tobytes() == single.tobytes()
 
     def test_each_stage_runs_once_per_protocol(self, ports, d, lx, ly, monkeypatch):
-        # one component labelling (the `_groups` stage), and one eigh per
-        # (s, r) group, across two whole reports on one protocol
-        calls = {"components": 0, "eigh": 0}
-        stage = vars(TruncatedProtocol)["_groups"]
-        components, eigh = stage.func, np.linalg.eigh
+        # the Phi table once per protocol; the streamed pass once per report,
+        # one eigh per component, its census read by the report
+        calls = {"phi": 0, "eigh": 0}
+        stage = vars(TruncatedProtocol)["_phi"]
+        phi, eigh = stage.func, np.linalg.eigh
 
         def counting(name, fn, caller="cvpbt.oracle"):
             def wrapped(*args, **kwargs):
                 if caller in (None, sys._getframe(1).f_globals.get("__name__")):
-                    calls[name] += 1
+                    calls[name] += len(args[0]) if name == "eigh" else 1
                 return fn(*args, **kwargs)
 
             return wrapped
 
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
-        groups = {(len(idx), len(port_state_columns(proto, idx))) for idx, _, _ in components_per_block(proto)[0]}
-        monkeypatch.setattr(stage, "func", counting("components", components, caller=None))
+        components = len(components_per_block(TruncatedProtocol(proto.params, proto.cutoff))[0])
+        monkeypatch.setattr(stage, "func", counting("phi", phi, caller=None))
         monkeypatch.setattr(np.linalg, "eigh", counting("eigh", eigh))
-        for _ in range(2):
+        for run in range(1, 3):
             verification_report(proto, 3, 3)
-            assert calls == {"components": 1, "eigh": len(groups)}
+            assert calls == {"phi": 1, "eigh": run * components}
 
     def test_equal_protocols_compare_equal_after_running(self, ports, d, lx, ly):
         params = ChannelParams(lx, ly, ports=ports)
@@ -722,10 +729,12 @@ def test_gram_spectra_are_rho_spectra(ports, d, ly):
     # the rest of rho's spectrum there lies under the kernel cut.  One
     # component of every (s, r) is checked.
     proto = TruncatedProtocol(ChannelParams(0.3, ly, ports=ports), Cutoff(d))
-    stacks, max_eig = proto._components()
+    firsts = {}
+    for members, port_states, _, w, _, _ in proto._spectra():
+        firsts.setdefault(members.shape + port_states.shape[1:], (members[0], port_states[0], w[0]))
+    max_eig = proto.eigenvalue_census()["max_eigenvalue"]
     rho = sparse_rho(proto)
-    for members, port_states, w, _, _ in stacks:
-        idx, states, g = members[0], port_states[0], w[0]
+    for idx, states, g in firsts.values():
         spectrum = np.linalg.eigvalsh(rho[idx][:, idx].toarray())
         r = len(states)
         assert np.abs(spectrum[len(idx) - r :] - g).max() <= 1e-13 * max_eig
@@ -810,7 +819,7 @@ def test_dense_surfaces_declare_their_traced_peak(surface, ports, d, monkeypatch
 
 
 def test_budget_refusal_allocates_nothing_sized(monkeypatch):
-    # (2, 150): the component labels alone would be 8 * 150^3 B = 26 MB
+    # (2, 150): a whole-basis table would be 8 * 150^3 B = 26 MB
     monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "1")
     proto = TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(150))
     tracemalloc.start()
@@ -821,7 +830,7 @@ def test_budget_refusal_allocates_nothing_sized(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak_mb < 1
-    assert "_groups" not in vars(proto)
+    assert "_phi" not in vars(proto)
 
 
 def test_census_is_declared_before_the_stages_run(monkeypatch):
@@ -830,7 +839,7 @@ def test_census_is_declared_before_the_stages_run(monkeypatch):
     for stage in (proto.eigenvalue_census, lambda: channel_elements(proto, range(1), range(1))):
         with pytest.raises(MemoryBudgetError):
             stage()
-    assert "_groups" not in vars(proto)
+    assert not {"_phi", "_census"} & vars(proto).keys()
     monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", "64")
     declared = proto.working_set_mb(range(0), range(0))
     assert declared > 1
@@ -838,8 +847,8 @@ def test_census_is_declared_before_the_stages_run(monkeypatch):
     assert proto.eigenvalue_census() == TruncatedProtocol(proto.params, proto.cutoff).eigenvalue_census()
 
 
-@pytest.mark.parametrize("ports,d,budget,need", [(4, 9, "1", "about 3 MiB"), (8, 4, "2048", "about 8772 MiB"),
-                                                 (2, 10**8, "2048", "about 45776367645263675392 MiB"),
+@pytest.mark.parametrize("ports,d,budget,need", [(4, 9, "1", "about 8 MiB"), (8, 4, "2048", "about 2374 MiB"),
+                                                 (2, 10**8, "2048", "about 10070800859071 MiB"),
                                                  (200, 200, "2048", "more MiB than a float holds")])
 def test_report_is_refused_before_the_analytic_build(monkeypatch, ports, d, budget, need):
     # the oracle declares its window first, so no analytic channel is built
@@ -903,3 +912,62 @@ class TestInputChecks:
         monkeypatch.setenv("CVPBT_MEM_BUDGET_MB", raw)
         with pytest.raises(ValueError):
             TruncatedProtocol(ChannelParams(0.3, 0.3), Cutoff(4))
+
+
+# -- the streamed pass --------------------------------------------------------
+
+
+@pytest.mark.parametrize("ly", [0.05, 0.3, 0.7, 0.9])
+@pytest.mark.parametrize("ports,d", [(2, 12), (3, 6), (4, 4), (4, 5), (5, 3), (5, 4), (6, 3)])
+def test_gram_blocks_are_shifted_sector_matrices(ports, d, ly):
+    # G_D = H - ly^(2D) I on every component, H the sector matrix of its
+    # multiset: port state (i, x) is the arrangement with the marker in slot
+    # i - 1 and the digits of x in the other slots, and the truncated
+    # diagonal sum_(c<D) amps[c]^2 is 1 - ly^(2D)
+    from cvpbt.nport import MARKER, Arrangements, sector_matrix
+
+    proto = TruncatedProtocol(ChannelParams(0.3, ly, ports=ports), Cutoff(d))
+    ds = d ** (ports - 1)
+    where = np.empty(proto._phi.shape[0], dtype=np.int64)
+    for _, states, *_ in proto._spectra():
+        where[states] = np.arange(states.shape[1])
+        for st, gram in zip(states, proto._gram_blocks(states, where)):
+            port, x = np.divmod(st, ds)
+            spectators = x[:, None] // d ** np.arange(ports - 2, -1, -1) % d
+            arr = Arrangements(spectators[0].tolist())
+            order = [arr.index[tuple(np.insert(row, i, MARKER).tolist())] for i, row in zip(port, spectators)]
+            h = sector_matrix(arr, ly)[np.ix_(order, order)]
+            assert np.abs(gram + ly ** (2 * d) * np.eye(len(st)) - h).max() <= 1e-15
+
+
+@pytest.mark.parametrize("ly", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("ports,d", [(2, 8), (3, 5), (4, 4), (5, 3), (6, 3)])
+def test_largest_eigenvalue_is_the_all_zero_components(ports, d, ly):
+    # the kernel cut is fixed before any block is cut, by the {0, ..., 0}
+    # component: its largest Gram eigenvalue, 1 + (N-1)(1-ly^2) - ly^(2D), is
+    # the census maximum, and every other component's lies below it
+    proto = TruncatedProtocol(ChannelParams(0.3, ly, ports=ports), Cutoff(d))
+    zeros = np.arange(ports) * d ** (ports - 1)  # the port states (i, x = 0)
+    top = np.linalg.eigh(sparse_gram(proto)[zeros][:, zeros].toarray())[0][-1]
+    assert top == pytest.approx(1 + (ports - 1) * (1 - ly**2) - ly ** (2 * d), rel=1e-14)
+    assert proto.eigenvalue_census()["max_eigenvalue"] == top
+    others = [w[-1] for _, states, _, ws, _, _ in proto._spectra() for st, w in zip(states, ws) if st[0] != 0]
+    assert len(others) and max(others) < top
+
+
+@pytest.mark.parametrize("ports,d", [(3, 6), (4, 4), (5, 3)])
+def test_batching_does_not_move_a_bit(ports, d, monkeypatch):
+    # windows, census and the dense element are the same bits whether each
+    # batch holds one component, or as many as 2^20 Phi entries allow
+    params = ChannelParams(0.35, 0.4, ports=ports)
+
+    def run():
+        proto = TruncatedProtocol(params, Cutoff(d))
+        windows = [channel_elements(proto, range(d), range(d)), channel_elements(proto, range(1, 3), range(2, d))]
+        povm = build_povm_element(TruncatedProtocol(params, Cutoff(d)))
+        return [w.tobytes() for w in windows] + [povm.matrix.tobytes(), repr(povm.meta), repr(proto.eigenvalue_census())]
+
+    ref = run()
+    for chunk in (1, 1 << 20):
+        monkeypatch.setattr(oracle, "_CHUNK_ELEMS", chunk)
+        assert run() == ref

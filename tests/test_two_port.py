@@ -345,3 +345,22 @@ class TestEnergy:
         for rho in inputs:
             out = apply_state(rho, p)
             assert mean_photon_number(out) <= cap + 1e-8
+
+
+def test_single_point_entry_points_refuse_a_grid():
+    # a grid's stacked T would hand back one grid point's profiles as a
+    # single answer; the entry points that evaluate one point refuse it
+    from cvpbt.nport import make_channel
+    from cvpbt.oracle import TruncatedProtocol
+
+    grid = ChannelParams(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+    channel = make_channel(grid)
+    calls = [lambda: apply_number_element(1, 1, grid, 6), lambda: channel.number_element(0, 1, 6),
+             lambda: channel.diagonal_profile(1, 6), lambda: TruncatedProtocol(grid, Cutoff(4))]
+    for call in calls:
+        with pytest.raises(ValueError, match="one parameter point"):
+            call()
+    for point, (c, t) in zip(grid.points(), zip(*channel.arrays(6))):  # the grid's arrays stay per point
+        single = make_channel(point)
+        assert single.number_element(1, 1, 6).matrix.diagonal().real.tolist() == t[1].tolist()
+        assert single.number_element(0, 1, 6).matrix[0, 1] == c[0, 1]
