@@ -61,7 +61,7 @@ __all__ = [
 DEFAULT_BUDGET_MB = 2048.0
 SUSPECT_BAND = 1e-6  # relative; eigenvalues between kernel_tol and this are flagged
 _BYTES_PER_ENTRY = 24  # see TruncatedProtocol.working_set_mb
-_CHUNK_ELEMS = 1 << 16  # entries per factor batch, pair chunk or dense-block chunk, which bounds their temporaries
+_CHUNK_ELEMS = 1 << 16  # entries per batch of components, pair chunk or dense-element chunk, which bounds their temporaries
 
 
 class MemoryBudgetError(RuntimeError):
@@ -101,17 +101,6 @@ def require_memory(mb: float, what: str):
     budget = memory_budget()
     if mb > budget:
         raise MemoryBudgetError(mb, budget, what)
-
-
-def _partitions(total: int, parts: int, largest: int):
-    """The partitions of `total` into at most `parts` parts of at most
-    `largest` each, every part list descending."""
-    if total == 0:
-        yield ()
-    elif parts:
-        for first in range(min(total, largest), 0, -1):
-            for rest in _partitions(total - first, parts - 1, first):
-                yield (first, *rest)
 
 
 @dataclass
@@ -165,44 +154,49 @@ class TruncatedProtocol:
         d = self.levels ** (self.ports + 1 + extra_modes)
         return mib(d * d * 8)
 
-    def _batch_shapes(self) -> list[tuple[int, int, int]]:
-        """(b, s, r) for each multiplicity pattern, from counts alone: its
-        components hold s indices and r port states, and `_spectra` takes b
-        of them at a time, b s r <= _CHUNK_ELEMS or one larger component.
+    def _batch_cost(self, s: int, r: int) -> int:
+        """Entries one component of s members and r port states holds while
+        its batch is in `_spectra` and `_factors`: 2 s r for its Phi block and
+        B and L, r^2 for its Gram block and eigenvectors with their kept copy
+        and the k x k products, and r (D + 2N) for the Gram pairing
+        temporaries (its rows of `_phi` and the shared index, partner and
+        value of each port pair).  A batch holds as many components of one
+        multiplicity pattern as _CHUNK_ELEMS entries allow, or one."""
+        return 2 * s * r + r * r + r * (self.levels + 2 * self.ports)
 
-        N - 1 levels of multiplicities m_1..m_p have r = N!/prod(m!)
-        arrangements of the marker and the levels over N slots, and
-        D!/(D-p)! ways to pick the levels, less the orderings of equal m.
-        An index of the component holds the multiset plus its C digit c in
-        the N A-slots: r arrangements for each of the D - p levels c it
-        lacks, r/(m_j + 1) for its level j."""
+    def _largest_component(self) -> tuple[int, int]:
+        """(s, r) of the largest component, from counts alone: that of the
+        N - 1 levels spread as evenly as D levels allow.
+
+        Multiplicities m_1..m_p give r = N!/prod(m!) port states, the
+        arrangements of the marker and the levels over N slots, and s members,
+        the arrangements of the multiset plus the C digit c over the N A-slots:
+        r for each of the D - p levels c it lacks, r/(m_j + 1) for its level j.
+        Moving one copy of a level of multiplicity m_i to one of m_j <= m_i - 2
+        (0 included) multiplies r by m_i/(m_j + 1) and each of the terms of s
+        by one of m_i/(m_j + 1), (m_i + 1)/(m_j + 1) or m_i/(m_j + 2), none
+        below 1, so the most even pattern has the largest r and s of all."""
         d, n = self.levels, self.ports
-        shapes = []
-        for mults in _partitions(n - 1, d, n - 1):
-            r = math.factorial(n) // math.prod(map(math.factorial, mults))
-            count = math.perm(d, len(mults)) // math.prod(math.factorial(mults.count(m)) for m in set(mults))
-            s = r * (d - len(mults)) + sum(r // (m + 1) for m in mults)
-            shapes.append((min(count, max(1, _CHUNK_ELEMS // (s * r))), s, r))
-        return shapes
+        p = min(d, n - 1)
+        q, extra = divmod(n - 1, p)
+        mults = [q + 1] * extra + [q] * (p - extra)
+        r = math.factorial(n) // math.prod(map(math.factorial, mults))
+        return r * (d - p) + sum(r // (m + 1) for m in mults), r
 
     def working_set_mb(self, a_range: range, b_range: range) -> float:
         """Peak of the pass gathering the channel elements of a window and
-        comparing them, from counts before anything the size of the basis
-        is made: the largest batch plus the window.
+        comparing them, from counts alone, before anything the size of the
+        basis is made: the largest batch plus the window.
 
-        Counted in entries of _BYTES_PER_ENTRY bytes: b (2 s r + r^2 +
-        r (D + 2N)) for the largest batch of `_batch_shapes` (its Gram blocks,
-        eigenvectors and their kept copy, its Phi blocks, B and L with the
-        k x k products, and the Gram pairing temporaries: its rows of `_phi`
-        and the shared index, partner and value of each port pair); 2 N D^N
-        for the `_phi` table and a pattern's index tables (its port states'
-        rows, their sort and positions); _CHUNK_ELEMS for the pair products
-        of `_pairs`; 2 per window entry (their keys, values and sort); and 2
-        per value of the dense (len(a), len(b), d, d) output, which covers
-        its scatter and scaled copy, then the report's analytic window and
-        their difference.  A declaration that overflows a float is inf before
-        its patterns are counted.  The pass builds no rho or sigma, no s x s
-        block and no table over all d^2 elements.
+        Counted in entries of _BYTES_PER_ENTRY bytes: the larger of
+        _CHUNK_ELEMS and `_batch_cost` of `_largest_component` for the largest
+        batch; 2 N D^N for the `_phi` table and a pattern's index tables (its
+        port states' rows, their sort and positions); _CHUNK_ELEMS for the
+        pair products of `_pairs`; 2 per window entry (their keys, values and
+        sort); and 2 per value of the dense (len(a), len(b), d, d) output,
+        which covers its scatter and scaled copy, then the report's analytic
+        window and their difference.  The pass builds no rho or sigma, no
+        s x s block and no table over all d^2 elements.
 
         The window entries are counted exactly.  Row (b, A) and column
         (a, A') of one component with equal spectators need
@@ -214,19 +208,19 @@ class TruncatedProtocol:
         elements = len(a_range) * len(b_range)
         both = len(range(max(a_range.start, b_range.start), min(a_range.stop, b_range.stop)))
         window = elements * d ** (n - 1) + both * (dn - d ** (n - 1))
-        entries = 2 * n * dn + _CHUNK_ELEMS + 2 * window + 2 * elements * d * d
-        if mib(_BYTES_PER_ENTRY * entries) == math.inf:
-            return math.inf
-        batch = max(b * (2 * s * r + r * r + r * (d + 2 * n)) for b, s, r in self._batch_shapes())
-        return mib(_BYTES_PER_ENTRY * (entries + batch))
+        batch = max(_CHUNK_ELEMS, self._batch_cost(*self._largest_component()))
+        return mib(_BYTES_PER_ENTRY * (batch + 2 * n * dn + _CHUNK_ELEMS + 2 * window + 2 * elements * d * d))
 
     def povm_mb(self) -> float:
         """Peak of `build_povm_element`: the dense output, the stage terms of
         `working_set_mb` (its figure for an empty window) and the largest
-        chunk, m <= _CHUNK_ELEMS pairs of one batch: 2 m entries for their
-        positions and values, min(_CHUNK_ELEMS, m r) for products."""
-        sizes = [(min(_CHUNK_ELEMS, b * s * s), r) for b, s, r in self._batch_shapes()]
-        chunk = max(2 * m + min(_CHUNK_ELEMS, m * r) for m, r in sizes)
+        chunk, m <= _CHUNK_ELEMS pairs of one batch (whose members number at
+        most the basis, each with at most s of the largest component): 2 m
+        entries for their positions and values, min(_CHUNK_ELEMS, m r) for
+        products."""
+        s, r = self._largest_component()
+        m = min(_CHUNK_ELEMS, self.dim * s)
+        chunk = 2 * m + min(_CHUNK_ELEMS, m * r)
         return self.dense_mb() + self.working_set_mb(range(0), range(0)) + mib(_BYTES_PER_ENTRY * chunk)
 
     # -- the port states ----------------------------------------------------
@@ -275,9 +269,9 @@ class TruncatedProtocol:
         keyed by its digits sorted ascending and read in base D, which is also
         its multiset's smallest arrangement, and a component's members are its
         port states' rows of `_phi`, sorted and de-duplicated.  The components
-        of one multiplicity pattern share (s, r) and go in ascending key, b at
-        a time (`_batch_shapes`).  The indices with no A_i = C are touched by
-        no port state: kernel (`_untouched`).
+        of one multiplicity pattern share (s, r) and go in ascending key, as
+        many at a time as `_batch_cost` allows.  The indices with no A_i = C
+        are touched by no port state: kernel (`_untouched`).
 
         The kernel cut needs the largest eigenvalue of all blocks before the
         first is cut.  It is that of the {0, ..., 0} component, which leads
@@ -312,7 +306,7 @@ class TruncatedProtocol:
             members, pos = np.unique(self._phi[states] + offset, return_inverse=True)
             members = members.reshape(comps.size, -1) - offset[:, :, 0]
             pos = pos.reshape(states.shape + (d,)) - offset // self.dim * members.shape[1]
-            step = max(1, _CHUNK_ELEMS // (members.shape[1] * states.shape[1]))
+            step = max(1, _CHUNK_ELEMS // self._batch_cost(members.shape[1], states.shape[1]))
             for lo in range(0, comps.size, step):
                 part = slice(lo, lo + step)
                 w, v = np.linalg.eigh(self._gram_blocks(states[part], where))
@@ -626,7 +620,9 @@ def channel_elements(proto: TruncatedProtocol, a_range: range, b_range: range) -
 
 def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     """Channel output for |a><b| straight from the protocol: the one-element
-    window of `channel_elements`, with the eigenvalue census in `meta`."""
+    window of `channel_elements`, with the eigenvalue census in `meta`.  Each
+    call runs the whole streamed pass, one eigh per component, so ask
+    `channel_elements` for one window of several elements."""
     d = proto.levels
     if not (0 <= a < d and 0 <= b < d):
         raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")

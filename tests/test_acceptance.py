@@ -89,10 +89,10 @@ class TestCriterion02:
         worst = 0.0
         for lx, ly in itertools.product((0.3, 0.5), repeat=2):
             p = ChannelParams(lx, ly)
-            proto = oracle.TruncatedProtocol(p, Cutoff(14))
+            window = oracle.channel_elements(oracle.TruncatedProtocol(p, Cutoff(14)), range(4), range(4))
             for a in range(4):
                 for b in range(4):
-                    brute = oracle.brute_channel_element(a, b, proto).matrix
+                    brute = window[a, b]
                     ana = two_port.apply_number_element(a, b, p, Cutoff(14)).matrix
                     worst = max(worst, float(np.abs(brute - ana).max()))
         elapsed = time.perf_counter() - start
@@ -113,9 +113,10 @@ class TestCriterion03:
         generic = nport.NPortChannel(p, cap=7)
         worst_oracle = 0.0
         worst_paths = 0.0
+        window = oracle.channel_elements(proto, range(3), range(3))
         for a in range(3):
             for b in range(3):
-                brute = oracle.brute_channel_element(a, b, proto).matrix
+                brute = window[a, b]
                 ana = closed.number_element(a, b, Cutoff(8)).matrix
                 gen = generic.number_element(a, b, Cutoff(8)).matrix
                 worst_oracle = max(worst_oracle, float(np.abs(brute - ana).max()))

@@ -355,6 +355,7 @@ class TestOracleVerify:
 
     @pytest.mark.parametrize("ports, cutoff, need", [("2", "100000000", "about 10070800859071 MiB"),
                                                      ("8", "4", "about 2374 MiB"),
+                                                     ("100", "100", "more MiB than a float holds"),
                                                      ("200", "200", "more MiB than a float holds")])
     def test_oversize_is_refused_before_the_analytic_build(self, tmp_path, monkeypatch, capsys, ports, cutoff, need):
         # the oracle's window is declared first: one line, no traceback

@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -182,48 +183,49 @@ class TestBruteChannel:
         d = 4
         proto = TruncatedProtocol(ChannelParams(0.5, 0.4), Cutoff(d))
         m1 = build_povm_element(proto).matrix
+        window = channel_elements(proto, range(3), range(2))
         for a, b in [(0, 0), (0, 1), (2, 1)]:
             phi = reduced_resource(a, b, proto).matrix
             big = np.kron(m1, np.eye(d))  # measurement x identity on B_1
             prod = (big @ phi).reshape((d,) * 8)
             dense = 2 * np.einsum("cpqbcpqd->bd", prod)
-            gather = brute_channel_element(a, b, proto).matrix
+            gather = window[a, b]
             assert np.abs(dense - gather).max() < 1e-12
 
     def test_two_port_agreement(self):
         d = 14
         p = ChannelParams(0.5, 0.5)
-        proto = TruncatedProtocol(p, Cutoff(d))
+        window = channel_elements(TruncatedProtocol(p, Cutoff(d)), range(4), range(4))
         worst = 0.0
         for a in range(4):
             for b in range(4):
-                brute = brute_channel_element(a, b, proto).matrix
+                brute = window[a, b]
                 ana = apply_number_element(a, b, p, Cutoff(d)).matrix
                 worst = max(worst, float(np.abs(brute - ana).max()))
         assert worst < 1e-6
 
     def test_trace_one_within_budget(self):
         d = 12
-        proto = TruncatedProtocol(ChannelParams(0.4, 0.5), Cutoff(d))
+        window = channel_elements(TruncatedProtocol(ChannelParams(0.4, 0.5), Cutoff(d)), range(3), range(3))
         for a in range(3):
-            tr = brute_channel_element(a, a, proto).matrix.trace().real
+            tr = window[a, a].trace()
             assert abs(tr - 1) < 1e-8
 
     def test_channel_positivity_protocol_level(self):
-        proto = TruncatedProtocol(ChannelParams(0.5, 0.5), Cutoff(10))
+        window = channel_elements(TruncatedProtocol(ChannelParams(0.5, 0.5), Cutoff(10)), range(3), range(3))
         for a in (0, 2):
-            out = brute_channel_element(a, a, proto).matrix
+            out = window[a, a]
             assert np.linalg.eigvalsh(out).min() >= -1e-8
 
     def test_three_port_agreement(self):
         d = 8
         p = ChannelParams(0.4, 0.4, ports=3)
-        proto = TruncatedProtocol(p, Cutoff(d))
+        window = channel_elements(TruncatedProtocol(p, Cutoff(d)), range(3), range(3))
         channel = ThreePortChannel(p, cap=d - 1)
         worst = 0.0
         for a in range(3):
             for b in range(3):
-                brute = brute_channel_element(a, b, proto).matrix
+                brute = window[a, b]
                 ana = channel.number_element(a, b, Cutoff(d)).matrix
                 worst = max(worst, float(np.abs(brute - ana).max()))
         assert worst < 1e-5
@@ -236,13 +238,10 @@ class TestBruteChannel:
         p = ChannelParams(0.3, 0.3, ports=4)
         devs = {}
         for d in (4, 5):
-            proto = TruncatedProtocol(p, Cutoff(d))
+            window = channel_elements(TruncatedProtocol(p, Cutoff(d)), range(2), range(2))
             channel = NPortChannel(p, cap=d - 1)
             devs[d] = max(
-                float(np.abs(
-                    brute_channel_element(a, b, proto).matrix
-                    - channel.number_element(a, b, Cutoff(d)).matrix
-                ).max())
+                float(np.abs(window[a, b] - channel.number_element(a, b, Cutoff(d)).matrix).max())
                 for a in range(2)
                 for b in range(2)
             )
@@ -481,10 +480,10 @@ def element_from_table(a, b, proto, table):
 
 def declared_working_set(proto, blocks, w=4):
     """`working_set_mb` for the window a, b < w, from the reference components:
-    24 bytes per entry of the largest batch of one (s, r) (b components,
-    b s r <= 2^16 or one), 2 per window entry, 2 per value of the dense
-    (w, w, d, d) output, 2 per entry of the Phi table and 2^16 for the pair
-    products."""
+    24 bytes per entry of the largest batch (2^16, or the largest component's
+    2 s r + r^2 + r (D + 2N) where that is more), 2 per window entry, 2 per
+    value of the dense (w, w, d, d) output, 2 per entry of the Phi table and
+    2^16 for the pair products."""
     d, n = proto.levels, proto.ports
     dn, ds = d**n, d ** (n - 1)
     w = min(w, d)
@@ -496,10 +495,7 @@ def declared_working_set(proto, blocks, w=4):
     touched = np.concatenate([idx for idx, _, _ in blocks])
     lone = np.setdiff1d(np.arange(proto.dim), touched)
     window = int((lone // dn < w).sum()) + sum(hits)
-    batch = 0
-    for s, r in set(shapes):
-        b = min(shapes.count((s, r)), max(1, (1 << 16) // (s * r)))
-        batch = max(batch, b * (2 * s * r + r * r + r * (d + 2 * n)))
+    batch = max([1 << 16] + [2 * s * r + r * r + r * (d + 2 * n) for s, r in shapes])
     return 24 * (batch + 2 * window + 2 * w * w * d * d + 2 * n * d**n + (1 << 16)) / 2**20
 
 
@@ -545,9 +541,10 @@ class TestStackedStages:
     def test_elements_bitwise_csr_gather(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         table = csr_gather_table(proto, sp.csr_matrix(build_povm_element(proto).matrix))
+        window = channel_elements(proto, range(d), range(d))
         for a in range(d):
             for b in range(d):
-                element = brute_channel_element(a, b, proto).matrix
+                element = window[a, b].astype(complex)
                 assert element.tobytes() == element_from_table(a, b, proto, table).tobytes()
 
     def test_census_unchanged(self, ports, d, lx, ly):
@@ -701,9 +698,10 @@ class TestStackedStages:
 
     def test_gather_matches_dense_slice(self, ports, d, lx, ly):
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
+        window = channel_elements(proto, range(d), range(d))
         for a in range(d):
             for b in range(d):
-                gathered = brute_channel_element(a, b, proto).matrix
+                gathered = window[a, b]
                 assert np.abs(gathered - element_from_dense_slice(a, b, proto)).max() < 1e-14
 
 
@@ -847,7 +845,7 @@ def test_census_is_declared_before_the_stages_run(monkeypatch):
     assert proto.eigenvalue_census() == TruncatedProtocol(proto.params, proto.cutoff).eigenvalue_census()
 
 
-@pytest.mark.parametrize("ports,d,budget,need", [(4, 9, "1", "about 8 MiB"), (8, 4, "2048", "about 2374 MiB"),
+@pytest.mark.parametrize("ports,d,budget,need", [(4, 9, "1", "about 6 MiB"), (8, 4, "2048", "about 2374 MiB"),
                                                  (2, 10**8, "2048", "about 10070800859071 MiB"),
                                                  (200, 200, "2048", "more MiB than a float holds")])
 def test_report_is_refused_before_the_analytic_build(monkeypatch, ports, d, budget, need):
@@ -867,6 +865,33 @@ def test_report_is_refused_before_the_analytic_build(monkeypatch, ports, d, budg
         verification_report(proto, 3, 3)
 
 
+def test_huge_protocols_are_refused_from_counts(monkeypatch):
+    # every declaration is a closed form in N and D: at (100, 100) and
+    # (200, 200) the census, a window and the dense element are refused at
+    # once, with no list of the multiplicity patterns (p(99) ~ 1.7e8) made
+    monkeypatch.delenv("CVPBT_MEM_BUDGET_MB", raising=False)
+    start = time.perf_counter()
+    for ports, d in [(100, 100), (200, 200)]:
+        proto = TruncatedProtocol(ChannelParams(0.3, 0.3, ports=ports), Cutoff(d))
+        for stage in (proto.eigenvalue_census, lambda: channel_elements(proto, range(4), range(4)),
+                      lambda: build_povm_element(proto)):
+            with pytest.raises(MemoryBudgetError):
+                stage()
+        assert not {"_phi", "_census"} & vars(proto).keys()
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("ports,d", [(2, 7), (3, 5), (4, 2), (4, 4), (5, 2), (5, 3), (6, 3), (7, 2), (8, 2)])
+def test_largest_component_is_the_largest_streamed(ports, d):
+    # the closed form the declarations use is one of the streamed components'
+    # (s, r), and no component has more members or more port states
+    proto = TruncatedProtocol(ChannelParams(0.3, 0.4, ports=ports), Cutoff(d))
+    shapes = {(members.shape[1], states.shape[1]) for members, states, *_ in proto._spectra()}
+    s, r = proto._largest_component()
+    assert (s, r) in shapes
+    assert max(shape[0] for shape in shapes) == s and max(shape[1] for shape in shapes) == r
+
+
 def test_mib_is_the_quotient_or_inf():
     for nbytes in (0, 3, 2**20, 24 * 10**300):
         assert oracle.mib(nbytes) == nbytes / 2**20
@@ -881,8 +906,9 @@ def test_two_port_report_compares_against_the_uncapped_closed_form():
     params = ChannelParams(0.4, 0.5)
     proto = TruncatedProtocol(params, Cutoff(8))
     closed = make_channel(params)
+    window = channel_elements(proto, range(3), range(3))
     for e in verification_report(proto, 2, 2)["elements"]:
-        brute = brute_channel_element(e["a"], e["b"], proto).matrix
+        brute = window[e["a"], e["b"]].astype(complex)
         analytic = closed.number_element(e["a"], e["b"], proto.cutoff).matrix
         assert e["max_deviation"] == float(np.abs(brute - analytic).max())
 
