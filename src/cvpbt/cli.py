@@ -238,8 +238,7 @@ def cmd_bounds(args) -> tuple[ResultTable, int]:
         if args.delta_range is None:
             raise ValueError("--delta-range is required for the simulation bound")
         deltas = _parse_range(args.delta_range, args, 2, _BOUND_ROW_BYTES)
-        base = two_port.ChannelParams(args.lambda_x, args.lambda_y)
-        rows = [[d, bounds.sim_example_bound(d, base)] for d in deltas]
+        rows = [[d, bounds.sim_example_bound(d, params)] for d in deltas]
         meta["delta_range"] = args.delta_range
         return ResultTable(["delta", "bound"], rows, meta), EXIT_OK
     raise ValueError(f"unknown bound kind {args.kind!r}")
@@ -251,7 +250,7 @@ def cmd_fidelity_sweep(args) -> tuple[ResultTable, int]:
     elif args.cutoff is not None:
         raise ValueError(f"--cutoff applies to the tmsv input only: {args.input} compares on its own levels")
     else:
-        levels = 2 if args.input == "bell2" else 3
+        levels = nport.BELL_LEVELS[args.input]
     grid = _grid(args, 4, args.ports)
     oracle.require_memory(oracle.mib(levels**2 * _ENTRY_BYTES), f"fidelity-sweep at cutoff {levels}")
     options = {"lambda_in": args.lambda_in, "levels": levels, "cap": args.cap}
@@ -337,7 +336,7 @@ def _build_parser():
         p.add_argument("--delta-range", help="start:stop:count (sim)")
 
     def fidelity(p):
-        p.add_argument("--input", choices=("tmsv", "bell2", "bell3"), required=True)
+        p.add_argument("--input", choices=("tmsv", *nport.BELL_LEVELS), required=True)
         p.add_argument("--ports", type=int, choices=(2, 3), default=2)
         p.add_argument("--lambda-in", type=float)
         p.add_argument("--lambda-x-range", required=True)

@@ -43,6 +43,7 @@ __all__ = [
 
 MARKER = -1  # slot that carries the summed level index in an arrangement
 CAP_TOL = 1e-10  # geometric remainder that `default_cap` meets
+BELL_LEVELS = {"bell2": 2, "bell3": 3}  # the Bell inputs of `input_output_fidelity` and the levels they span
 _STACK_ELEMS = 1 << 18  # b sectors of a stacked batch have b size^2 <= this: their B, (b, size, size/N) float64, stays within 2 MiB
 
 
@@ -650,6 +651,17 @@ def _orbit_segments(arr: Arrangements):
     return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
 
 
+def _largest_layout(ports: int, levels: int) -> tuple[list[int], int]:
+    """The largest layout of the N - 1 levels of a sector drawn from
+    `levels` distinct ones: its level multiplicities m, spread as evenly as
+    `levels` allows, and its size N!/prod(m!), the arrangements of those
+    levels and the marker over N slots.  Also the oracle's largest component."""
+    k = min(levels, ports - 1)
+    q, extra = divmod(ports - 1, k)
+    mults = [q + 1] * extra + [q] * (k - extra)
+    return mults, math.factorial(ports) // math.prod(map(math.factorial, mults))
+
+
 def _build_mb(ports: int, cap: int) -> float:
     """Declared peak of an `NPortChannel` build in MiB, from its sizes alone:
     per sector, its row of the pattern walk's levels (the sector list is
@@ -660,11 +672,9 @@ def _build_mb(ports: int, cap: int) -> float:
     bytes per entry of a full batch of b size^2 <= _STACK_ELEMS (small
     sectors carry most overhead), or 24 per entry of the size x size/N
     gather table and B of one larger sector, the layout with the most
-    distinct levels.  The cap must be nonnegative."""
+    distinct levels (`_largest_layout`).  The cap must be nonnegative."""
     sectors = math.comb(cap + ports - 1, ports - 1)
-    k = max(1, min(ports - 1, cap + 1))  # distinct levels of the largest layout, spread evenly
-    q, r = divmod(ports - 1, k)
-    size = math.factorial(ports) // (math.factorial(q + 1) ** r * math.factorial(q) ** (k - r))
+    size = _largest_layout(ports, cap + 1)[1]
     stack = max(128 * _STACK_ELEMS, 24 * size**2 // ports)
     return mib(sectors * (72 + 8 * ports) + 64 * (cap + 3) ** 2 + 48 * math.factorial(ports - 1) ** 2 + stack)
 
@@ -889,6 +899,7 @@ def apply_state_nport(
 ) -> DensityOperator:
     """Apply the channel to a one-mode state, or to the first (signal) mode
     of a signal-idler pair while leaving the idler untouched."""
+    _check_point(params)
     if not rho_in.op.is_hermitian(tol=1e-10 * max(1.0, float(np.abs(rho_in.matrix).max()))):
         raise ValueError("input state must be Hermitian")
     modes = rho_in.op.modes
@@ -938,8 +949,8 @@ def input_output_fidelity(
         lam2 = lambda_in**2
         w = lam2 ** np.arange(levels)
         norm, input_tail = (1 - lam2) ** 2, lam2**levels
-    elif kind in ("bell2", "bell3"):
-        levels = 2 if kind == "bell2" else 3
+    elif kind in BELL_LEVELS:
+        levels = BELL_LEVELS[kind]
         w = np.ones(levels)
         norm, input_tail = 1 / levels**2, 0.0
     else:

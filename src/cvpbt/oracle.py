@@ -175,13 +175,12 @@ class TruncatedProtocol:
         Moving one copy of a level of multiplicity m_i to one of m_j <= m_i - 2
         (0 included) multiplies r by m_i/(m_j + 1) and each of the terms of s
         by one of m_i/(m_j + 1), (m_i + 1)/(m_j + 1) or m_i/(m_j + 2), none
-        below 1, so the most even pattern has the largest r and s of all."""
-        d, n = self.levels, self.ports
-        p = min(d, n - 1)
-        q, extra = divmod(n - 1, p)
-        mults = [q + 1] * extra + [q] * (p - extra)
-        r = math.factorial(n) // math.prod(map(math.factorial, mults))
-        return r * (d - p) + sum(r // (m + 1) for m in mults), r
+        below 1, so the most even pattern, `nport._largest_layout`, has the
+        largest r and s of all."""
+        from .nport import _largest_layout  # nport imports this module
+
+        mults, r = _largest_layout(self.ports, self.levels)
+        return r * (self.levels - len(mults)) + sum(r // (m + 1) for m in mults), r
 
     def working_set_mb(self, a_range: range, b_range: range) -> float:
         """Peak of the pass gathering the channel elements of a window and
@@ -192,14 +191,15 @@ class TruncatedProtocol:
         _CHUNK_ELEMS and `_batch_cost` of `_largest_component` for the largest
         batch; 2 N D^N for the `_phi` table and a pattern's index tables (its
         port states' rows, their sort and positions); _CHUNK_ELEMS for the
-        pair products of `_pairs`; 2 per window entry (their keys, values and
-        sort); and 2 per value of the dense (len(a), len(b), d, d) output,
+        pair products of `_pairs`; 2 per window entry (the `_window` slot
+        array, and the positions and values of the batch that fills it); and
+        2 per value of the dense (len(a), len(b), d, d) output,
         which covers its scatter and scaled copy, then the report's analytic
         window and their difference.  The pass builds no rho or sigma, no
         s x s block and no table over all d^2 elements.
 
-        The window entries are counted exactly.  Row (b, A) and column
-        (a, A') of one component with equal spectators need
+        The window entries, one per slot, are counted exactly.  Row (b, A)
+        and column (a, A') of one component with equal spectators need
         multiset(A) - {b} = multiset(A') - {a}, so {A'_1, b} = {A_1, a}:
         either A_1 = b and A'_1 = a, D^(N-1) rows for each (a, b), or a = b
         and the column is the row, the other D^N - D^(N-1) rows of each a in
@@ -424,74 +424,70 @@ class TruncatedProtocol:
 
     def _join(self, members: np.ndarray, a_range: range, b_range: range):
         """The window entries of components `members` (count, s) as (rows,
-        cols), positions in members.ravel(): row C digit b in b_range, column
-        C digit a in a_range, equal spectator digits (A_2..A_N).
+        cols, slots): positions in members.ravel(), row C digit b in b_range,
+        column C digit a in a_range, equal spectator digits x (A_2..A_N), and
+        each entry's place in the `_window` slot array.
 
         Row (b, A) and column (a, A') of one component need
         multiset(A) - {b} = multiset(A') - {a}, so {A'_1, b} = {A_1, a}: a
-        row with A_1 = b meets the column (a, a, A_2..A_N) of every a, found
+        row with A_1 = b meets the column (a, a, x) of every a, found
         among its component's sorted members by one searchsorted, and any
         other row meets itself alone, where its C digit lies in both ranges
         (an untouched index, a component of its own, among them)."""
         d, n = self.levels, self.ports
         dn, ds = d**n, d ** (n - 1)
+        na, nb = len(a_range), len(b_range)
         count, s = members.shape
         flat = members.ravel()
-        digit, first = flat // dn, flat // ds % d
+        digit, first, x = flat // dn, flat // ds % d, flat % ds
         in_b = (digit >= b_range.start) & (digit < b_range.stop)
         lead = np.flatnonzero(in_b & (first == digit))
         itself = np.flatnonzero(in_b & (first != digit) & (digit >= a_range.start) & (digit < a_range.stop))
         apart = np.arange(count * s) // s * self.dim  # keeps the components' members apart, each ascending
-        wanted = np.arange(a_range.start, a_range.stop) * (dn + ds) + (flat[lead] % ds + apart[lead])[:, None]
+        wanted = np.arange(a_range.start, a_range.stop) * (dn + ds) + (x[lead] + apart[lead])[:, None]
         cols = np.searchsorted(flat + apart, wanted).ravel()
-        return np.concatenate([np.repeat(lead, len(a_range)), itself]), np.concatenate([cols, itself])
+        rows = np.concatenate([np.repeat(lead, na), itself])
+        # the cell (b, a) of each lead row with each column, then the cell (c, p), p != c, of each row alone
+        c, p = digit[itself], first[itself]
+        cells = np.concatenate([(((digit[lead] - b_range.start) * na)[:, None] + np.arange(na)).ravel(),
+                                na * nb + (c - max(a_range.start, b_range.start)) * (d - 1) + p - (p > c)])
+        return rows, np.concatenate([cols, itself]), cells * ds + x[rows]
 
     def _window(self, a_range: range, b_range: range):
         """The measurement entries the partial trace reads for the channel
         elements |a><b| with a in a_range and b in b_range: row C digit b,
-        column C digit a, and equal row and column spectator digits
-        (A_2..A_N).
+        column C digit a, and equal row and column spectator digits x
+        (A_2..A_N), each times the spectator thermal product
+        prod_k chi_x(x_k).
 
-        Streams `_factors` once.  In each batch `_join` pairs the rows and
-        columns and `_pairs` forms their entries; the last batch holds the
-        untouched indices whose C digit lies in both ranges.  Sorted by (b, a), then row, then column; each
-        entry keeps its element index (b - b0) len(a_range) + (a - a0), its
-        A_1 digits (p of the row, q of the column) and its value times the
-        spectator thermal product prod_k chi_x(r_k).  The sort key is unique
-        per entry, so the order of the batches does not matter.
+        Laid out by slot, one row of D^(N-1) spectators x per cell: first the
+        cells (b, a), b slowest, pairing row (b, b, x) with column (a, a, x);
+        then, for each c in both ranges, the cells (c, p) with p != c in
+        ascending p, pairing row (c, p, x) with itself.  Streams `_factors`
+        once: in each batch `_join` pairs the rows and columns and places
+        them, and `_pairs` forms their entries; the last batch holds the
+        untouched indices whose C digit lies in both ranges.  Every slot is
+        written exactly once, so the order of the batches does not matter.
+
+        Returns (slots, at): `at` is each cell's place in the flattened
+        (len(b_range), len(a_range), d, d) output (b, a, q, p), q the
+        column's A_1 digit and p the row's: (b, a, a, b) for the cell (b, a),
+        (c, c, p, p) for the cell (c, p).
         """
         d, n = self.levels, self.ports
-        dn, ds = d**n, d ** (n - 1)
         na, nb = len(a_range), len(b_range)
-        if na * nb * dn * self.dim >= 2**63:
-            raise ValueError(f"the gather sort key of {n} ports at cutoff {d} overflows int64")
-
-        def sort_key(rows, cols):  # (b, a, row, column) in one int64
-            element = (rows // dn - b_range.start) * na + cols // dn - a_range.start
-            return (element * dn + rows % dn) * self.dim + cols
-
-        keys, parts = [], []
         both = range(max(a_range.start, b_range.start), min(a_range.stop, b_range.stop))
+        slots = np.zeros((na * nb + len(both) * (d - 1), d ** (n - 1)))
         for members, left, basis in self._factors(both):
-            rows, cols = self._join(members, a_range, b_range)
-            flat = members.ravel()
-            keys.append(sort_key(flat[rows], flat[cols]))
-            parts.append(self._pairs(left, basis, rows, cols))
-        key, vals = np.concatenate(keys), np.concatenate(parts)
-        del keys, parts  # `working_set_mb` counts two copies of the entries at a time
-        order = np.argsort(key)  # the key is unique, so any sort gives this order
-        key, vals = key[order], vals[order]
-        del order
-        element, key = np.divmod(key, dn * self.dim)  # what is left: (row without its C digit, column)
-        p, spectators = np.divmod(key // self.dim, ds)
-        q = key % self.dim // ds % d
-        del key
+            rows, cols, at = self._join(members, a_range, b_range)
+            slots.ravel()[at] = self._pairs(left, basis, rows, cols)
         chi_x = chi_vector(self.params.lambda_x, d)
-        thermal = np.ones(1)
-        for _ in range(n - 1):
-            thermal = np.multiply.outer(thermal, chi_x).ravel()
-        vals *= thermal[spectators]
-        return element, p, q, vals
+        slots *= np.prod(np.meshgrid(*[chi_x] * (n - 1), indexing="ij"), axis=0).ravel()  # prod_k chi_x(x_k)
+        b, a = np.divmod(np.arange(nb * na), na)
+        c, p = np.nonzero(np.arange(d) != np.array(both)[:, None])
+        c += both.start
+        element = np.concatenate([b * na + a, (c - b_range.start) * na + c - a_range.start])
+        return slots, element * d * d + np.concatenate([(a + a_range.start) * d + b + b_range.start, p * (d + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -602,17 +598,19 @@ def channel_elements(proto: TruncatedProtocol, a_range: range, b_range: range) -
     diagonal in the spectators A_2..A_N with thermal weights chi_x.  So the
     trace reads only the measurement entries with row C = b, column C = a
     and equal spectator digits; one `_window` gathers them for the whole
-    window, and one scatter sums them in the order a one-element window
-    would, with no dense slice made.
+    window, and one scatter adds each of its cells over the spectators in
+    ascending order, as a one-element window would, with no dense slice
+    made: cell (b, a) into the (a, b) entry of |a><b|, cell (c, p) into the
+    (p, p) entry of |c><c|.
     """
     d, n = proto.levels, proto.ports
     for name, window in (("a", a_range), ("b", b_range)):
         if not (window.step == 1 and 0 <= window.start < window.stop <= d):
             raise ValueError(f"{name} window {window} is not a non-empty run of levels inside cutoff {d}")
     require_memory(proto.working_set_mb(a_range, b_range), "channel gather")
-    element, p, q, vals = proto._window(a_range, b_range)
+    slots, at = proto._window(a_range, b_range)
     gathered = np.zeros((len(b_range), len(a_range), d, d))
-    np.add.at(gathered.reshape(-1, d, d), (element, q, p), vals)
+    np.add.at(gathered.reshape(-1), np.broadcast_to(at[:, None], slots.shape), slots)
     lx = proto.params.lambda_x
     signs = (-lx) ** np.arange(d)
     return n * (1 - lx**2) * np.outer(signs, signs) * gathered.transpose(1, 0, 2, 3)

@@ -69,6 +69,9 @@ class ChannelParams:
                 f"lambda_y must lie in (0, 1), got {ly[bad].flat[0]}; "
                 "lambda_y = 0 makes the square-root measurement degenerate"
             )
+        if isinstance(self.ports, bool) or not isinstance(self.ports, (int, np.integer)):
+            raise ValueError(f"ports must be an integer, got {self.ports!r}")
+        object.__setattr__(self, "ports", int(self.ports))  # numpy integers become Python ints
         if self.ports < 2:
             raise ValueError("at least two ports are required")
 
@@ -257,6 +260,7 @@ def apply_coherent(alpha: complex, params: ChannelParams, cutoff) -> DensityOper
     number basis.
     """
     _check_two_port(params)
+    _check_point(params)
     cutoff = as_cutoff(cutoff)
     d = cutoff.levels
     lx, ly = params.lambda_x, params.lambda_y

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -871,6 +872,18 @@ class TestBuildBudget:
         finally:
             tracemalloc.stop()
         assert peak / 2**20 <= nport._build_mb(ports, cap)
+
+
+@pytest.mark.parametrize("ports", range(2, 10))
+def test_largest_layout_is_the_largest_sector(ports):
+    # the one largest-layout count that `_build_mb` and the oracle's largest
+    # component read: the most arrangements of any multiset of N - 1 levels
+    for levels in range(1, 12):
+        mults, size = nport._largest_layout(ports, levels)
+        sizes = [math.factorial(ports) // math.prod(map(math.factorial, Counter(ms).values()))
+                 for ms in itertools.combinations_with_replacement(range(levels), ports - 1)]
+        assert size == max(sizes)
+        assert sum(mults) == ports - 1 and len(mults) == min(levels, ports - 1)
 
 
 class TestApplyState:

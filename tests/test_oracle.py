@@ -577,36 +577,36 @@ class TestStackedStages:
         assert elements[1].meta == proto.eigenvalue_census() == census
 
     def test_gather_order_is_lexsort_order(self, ports, d, lx, ly):
-        # the one-key argsort of `_window` against (key, row, column) lexsort
-        # of the window's entries read off the dense measurement over the
-        # members of the streamed components, untouched indices last, for the
-        # whole cutoff and for windows that start off zero, a or b first
+        # every slot of `_window` against its entry of the dense measurement
+        # times the spectator thermal weight, bitwise: first the cells (b, a),
+        # row (b, b, x) with column (a, a, x), then the cells (c, p), p != c,
+        # row (c, p, x) with itself, in ascending x, for the whole cutoff and
+        # for windows that start off zero, a or b first
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
         chi_x = chi_vector(lx, d)
         thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
         mat = build_povm_element(proto).matrix
-        members_list = [members for members, *_ in proto._spectra()] + [proto._untouched(range(d))[:, None]]
+        x = np.arange(ds)
         for a_range, b_range in [(range(d), range(d)), (range(1, 3), range(2, d)), (range(2, d), range(1, 3))]:
-            parts = []
-            for members in members_list:
-                rows, cols = np.broadcast_arrays(members[:, :, None], members[:, None, :])
-                blocks = mat[rows, cols]
-                hit = (rows % ds == cols % ds) & np.isin(rows // dn, b_range) & np.isin(cols // dn, a_range)
-                parts.append((rows[hit], cols[hit], blocks[hit]))
-            rows, cols, vals = (np.concatenate(column) for column in zip(*parts))
-            key = (rows // dn - b_range.start) * len(a_range) + cols // dn - a_range.start
-            order = np.lexsort((cols, rows, key))
-            element, p, q, gathered = proto._window(a_range, b_range)
-            assert np.array_equal(element, key[order])
-            assert np.array_equal(p, (rows[order] // ds) % d) and np.array_equal(q, (cols[order] // ds) % d)
-            assert gathered.tobytes() == (vals[order] * thermal[rows[order] % ds]).tobytes()
+            both = [c for c in b_range if c in a_range]
+            rows = [b * (dn + ds) + x for b in b_range for a in a_range]
+            rows += [c * dn + p * ds + x for c in both for p in range(d) if p != c]
+            cols = [a * (dn + ds) + x for b in b_range for a in a_range] + rows[len(rows) - len(both) * (d - 1) :]
+            slots, at = proto._window(a_range, b_range)
+            assert slots.shape == (len(rows), ds)
+            assert slots.tobytes() == (mat[np.array(rows), np.array(cols)] * thermal).tobytes()
+            # each cell's place in the flattened (b, a, q, p) output
+            place = lambda b, a, q, p: (((b - b_range.start) * len(a_range) + a - a_range.start) * d + q) * d + p
+            cells = [place(b, a, a, b) for b in b_range for a in a_range]
+            cells += [place(c, c, p, p) for c in both for p in range(d) if p != c]
+            assert at.tolist() == cells
 
     def test_untouched_indices_are_the_zero_rank_batch(self, ports, d, lx, ly, monkeypatch):
         # the last batch of `_factors` is the untouched indices, those with no
         # A_i = C, with zero-width factors; a window reading it alone gives
         # those indices 1/N, as the dense element does, only where their C
-        # digit lies in both ranges
+        # digit lies in both ranges, in their slots of the cells (c, p)
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
         digits = np.arange(proto.dim)[:, None] // d ** np.arange(ports, -1, -1) % d
@@ -619,15 +619,15 @@ class TestStackedStages:
         assert np.count_nonzero(mat[lone]) == np.count_nonzero(mat[:, lone]) == lone.size
         a_range, b_range = range(2, 4), range(1, 3)
         monkeypatch.setattr(proto, "_factors", lambda untouched: iter([last]))
-        element, p, q, vals = proto._window(a_range, b_range)
+        slots, _ = proto._window(a_range, b_range)
         inside = lone[np.isin(lone // dn, a_range) & np.isin(lone // dn, b_range)]
-        c = inside // dn
-        assert inside.size and np.all(c == 2)
+        c, p, x = inside // dn, inside % dn // ds, inside % ds
+        assert inside.size and np.all(c == 2) and np.all(p != c)
         chi_x = chi_vector(lx, d)
         thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
-        assert np.array_equal(element, (c - b_range.start) * len(a_range) + c - a_range.start)
-        assert np.array_equal(p, inside % dn // ds) and np.array_equal(q, p)
-        assert vals.tobytes() == (mat[inside, inside] * thermal[inside % ds]).tobytes()
+        expected = np.zeros((len(a_range) * len(b_range) + d - 1, ds))  # the one c in both ranges has d - 1 cells
+        expected[len(a_range) * len(b_range) + p - (p > c), x] = mat[inside, inside] * thermal[x]
+        assert slots.tobytes() == expected.tobytes()
 
     def test_report_elements_are_brute_elements_bitwise(self, ports, d, lx, ly):
         # the report's one window gives each element bitwise as its own

@@ -33,6 +33,15 @@ class TestParams:
         with pytest.raises(ValueError):
             ChannelParams(1.0, 0.5)
 
+    @pytest.mark.parametrize("ports", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_port_counts(self, ports):
+        with pytest.raises(ValueError, match="ports must be an integer"):
+            ChannelParams(0.3, 0.3, ports=ports)
+
+    def test_numpy_integer_port_counts_become_ints(self):
+        params = ChannelParams(0.3, 0.3, ports=np.int64(3))
+        assert type(params.ports) is int and params == ChannelParams(0.3, 0.3, ports=3)
+
     def test_scalars(self):
         p = ChannelParams(0.5, 0.5)
         assert p.tau == pytest.approx(0.0625)
@@ -345,6 +354,20 @@ class TestEnergy:
         for rho in inputs:
             out = apply_state(rho, p)
             assert mean_photon_number(out) <= cap + 1e-8
+
+
+def test_state_and_coherent_entry_points_refuse_a_grid():
+    # the coherent closed form and the state maps, two-port and N-port,
+    # refuse a grid with the documented message, not a numpy error
+    from cvpbt.nport import apply_state_nport
+
+    grid = ChannelParams(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+    state = thermal_state(0.5, Cutoff(4))
+    calls = [lambda: apply_coherent(0.5, grid, 6), lambda: apply_state(state, grid),
+             lambda: apply_state_nport(state, grid)]
+    for call in calls:
+        with pytest.raises(ValueError, match="one parameter point"):
+            call()
 
 
 def test_single_point_entry_points_refuse_a_grid():
