@@ -304,35 +304,33 @@ class GroupTables(NamedTuple):
     rho: (M, M), rho_l(h)[j, i] in row (l, i, j) and column h for the
     irreps l of S_(N-1) in `_partitions` order, block l from row start[l]:
     flat d x d blocks C_l times rho is sum over l of tr(C_l rho_l(h)).
-    mult, inv: the product and the inverse in S_(N-1), by index.
+    quot[i, j]: index of h_i h_j^-1 in S_(N-1).
     join[a, u, b]: index in S_N of t_a u t_b^-1.
     """
 
     rho: np.ndarray
     start: np.ndarray
-    mult: np.ndarray
-    inv: np.ndarray
+    quot: np.ndarray
     join: np.ndarray
 
 
 @functools.cache
 def _group_tables(n: int) -> GroupTables:
     """`GroupTables` of S_n, built on first use and kept: at n = 7, rho and
-    mult are 720 x 720 each, 8.3 MB together, the rest 0.3 MB, and the
+    quot are 720 x 720 each, 8.3 MB together, the rest 0.3 MB, and the
     cached `_irreps` of S_1..S_7 another 0.6 MB."""
     m = math.factorial(n - 1)
     lower = _rho_all(n - 1)
     rho = np.concatenate([r.transpose(2, 1, 0).reshape(-1, m) for r in lower])
     start = np.cumsum([0] + [r.shape[-1] ** 2 for r in lower[:-1]])
     el = _elements(n - 1)
-    mult = _rank(el[np.arange(m)[:, None, None], el])
-    inv = _rank(np.argsort(el, axis=1).astype(np.int8))
+    quot = _rank(el[np.arange(m)[:, None, None], np.argsort(el, axis=1)])
     t = np.array([[*range(a), *range(a + 1, n), a] for a in range(n)], np.int8)
     u = np.column_stack([el, np.full(m, n - 1, np.int8)])
     join = _rank(t[np.arange(n)[:, None, None, None], u[:, np.argsort(t, axis=1)]])
-    for a in (rho, start, mult, inv, join):
+    for a in (rho, start, quot, join):
         a.flags.writeable = False  # cached: shared by every caller
-    return GroupTables(rho, start, mult, inv, join)
+    return GroupTables(rho, start, quot, join)
 
 
 class IrrepGroup(NamedTuple):
@@ -395,7 +393,7 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
         hit = level == r
         letters[hit] = (first[r] + np.cumsum(hit, axis=1) - 1)[hit]
     coset, elem = np.divmod(_rank(np.roll(letters, -1, axis=1)), m)
-    root = coset[:, None] * m + group.mult[elem[:, None], group.inv[elem[list(arr.ptilde)]]]
+    root = coset[:, None] * m + group.quot[elem[:, None], elem[list(arr.ptilde)]]
     # S_mu g for every g: its slot sequence as an arrangement key, looked up among the sorted keys
     code = np.append(np.searchsorted(first, np.arange(n - 1), side="right"), 0)  # letter -> 1 + level index, marker 0
     arrangement = np.searchsorted((level + 1) @ arr._place, np.roll(code[_elements(n)], 1, axis=1) @ arr._place)
@@ -481,7 +479,7 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: n
     root = phi[:, 0, t.root]
     cols = root @ root[:, t.corners].swapaxes(1, 2)
     r, c = np.divmod(entries, arr.size)
-    u = t.group.mult[t.elem[r], t.group.inv[t.elem[c]]]  # x_r x_c^-1 = t_j(r) u t_j(c)^-1
+    u = t.group.quot[t.elem[r], t.elem[c]]  # x_r x_c^-1 = t_j(r) u t_j(c)^-1
     g = cols.reshape(b, -1)[:, t.arrangement[t.coset[r] * math.factorial(n - 1) + u] * n + t.coset[c]]
     g -= phi[:, 1, t.group.join[t.coset[r], u, t.coset[c]]]
     return g
@@ -512,11 +510,24 @@ _MM_NUM = np.array([[4, 1, 1], [1, -2, -2], [1, -2, -2]], dtype=float)
 _MM_DEN = np.array([[2, -1, -1], [-1, -1, 2], [-1, 2, -1]], dtype=float)
 
 
+def _require_positive(xi, *levels):
+    """Refuse, with `_gamma_stack`'s RuntimeError, closed-form sectors whose
+    smallest eigenvalue `xi` is not positive (at small lambda_y, 1 - xi
+    rounds to 1), where their Gammas would be inf or nan.  `levels` are
+    the sectors' level arrays, broadcasting with `xi`."""
+    xi = np.ravel(xi)
+    if np.any(xi <= 0):
+        i = int(np.argmin(xi))
+        at = sorted({int(np.ravel(v)[i]) for v in np.broadcast_arrays(*levels)})
+        raise RuntimeError(f"sector matrix with levels {at} is not positive definite")
+
+
 def gamma_mm_closed(m, lam_y: float) -> np.ndarray:
     """Closed-form Gamma for a repeated-value three-port sector {m, m}; an
     array of levels gives the stack of their Gammas."""
     chi_m = ((1 - lam_y**2) * lam_y ** (2 * np.asarray(m)))[..., None, None]
     xi1, xi2 = 1 + 2 * chi_m, 1 - chi_m
+    _require_positive(xi2, m)
     return (_MM_NUM / np.sqrt(xi1 * xi2) + _MM_DEN / xi2) / 9
 
 
@@ -563,6 +574,7 @@ def gamma_lm_closed(l, m, lam_y: float) -> np.ndarray:
     if np.any(np.asarray(l) == m):
         raise ValueError("use gamma_mm_closed for repeated values")
     vecs, xi, e = _lm_basis(l, m, lam_y)  # column k-1 holds eta[k]
+    _require_positive(np.minimum(xi[2], xi[4]), l, m)
     # coef[alpha-1, beta-1] weighs eta[alpha] eta[beta]^H; beta never exceeds 4
     coef = np.zeros(vecs.shape[:-1] + (4,), complex)
     for pairs, c in [

@@ -21,12 +21,13 @@ blocks are scattered from the table.
 One streamed pass visits the components one multiplicity pattern at a
 time, a batch of them at a time: a stacked eigh of their Gram blocks, the
 kernel cut, and the square-root measurement as two s x k factors per
-block (untouched indices last, of rank zero); then the batch is dropped.
-The partial trace keeps only the measurement entries whose row and column
-agree in the spectator digits, so a window of channel elements pairs those
-rows and columns and forms each kept entry from the factors alone: no
-s x s block, no table over the whole basis and none over all d^2 elements
-is made on the verification path.
+block; then the batch is dropped.  An index with no A_i = C lies in no
+component and holds the identity share 1/N alone, written once before the
+pass.  The partial trace keeps only the measurement entries whose row and
+column agree in the spectator digits, so a window of channel elements
+pairs those rows and columns and forms each kept entry from the factors
+alone: no s x s block, no table over the whole basis and none over all
+d^2 elements is made on the verification path.
 
 Mode order is (C, A_1, ..., A_N), C slowest; the receiver mode B_1
 joins only in the reduced resource.
@@ -203,7 +204,8 @@ class TruncatedProtocol:
         multiset(A) - {b} = multiset(A') - {a}, so {A'_1, b} = {A_1, a}:
         either A_1 = b and A'_1 = a, D^(N-1) rows for each (a, b), or a = b
         and the column is the row, the other D^N - D^(N-1) rows of each a in
-        both ranges (the untouched among them pair with themselves too)."""
+        both ranges (those outside every component included, whose slots
+        hold 1/N)."""
         d, n, dn = self.levels, self.ports, self.levels**self.ports
         elements = len(a_range) * len(b_range)
         both = len(range(max(a_range.start, b_range.start), min(a_range.stop, b_range.stop)))
@@ -271,7 +273,8 @@ class TruncatedProtocol:
         port states' rows of `_phi`, sorted and de-duplicated.  The components
         of one multiplicity pattern share (s, r) and go in ascending key, as
         many at a time as `_batch_cost` allows.  The indices with no A_i = C
-        are touched by no port state: kernel (`_untouched`).
+        are touched by no port state and lie in no component: kernel, where
+        the measurement is I/N alone.
 
         The kernel cut needs the largest eigenvalue of all blocks before the
         first is cut.  It is that of the {0, ..., 0} component, which leads
@@ -322,14 +325,6 @@ class TruncatedProtocol:
         self._census = dict(kernel=self.dim - kept_total, suspect=kept_total - support, support=support,
                             max_eigenvalue=max_eig)
 
-    def _untouched(self, levels: range) -> np.ndarray:
-        """The indices rho does not touch, ascending, those with C digit in
-        `levels`: no A_i equals C, so A runs over the D - 1 other levels."""
-        d, n = self.levels, self.ports
-        others = np.arange((d - 1) ** n)[:, None] // (d - 1) ** np.arange(n - 1, -1, -1) % (d - 1)
-        c = np.arange(levels.start, levels.stop)[:, None, None]
-        return (c[:, :, 0] * d**n + (others + (others >= c)) @ d ** np.arange(n - 1, -1, -1)).ravel()
-
     def _phi_blocks(self, pos: np.ndarray, s: int) -> np.ndarray:
         """Phi on the s members and r port states of each component, shape
         (k, s, r), one scatter of `_amps`; `pos` (k, r, D) gives each port
@@ -378,10 +373,11 @@ class TruncatedProtocol:
                 pass
         return dict(self._census)
 
-    def _factors(self, untouched: range):
+    def _factors(self):
         """First measurement element in factored form, one batch at a time, as
         (members, L, B): the element on the ascending indices members[j] is
-        L[j] B[j]^T + I/N, with L and B each (s, k).
+        L[j] B[j]^T + I/N, with L and B each (s, k); on every index outside
+        the components it is 1/N alone.
 
         With G = V g V^T and V_k its k eigenvectors above the cut, the columns
         of B = Phi V_k g_k^(-1/2) are an orthonormal basis of rho's support,
@@ -389,9 +385,7 @@ class TruncatedProtocol:
         masks the port-1 states.  So L = B (V_k^T E_1 V_k - I/N).  Each column
         Phi v_j of B is divided by its computed norm, which is sqrt(g_j) in
         exact arithmetic but carries none of the eigenvalue error of a small
-        g_j.  Each `_spectra` batch is split by k.  Last come the indices rho
-        does not touch whose C digit lies in `untouched`, as members (lone, 1)
-        with L and B (lone, 1, 0) of rank zero: their entries are 1/N alone.
+        g_j.  Each `_spectra` batch is split by k.
         """
         n = self.ports
         first_port = self.levels ** (n - 1)  # port-1 states are Phi's first columns
@@ -404,8 +398,6 @@ class TruncatedProtocol:
                 basis /= np.sqrt((basis * basis).sum(axis=1, keepdims=True))  # np.linalg.norm's arithmetic
                 port1 = vk * (states[same] < first_port)[:, :, None]
                 yield members[same], basis @ (vk.transpose(0, 2, 1) @ port1 - np.eye(k) / n), basis
-        lone = self._untouched(untouched)[:, None]
-        yield lone, np.zeros(lone.shape + (0,)), np.zeros(lone.shape + (0,))
 
     def _pairs(self, left: np.ndarray, basis: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The one kernel of measurement entries: for one `_factors` batch, at
@@ -414,7 +406,7 @@ class TruncatedProtocol:
         count, s, k = basis.shape
         left, basis = left.reshape(count * s, k), basis.reshape(count * s, k)
         vals = np.empty(rows.size)
-        step = max(1, _CHUNK_ELEMS // max(1, k))
+        step = max(1, _CHUNK_ELEMS // k)
         for i in range(0, rows.size, step):
             pair = left[rows[i : i + step]]
             pair *= basis[cols[i : i + step]]
@@ -432,8 +424,7 @@ class TruncatedProtocol:
         multiset(A) - {b} = multiset(A') - {a}, so {A'_1, b} = {A_1, a}: a
         row with A_1 = b meets the column (a, a, x) of every a, found
         among its component's sorted members by one searchsorted, and any
-        other row meets itself alone, where its C digit lies in both ranges
-        (an untouched index, a component of its own, among them)."""
+        other row meets itself alone, where its C digit lies in both ranges."""
         d, n = self.levels, self.ports
         dn, ds = d**n, d ** (n - 1)
         na, nb = len(a_range), len(b_range)
@@ -463,11 +454,12 @@ class TruncatedProtocol:
         Laid out by slot, one row of D^(N-1) spectators x per cell: first the
         cells (b, a), b slowest, pairing row (b, b, x) with column (a, a, x);
         then, for each c in both ranges, the cells (c, p) with p != c in
-        ascending p, pairing row (c, p, x) with itself.  Streams `_factors`
-        once: in each batch `_join` pairs the rows and columns and places
-        them, and `_pairs` forms their entries; the last batch holds the
-        untouched indices whose C digit lies in both ranges.  Every slot is
-        written exactly once, so the order of the batches does not matter.
+        ascending p, pairing row (c, p, x) with itself.  The cells (c, p)
+        start at 1/N, the entry of every index no component holds (no A_i =
+        C); then `_factors` streams once: in each batch `_join` pairs the rows
+        and columns and places them, and `_pairs` forms their entries.  Each
+        component's slot is written exactly once, so the order of the batches
+        does not matter.
 
         Returns (slots, at): `at` is each cell's place in the flattened
         (len(b_range), len(a_range), d, d) output (b, a, q, p), q the
@@ -478,7 +470,8 @@ class TruncatedProtocol:
         na, nb = len(a_range), len(b_range)
         both = range(max(a_range.start, b_range.start), min(a_range.stop, b_range.stop))
         slots = np.zeros((na * nb + len(both) * (d - 1), d ** (n - 1)))
-        for members, left, basis in self._factors(both):
+        slots[na * nb :] = 1 / n  # identity share
+        for members, left, basis in self._factors():
             rows, cols, at = self._join(members, a_range, b_range)
             slots.ravel()[at] = self._pairs(left, basis, rows, cols)
         chi_x = chi_vector(self.params.lambda_x, d)
@@ -523,11 +516,13 @@ def build_rho(proto: TruncatedProtocol) -> FockOperator:
 
 
 def build_povm_element(proto: TruncatedProtocol) -> FockOperator:
-    """First POVM element, dense, with the eigenvalue census in `meta`: `_pairs`
-    at every in-component pair of each `_factors` batch, _CHUNK_ELEMS at a time."""
+    """First POVM element, dense, with the eigenvalue census in `meta`: I/N
+    on the diagonal, then `_pairs` at every in-component pair of each
+    `_factors` batch, _CHUNK_ELEMS at a time."""
     require_memory(proto.povm_mb(), "dense measurement element")
     mat = np.zeros((proto.dim, proto.dim))
-    for members, left, basis in proto._factors(range(proto.levels)):
+    np.fill_diagonal(mat, 1 / proto.ports)
+    for members, left, basis in proto._factors():
         count, s = members.shape
         flat = members.ravel()
         for lo in range(0, count * s * s, _CHUNK_ELEMS):

@@ -69,6 +69,10 @@ class ChannelParams:
                 f"lambda_y must lie in (0, 1), got {ly[bad].flat[0]}; "
                 "lambda_y = 0 makes the square-root measurement degenerate"
             )
+        bad = 1 - ly**2 == 1  # chi_{y,0} = 1, where (1 - chi_{y,0}^2)^(-1/2) diverges
+        if bad.any():
+            raise ValueError(f"lambda_y must exceed 2^-27 (about 7.45e-9), got {ly[bad].flat[0]}; "
+                             "at or below it 1 - lambda_y^2 rounds to 1 and the measurement weight diverges")
         if isinstance(self.ports, bool) or not isinstance(self.ports, (int, np.integer)):
             raise ValueError(f"ports must be an integer, got {self.ports!r}")
         object.__setattr__(self, "ports", int(self.ports))  # numpy integers become Python ints
@@ -212,7 +216,9 @@ def omega(params: ChannelParams, tol: float = SUM_TOL):
     """Channel weight sum_m chi_{x,m} (1 - chi_{y,m}^2)^(-1/2).
 
     Returns (value, tail bound), arrays over a parameter grid.  Diverges
-    as lambda_y -> 0, which the parameter validation already excludes.
+    as lambda_y -> 0: `ChannelParams` refuses lambda_y = 0 and every
+    lambda_y whose 1 - lambda_y^2 rounds to 1 (2^-27 and below), so every
+    term is finite.
     """
     return _adaptive_sum(params, tol, first_moment=False)
 

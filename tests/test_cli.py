@@ -477,6 +477,33 @@ def sized(command, n):
     }[command]
 
 
+TINY_LAMBDA_Y = {
+    "energy": ["energy", "--lambda-x-range", "0.5:0.5:1", "--lambda-y-range", "1e-9:1e-9:1"],
+    "fidelity-sweep": ["fidelity-sweep", "--ports", "2", "--input", "bell2",
+                       "--lambda-x-range", "0.5:0.5:1", "--lambda-y-range", "0.5:1e-9:2"],
+    "twoport-coherent": ["twoport-coherent", "--lambda-x", "0.3", "--lambda-y", "1e-9", "--alpha", "1"],
+    "bounds": ["bounds", "--kind", "lossy", "--lambda-x", "0.6", "--lambda-y", "1e-9", "--energy-range", "0:2:3"],
+    "oracle-verify": ["oracle-verify", "--ports", "2", "--lambda-x", "0.3", "--lambda-y", "1e-9", "--cutoff", "5"],
+    "fidelity-sweep-3": ["fidelity-sweep", "--ports", "3", "--input", "bell2",
+                         "--lambda-x-range", "0.5:0.5:1", "--lambda-y-range", "1e-5:1e-5:1"],
+    "oracle-verify-3": ["oracle-verify", "--ports", "3", "--lambda-x", "0.3", "--lambda-y", "1e-5", "--cutoff", "5"],
+}
+
+
+class TestTinyLambdaY:
+    @pytest.mark.parametrize("command", list(TINY_LAMBDA_Y))
+    def test_is_a_validation_error(self, tmp_path, capsys, command):
+        # below 2^-27, 1 - lambda_y^2 rounds to 1 and the two-port weight divides by zero;
+        # at 1e-5 a three-port closed-form eigenvalue rounds to 0.0 and its Gamma to nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(tmp_path, *TINY_LAMBDA_Y[command])
+        assert code == EXIT_VALIDATION
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestOversizeInputs:
     @pytest.mark.parametrize("command", ["energy", "fidelity-sweep", "twoport-coherent"])
     def test_refused_before_allocating(self, tmp_path, monkeypatch, capsys, command):

@@ -312,10 +312,9 @@ class TestIrreps:
         group = nport._group_tables(ports)
         rho = nport._rho_all(ports - 1)
         rng = np.random.default_rng(5)
-        a, b = rng.integers(0, len(group.mult), (2, 40))
-        for r in rho:
-            assert np.abs(r[a] @ r[b] - r[group.mult[a, b]]).max() <= 1e-14
-            assert np.abs(r[group.inv[a]] - r[a].swapaxes(1, 2)).max() <= 1e-14
+        a, b = rng.integers(0, len(group.quot), (2, 40))
+        for r in rho:  # orthogonal irreps: rho(h^-1) = rho(h)^T
+            assert np.abs(r[a] @ r[b].swapaxes(1, 2) - r[group.quot[a, b]]).max() <= 1e-14
 
     def test_ill_conditioned_sector_matches_a_50_digit_reference(self):
         # smallest eigenvalue 1.6e-8; the stack rounds the swap weights and the block sums in float64
@@ -693,6 +692,17 @@ class TestPatternStacks:
             perm = [arr.index[s] for s in lm_label_order(l, m)]
             want = gamma(arr, 0.3)[np.ix_(perm, perm)]
             assert np.abs(gamma_lm_closed(l, m, 0.3) - want).max() < 1e-10
+
+    def test_closed_forms_refuse_a_vanishing_eigenvalue(self):
+        # at lambda_y = 1e-5, xi[2] of {0, 1} is 1 - (1 - ly^2)(1 + ly^2), which rounds to 0.0;
+        # {0, 0} keeps xi2 = ly^2 until 1 - ly^2 rounds to 1
+        message = r"sector matrix with levels \[0, 1\] is not positive definite"
+        for l, m in [(1, 0), (0, 1), (np.array([2, 1]), np.array([0, 0]))]:
+            with pytest.raises(RuntimeError, match=message):
+                gamma_lm_closed(l, m, 1e-5)
+        assert np.isfinite(gamma_mm_closed(np.arange(3), 1e-5)).all()
+        with pytest.raises(RuntimeError, match=r"sector matrix with levels \[0\] is not positive definite"):
+            gamma_mm_closed(np.arange(3), 1e-9)
 
     def test_closed_forms_reject_repeated_values_in_a_stack(self):
         with pytest.raises(ValueError):

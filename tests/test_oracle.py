@@ -307,8 +307,9 @@ def sparse_gram(proto):
 
 
 def sparse_groups(proto):
-    """`_groups` from csgraph's components of G's pattern, numbered as csgraph
-    numbers them, by their smallest port state."""
+    """The components of G's pattern from csgraph, numbered as csgraph
+    numbers them, by their smallest port state, as (members, port states)
+    per shape (s, r); and the indices no port state touches, ascending."""
     phi = sparse_phi(proto).tocoo()
     count, state_labels = csgraph.connected_components(sparse_gram(proto), directed=False)
     labels = np.full(proto.dim, count, dtype=np.int64)
@@ -334,13 +335,20 @@ def streamed_components(proto):
     return sorted(rows, key=lambda row: row[1][0])
 
 
+def outside_components(proto):
+    """The indices in no component of the streamed pass, ascending."""
+    members = np.concatenate([m for m, _ in streamed_components(proto)])
+    return np.setdiff1d(np.arange(proto.dim), members)
+
+
 @pytest.mark.parametrize("ports,d", [(2, 12), (2, 40), (3, 6), (3, 16), (4, 4), (4, 9), (5, 3), (6, 3), (7, 3), (8, 3)])
 def test_groups_and_gram_blocks_are_the_sparse_reference_bitwise(ports, d):
     # every component of the stream, its members, port states and stacked
-    # Gram blocks, and the untouched indices, against csgraph and Phi^T Phi
+    # Gram blocks, against csgraph and Phi^T Phi; the indices in none of
+    # them are csgraph's isolated ones
     proto = TruncatedProtocol(ChannelParams(0.4, 0.45, ports=ports), Cutoff(d))
     ref_groups, ref_lone = sparse_groups(proto)
-    assert proto._untouched(range(d)).tobytes() == ref_lone.tobytes()
+    assert outside_components(proto).tobytes() == ref_lone.tobytes()
     ref = sorted(((m, st) for members, states in ref_groups for m, st in zip(members, states)), key=lambda row: row[1][0])
     comps = streamed_components(proto)
     assert len(comps) == len(ref)
@@ -357,11 +365,11 @@ def test_groups_and_gram_blocks_are_the_sparse_reference_bitwise(ports, d):
 
 @pytest.mark.parametrize("ports,d", [(2, 12), (3, 6), (4, 5), (5, 3), (6, 3)])
 def test_components_are_the_multisets_of_their_digits(ports, d):
-    # each index (C, A_1..A_N) read from its own digits: untouched exactly
-    # when no A_i = C, else in the component of the multiset of A less one
-    # copy of C, which holds r = N (N-1)! / prod(mult!) port states
+    # each index (C, A_1..A_N) read from its own digits: in no component
+    # exactly when no A_i = C, else in the component of the multiset of A
+    # less one copy of C, which holds r = N (N-1)! / prod(mult!) port states
     proto = TruncatedProtocol(ChannelParams(0.4, 0.45, ports=ports), Cutoff(d))
-    lone = proto._untouched(range(d))
+    lone = outside_components(proto)
     multisets = {}
     for index in range(d ** (ports + 1)):
         c, *a = (index // d ** np.arange(ports, -1, -1) % d).tolist()
@@ -602,32 +610,28 @@ class TestStackedStages:
             cells += [place(c, c, p, p) for c in both for p in range(d) if p != c]
             assert at.tolist() == cells
 
-    def test_untouched_indices_are_the_zero_rank_batch(self, ports, d, lx, ly, monkeypatch):
-        # the last batch of `_factors` is the untouched indices, those with no
-        # A_i = C, with zero-width factors; a window reading it alone gives
-        # those indices 1/N, as the dense element does, only where their C
-        # digit lies in both ranges, in their slots of the cells (c, p)
+    def test_untouched_indices_hold_the_identity_share(self, ports, d, lx, ly):
+        # an index with no A_i = C holds 1/N alone: on the dense element's
+        # diagonal, with nothing else in its row and column, and in its slot
+        # of the cells (c, p) times the spectator thermal product, for a
+        # whole-cutoff window and for one whose ranges share one level
         proto = TruncatedProtocol(ChannelParams(lx, ly, ports=ports), Cutoff(d))
         dn, ds = d**ports, d ** (ports - 1)
         digits = np.arange(proto.dim)[:, None] // d ** np.arange(ports, -1, -1) % d
         lone = np.flatnonzero((digits[:, 1:] != digits[:, :1]).all(axis=1))
-        *_, last = proto._factors(range(d))
-        assert np.array_equal(last[0], lone[:, None])
-        assert last[1].shape == last[2].shape == (lone.size, 1, 0)
         mat = build_povm_element(proto).matrix
         assert np.all(mat[lone, lone] == 1 / ports)
         assert np.count_nonzero(mat[lone]) == np.count_nonzero(mat[:, lone]) == lone.size
-        a_range, b_range = range(2, 4), range(1, 3)
-        monkeypatch.setattr(proto, "_factors", lambda untouched: iter([last]))
-        slots, _ = proto._window(a_range, b_range)
-        inside = lone[np.isin(lone // dn, a_range) & np.isin(lone // dn, b_range)]
-        c, p, x = inside // dn, inside % dn // ds, inside % ds
-        assert inside.size and np.all(c == 2) and np.all(p != c)
         chi_x = chi_vector(lx, d)
         thermal = np.prod(np.stack(np.meshgrid(*[chi_x] * (ports - 1), indexing="ij")), axis=0).ravel()
-        expected = np.zeros((len(a_range) * len(b_range) + d - 1, ds))  # the one c in both ranges has d - 1 cells
-        expected[len(a_range) * len(b_range) + p - (p > c), x] = mat[inside, inside] * thermal[x]
-        assert slots.tobytes() == expected.tobytes()
+        for a_range, b_range in [(range(d), range(d)), (range(2, 4), range(1, 3))]:
+            both = range(max(a_range.start, b_range.start), min(a_range.stop, b_range.stop))
+            slots, _ = proto._window(a_range, b_range)
+            inside = lone[np.isin(lone // dn, both)]
+            c, p, x = inside // dn, inside % dn // ds, inside % ds
+            assert inside.size and np.all(p != c)
+            cell = len(a_range) * len(b_range) + (c - both.start) * (d - 1) + p - (p > c)
+            assert slots[cell, x].tobytes() == (1 / ports * thermal[x]).tobytes()
 
     def test_report_elements_are_brute_elements_bitwise(self, ports, d, lx, ly):
         # the report's one window gives each element bitwise as its own

@@ -38,6 +38,18 @@ class TestParams:
         with pytest.raises(ValueError, match="ports must be an integer"):
             ChannelParams(0.3, 0.3, ports=ports)
 
+    @pytest.mark.parametrize("ly", [1e-9, 2.0**-27, [0.5, 1e-12]])
+    def test_rejects_lambda_y_whose_square_rounds_away(self, ly):
+        # 1 - lambda_y^2 == 1 makes chi_{y,0} = 1 and the m = 0 term of omega 1/0
+        with pytest.raises(ValueError, match=r"lambda_y must exceed 2\^-27"):
+            ChannelParams.grid([0.5], ly) if isinstance(ly, list) else ChannelParams(0.5, ly)
+
+    def test_smallest_lambda_y_admitted_has_a_finite_omega(self):
+        ly = np.nextafter(2.0**-27, 1)
+        assert 1 - ly**2 < 1
+        value, tail = omega(ChannelParams(0.5, ly))
+        assert math.isfinite(value) and math.isfinite(tail)
+
     def test_numpy_integer_port_counts_become_ints(self):
         params = ChannelParams(0.3, 0.3, ports=np.int64(3))
         assert type(params.ports) is int and params == ChannelParams(0.3, 0.3, ports=3)
