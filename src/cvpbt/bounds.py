@@ -23,7 +23,7 @@ from .fock import (
     pure_density,
     thermal_state,
 )
-from .two_port import ChannelParams, Regime, _inv_root, omega, regime
+from .two_port import ChannelParams, Regime, _check_nonnegative, _inv_root, omega, regime
 
 __all__ = [
     "EdrcParams",
@@ -50,13 +50,6 @@ def lossy_apply(alpha: complex, transmissivity: float, cutoff) -> DensityOperato
     return pure_density(coherent_ket(math.sqrt(transmissivity) * alpha, cutoff))
 
 
-def _check_energies(energy):
-    values = np.asarray(energy)
-    bad = ~((0 <= values) & (values < math.inf))
-    if bad.any():
-        raise ValueError(f"energy constraint must be finite and nonnegative, got {values[bad].flat[0]}")
-
-
 def lossy_diamond_bound_positive(energy, params: ChannelParams):
     """Energy-constrained diamond-norm bound against the matched lossy channel.
 
@@ -64,7 +57,7 @@ def lossy_diamond_bound_positive(energy, params: ChannelParams):
     2 (1 - exp(-E (1 - tau)) g Omega).  An array of energies shares one
     evaluation of Omega.
     """
-    _check_energies(energy)
+    _check_nonnegative(energy, "energy constraint")
     if regime(params) is not Regime.POSITIVE:
         raise ValueError(
             "parameters fall in the negative regime; use lossy_diamond_bound_negative"
@@ -95,8 +88,9 @@ def negative_regime_t_bound(u, params: ChannelParams):
     The m = 0 diagonal term is carried separately so the bound stays
     finite for small lambda_y; the price is an extra pure-state distance
     term that vanishes at u = 0.  `u` may be an array, whose points share
-    one evaluation of Omega.
+    one evaluation of Omega; it must be finite and nonnegative.
     """
+    _check_nonnegative(u, "u = r^2")
     om, _ = omega(params)
     return _t_bound(u, params, om)
 
@@ -140,7 +134,7 @@ def lossy_diamond_bound_negative(energy, params: ChannelParams):
     An energy above that term is the last point of its own grid, where
     the running maximum is the largest sample, so it needs no hull.
     """
-    _check_energies(energy)
+    _check_nonnegative(energy, "energy constraint")
     if regime(params) is not Regime.NEGATIVE:
         raise ValueError("parameters fall in the positive regime; use lossy_diamond_bound_positive")
     g, tau = params.g, params.tau
@@ -178,8 +172,7 @@ class EdrcParams:
     h: float
 
     def __post_init__(self):
-        if self.kappa < 0 or self.f < 0:
-            raise ValueError("kappa and f must be nonnegative")
+        _check_nonnegative([self.kappa, self.f], "kappa and f")
         if not 0 <= self.tau < 1:
             raise ValueError("tau must lie in [0, 1)")
         if not 0 <= self.h < 1:

@@ -112,7 +112,9 @@ class Arrangements:
     @functools.cached_property
     def gamma_tables(self) -> GammaTables:
         """Irrep blocks and index tables of `_gamma_stack` (`GammaTables`),
-        built once per layout."""
+        built on first read and kept by this `Arrangements` only:
+        `NPortChannel` makes one `Arrangements` per multiplicity pattern per
+        build, so every build builds them anew."""
         return _gamma_tables(self)
 
 
@@ -338,28 +340,25 @@ class IrrepGroup(NamedTuple):
     (`_gamma_tables`): dimension d, and K = K_lambda_mu columns of Q, an
     orthonormal basis of the vectors that the copy permutations S_mu fix.
 
-    span: their flat K x K blocks in `GammaTables.units`.
+    units: (g, 1 + k, K, K), per irrep the identity, then per unique level
+    v the block Q^T rho(J_v) Q, J_v the sum of the transpositions of the
+    marker letter with the copies of v.
     q: (g, d, K), Q scaled by d |S_mu| / N!.
     z: (g, K, N d), the Q^T rho(t_j) side by side.
-    sel, pos: per irrep, the flat (d, N d) indices, (N, e), of the diagonal
-    blocks of the restriction to S_(N-1), and their rows in
-    `GroupTables.rho`, (e,).
+    branch: per irrep, its `_irreps` branch list: (irrep of S_(N-1), first
+    row, dimension e) of each diagonal block of the restriction to S_(N-1).
     """
 
-    span: slice
+    units: np.ndarray
     q: np.ndarray
     z: np.ndarray
-    sel: list
-    pos: list
+    branch: tuple
 
 
 class GammaTables(NamedTuple):
     """Layout-only tables of `_gamma_stack` for an `Arrangements`, m = size / N.
 
-    units: (1 + k, total), the flat identity blocks, then per unique level
-    v the flat Q^T rho(J_v) Q, J_v the sum of the transpositions of the
-    marker letter with the copies of v; one span per `IrrepGroup`.
-    groups: the `IrrepGroup`s.
+    groups: the `IrrepGroup`s, one per block shape.
     root: (size, m), the index in S_N of x_r x_p^-1 for marker-first p,
     with x_r the arrangement r as a permutation (`_gamma_tables`).
     coset, elem: x_r = t_j h as j and the index of h in S_(N-1).
@@ -368,7 +367,6 @@ class GammaTables(NamedTuple):
     group: the `GroupTables` of S_N.
     """
 
-    units: np.ndarray
     groups: list
     root: np.ndarray
     coset: np.ndarray
@@ -410,35 +408,21 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
             continue
         swaps = [cosets[c] @ gens[-1] @ cosets[c].T for c in range(n - 1)]  # (c N-1) = t_c s_(N-2) t_c^-1
         units = np.array([np.eye(q.shape[1])] + [q.T @ sum(swaps[a:b]) @ q for a, b in zip(first, first[1:])])
-        sel, pos = [], []
-        for child, row, e in branch:
-            i, j = np.divmod(np.arange(e * e), e)
-            sel.append((row + i) * n * d + np.arange(n)[:, None] * d + row + j)
-            pos.append(group.start[child] + i * e + j)
         same = shapes.setdefault(q.shape[::-1], [])  # (K, d)
-        same.append(((units + units.swapaxes(1, 2)) / 2, q * (d * scale), np.hstack(q.T @ cosets), np.hstack(sel), np.concatenate(pos)))
-    groups, start = [], 0
-    for (k, _), same in shapes.items():
-        _, q, z, sel, pos = zip(*same)
-        groups.append(IrrepGroup(slice(start, start + len(same) * k * k), np.array(q), np.array(z), sel, pos))
-        start += len(same) * k * k
-    units = np.hstack([u.reshape(len(u), -1) for same in shapes.values() for u, *_ in same])
-    return GammaTables(units, groups, root, coset, elem, arrangement, arrangement[np.arange(1, n + 1) * m - 1], group)
+        same.append(((units + units.swapaxes(1, 2)) / 2, q * (d * scale), np.hstack(q.T @ cosets), branch))
+    groups = [IrrepGroup(np.array(u), np.array(q), np.array(z), b) for u, q, z, b in (zip(*same) for same in shapes.values())]
+    return GammaTables(groups, root, coset, elem, arrangement, arrangement[np.arange(1, n + 1) * m - 1], group)
 
 
 def _irrep_blocks(arr: Arrangements, levels: np.ndarray, lam_y: float) -> list:
     """The K x K blocks Q^T rho(h) Q = I + sum_v w_v Q^T rho(J_v) Q of every
     sector laid out like `arr`, one per row of `levels`: (b, g, K, K) per
-    `IrrepGroup` of `Arrangements.gamma_tables`, h = e + sum_c w_c (c N-1)
-    being the sector matrix as a group algebra element.  On each irrep the
-    sector matrix is its block times I_d, so its spectrum is theirs, each
-    eigenvalue d times."""
-    t = arr.gamma_tables
-    c = _swap_weights(levels, lam_y)
-    flat = np.broadcast_to(t.units[0], (len(levels), t.units.shape[1])).copy()
-    for v, unit in enumerate(t.units[1:]):
-        flat += c[:, v, None] * unit
-    return [flat[:, s.span].reshape(len(levels), len(s.q), s.z.shape[1], -1) for s in t.groups]
+    `IrrepGroup` of `Arrangements.gamma_tables`, summed from its `units`
+    in level order, h = e + sum_c w_c (c N-1) being the sector matrix as a
+    group algebra element.  On each irrep the sector matrix is its block
+    times I_d, so its spectrum is theirs, each eigenvalue d times."""
+    w = np.column_stack([np.ones(len(levels)), _swap_weights(levels, lam_y)])[:, :, None, None, None]
+    return [sum(w[:, v] * s.units[:, v] for v in range(w.shape[1])) for s in arr.gamma_tables.groups]
 
 
 def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: np.ndarray) -> np.ndarray:
@@ -454,13 +438,16 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: n
     x^(-1/2) and x^(-1)/N.  phi is evaluated on all of S_N, a coset t_j
     S_(N-1) at a time: rho(t_j h) is rho(t_j) times the block-diagonal
     restriction rho(h), so each coset is one product with the S_(N-1)
-    table `GroupTables.rho`.  B = H^(-1/2) at the marker-first columns is
-    a gather of phi.  B B^T = H^(-1/2) P~ H^(-1/2) commutes with the
-    permutations of the slots that keep slot 0, so its entry (r, c) is its
-    entry (S_mu x_r h^-1, S_mu t_j) for x_c = t_j h, and only the N columns
-    S_mu t_j are formed.  Gamma at `entries` is one gather from them less
-    one from H^(-1)/N.  Every layout-only table comes from
-    `Arrangements.gamma_tables`.
+    table `GroupTables.rho`.  Its coefficients are, per irrep and branch
+    (`IrrepGroup.branch`), the (row, row) block of Q F(block) Q^T rho(t_j)
+    for every coset, added as one slice from `GroupTables.start[child]`
+    with the cosets first, in the row layout of `GroupTables.rho`.  B =
+    H^(-1/2) at the marker-first columns is a gather of phi.  B B^T =
+    H^(-1/2) P~ H^(-1/2) commutes with the permutations of the slots that
+    keep slot 0, so its entry (r, c) is its entry (S_mu x_r h^-1, S_mu t_j)
+    for x_c = t_j h, and only the N columns S_mu t_j are formed.  Gamma at
+    `entries` is one gather from them less one from H^(-1)/N.  Every
+    layout-only table comes from `Arrangements.gamma_tables`.
     """
     n, b = arr.ports, len(levels)
     t = arr.gamma_tables
@@ -472,9 +459,12 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: n
     for s, (w, v) in zip(t.groups, eig):
         qv = s.q @ v
         f = np.concatenate([qv / np.sqrt(w)[..., None, :], qv / (n * w)[..., None, :]], axis=2)
-        y = f @ (v.swapaxes(2, 3) @ s.z)
-        for i, (sel, pos) in enumerate(zip(s.sel, s.pos)):
-            coef[..., pos] += y[:, i].reshape(b, 2, -1)[:, :, sel]
+        d = qv.shape[2]
+        y = (f @ (v.swapaxes(2, 3) @ s.z)).reshape(b, -1, 2, d, n, d)  # (b, g, F, row, coset, column)
+        for i, branch in enumerate(s.branch):
+            for child, row, e in branch:
+                at = t.group.start[child]
+                coef[..., at : at + e * e] += y[:, i, :, row : row + e, :, row : row + e].swapaxes(2, 3).reshape(b, 2, n, -1)
     phi = (coef @ t.group.rho).reshape(b, 2, -1)
     root = phi[:, 0, t.root]
     cols = root @ root[:, t.corners].swapaxes(1, 2)

@@ -239,6 +239,15 @@ def _check_point(params: ChannelParams):
         raise ValueError("this evaluates one parameter point; take a grid's points one at a time (ChannelParams.points)")
 
 
+def _check_nonnegative(values, what: str):
+    """Refuse `values` unless every entry is finite and nonnegative, where a
+    nan or an infinity would otherwise come out as a nan."""
+    values = np.asarray(values)
+    bad = ~((0 <= values) & (values < math.inf))
+    if bad.any():
+        raise ValueError(f"{what} must be finite and nonnegative, got {values[bad].flat[0]}")
+
+
 def _diag_tail_bound(params: ChannelParams, levels: int) -> float:
     """Mass of the diagonal corrections dropped beyond the cutoff."""
     lx, ly = params.lambda_x, params.lambda_y
@@ -298,8 +307,7 @@ def output_energy(u: float, params: ChannelParams, tol: float = SUM_TOL) -> floa
     An array of u gives the array of its outputs from one sum of Omega and
     of `energy_weighted_omega`, each entry bitwise its scalar call."""
     _check_two_port(params)
-    if np.any(np.asarray(u) < 0):
-        raise ValueError("input energy must be nonnegative")
+    _check_nonnegative(u, "input energy")
     om, _ = omega(params, tol)
     s1, _ = energy_weighted_omega(params, tol)
 

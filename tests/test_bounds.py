@@ -109,6 +109,11 @@ class TestLossyBoundNegative:
         with pytest.raises(ValueError, match="positive"):
             lossy_diamond_bound_negative(0, ChannelParams(0.5, 0.5))
 
+    @pytest.mark.parametrize("u", [math.nan, -0.5, math.inf, np.array([0.2, math.nan])])
+    def test_t_bound_refuses_u_that_is_no_square_radius(self, u):
+        with pytest.raises(ValueError, match="u = r\\^2 must be finite and nonnegative"):
+            negative_regime_t_bound(u, ChannelParams(0.1, 0.1))
+
     @pytest.mark.parametrize("energy", [math.nan, math.inf, -1.0])
     def test_rejects_non_finite_or_negative_energy(self, energy):
         with pytest.raises(ValueError, match="finite and nonnegative"):
@@ -192,6 +197,11 @@ class TestEdrc:
         ep = EdrcParams.matched(ChannelParams(0.5, 0.5))
         with pytest.raises(ValueError, match="overflows"):
             edrc_apply(1e200, ep, Cutoff(5))
+
+    @pytest.mark.parametrize("kappa, f", [(math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (-1.0, 0.5)])
+    def test_non_finite_or_negative_kappa_or_f_is_refused(self, kappa, f):
+        with pytest.raises(ValueError, match="kappa and f must be finite and nonnegative"):
+            EdrcParams(kappa=kappa, f=f, tau=0.1, h=0.4)
 
     @pytest.mark.parametrize("alpha", [float("inf"), float("nan"), complex(1, float("inf")), complex(float("nan"), 0)])
     def test_non_finite_amplitude_is_refused(self, alpha):

@@ -1,5 +1,11 @@
+import hashlib
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -27,6 +33,16 @@ from cvpbt.nport import (
 )
 from cvpbt.oracle import MemoryBudgetError
 from cvpbt.two_port import ChannelParams, apply_number_element
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+
+def build_digests() -> list:
+    """sha256 of the bytes of C and T on 12 levels, one build per port count 3..7."""
+    builds = [ThreePortChannel(ChannelParams(0.6, 0.35, ports=3)), NPortChannel(ChannelParams(0.45, 0.5, ports=4))]
+    builds += [NPortChannel(ChannelParams(0.45, 0.5, ports=n), cap=cap) for n, cap in ((5, 3), (6, 2), (7, 1))]
+    return [hashlib.sha256(b"".join(a.tobytes() for a in channel.arrays(12))).hexdigest() for channel in builds]
 
 
 def lm_label_order(l, m):
@@ -799,12 +815,33 @@ class TestPatternStacks:
         assert len(seen) == 2  # one per pattern
 
     def test_constructors_are_bitwise_deterministic(self):
-        for build in (
-            lambda: ThreePortChannel(ChannelParams(0.6, 0.35, ports=3)),
-            lambda: NPortChannel(ChannelParams(0.45, 0.5, ports=4)),
-        ):
-            (c1, t1), (c2, t2) = build().arrays(12), build().arrays(12)
-            assert c1.tobytes() == c2.tobytes() and t1.tobytes() == t2.tobytes()
+        # twice in this process, then in two fresh ones whose string hashes,
+        # and so dict and set orders, differ
+        digests = build_digests()
+        assert build_digests() == digests
+        package_root = str(pathlib.Path(nport.__file__).resolve().parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); import test_nport; print(*test_nport.build_digests())"
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=package_root)
+            done = subprocess.run([sys.executable, "-c", code, str(pathlib.Path(__file__).parent)], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == digests
+
+
+class TestSectorChannelPins:
+    def test_generic_builds_hold_to_the_pinned_values(self):
+        # N = 4..6, written by `python tests/data/regenerate.py sector_channels.json`;
+        # each array is held to 1e-12 of its largest entry, not entrywise, so
+        # that phi summed in another order can meet it
+        pins = json.loads((DATA / "sector_channels.json").read_text())
+        levels = pins["levels"]
+        for pin in pins["builds"]:
+            channel = NPortChannel(ChannelParams(pin["lambda_x"], pin["lambda_y"], ports=pin["ports"]), cap=pin["cap"])
+            c, t = channel.arrays(levels)
+            for got, key in ((c, "C"), (t, "T"), (channel._gamma_max, "gamma_max"), (channel.tail_bound(levels), "tail_bound")):
+                want = np.array(pin[key])
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), (pin["ports"], pin["lambda_y"], key)
 
 
 class TestBuildBudget:

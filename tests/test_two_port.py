@@ -323,6 +323,11 @@ class TestEnergy:
         with pytest.raises(ValueError, match="nonnegative"):
             output_energy(np.array([1.0, -0.5]), ChannelParams(0.5, 0.5))
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf, np.array([1.0, math.nan])])
+    def test_non_finite_input_energy_is_refused(self, u):
+        with pytest.raises(ValueError, match="input energy must be finite and nonnegative"):
+            output_energy(u, ChannelParams(0.5, 0.5))
+
     def test_max_against_grid_and_golden_section(self):
         for lx, ly in [(0.3, 0.5), (0.5, 0.5), (0.7, 0.2)]:
             p = ChannelParams(lx, ly)
