@@ -90,14 +90,14 @@ class Arrangements:
     @functools.cached_property
     def slot_level(self) -> np.ndarray:
         """(size, N): the unique-level index in every slot, -1 at the marker."""
-        return np.searchsorted((MARKER, *sorted(set(self.multiset))), np.array(self.seqs)) - 1
+        return _read_only(np.searchsorted((MARKER, *sorted(set(self.multiset))), np.array(self.seqs)) - 1)
 
     @functools.cached_property
     def _place(self) -> np.ndarray:
         """Slot place values of the arrangement keys: an arrangement's key
         has the digit slot_level + 1 (the marker 0) in base k + 1, k unique
         levels, so the keys ascend in `seqs` order."""
-        return (len(set(self.multiset)) + 1) ** np.arange(self.ports - 1, -1, -1)
+        return _read_only((len(set(self.multiset)) + 1) ** np.arange(self.ports - 1, -1, -1))
 
     @functools.cached_property
     def swaps(self) -> np.ndarray:
@@ -107,15 +107,21 @@ class Arrangements:
         `np.searchsorted` among the ascending keys finds every result."""
         code = self.slot_level + 1
         key = code @ self._place
-        return np.searchsorted(key, key[:, None] + code * (self._place[code.argmin(axis=1), None] - self._place))
+        return _read_only(np.searchsorted(key, key[:, None] + code * (self._place[code.argmin(axis=1), None] - self._place)))
 
     @functools.cached_property
     def gamma_tables(self) -> GammaTables:
         """Irrep blocks and index tables of `_gamma_stack` (`GammaTables`),
-        built on first read and kept by this `Arrangements` only:
-        `NPortChannel` makes one `Arrangements` per multiplicity pattern per
-        build, so every build builds them anew."""
+        built on first read and kept by this `Arrangements`: for the layouts
+        that `_layout_tables` keeps, once per process, otherwise once per
+        build that reads them."""
         return _gamma_tables(self)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only: a cached table is shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 def _swap_weights(levels: np.ndarray, lam_y: float) -> np.ndarray:
@@ -261,8 +267,7 @@ def _irreps(n: int) -> list:
         dims = [len(_tableaux(child)) for _, child in _corners(shape)]
         rows = np.cumsum([0] + dims)
         branch = [(smaller[child], rows[i], dims[i]) for i, (_, child) in enumerate(_corners(shape))]
-        out.append((gens, np.array(cosets), branch))
-        gens.flags.writeable = out[-1][1].flags.writeable = False  # cached: shared by every caller
+        out.append((_read_only(gens), _read_only(np.array(cosets)), branch))
     return out
 
 
@@ -330,9 +335,7 @@ def _group_tables(n: int) -> GroupTables:
     t = np.array([[*range(a), *range(a + 1, n), a] for a in range(n)], np.int8)
     u = np.column_stack([el, np.full(m, n - 1, np.int8)])
     join = _rank(t[np.arange(n)[:, None, None, None], u[:, np.argsort(t, axis=1)]])
-    for a in (rho, start, quot, join):
-        a.flags.writeable = False  # cached: shared by every caller
-    return GroupTables(rho, start, quot, join)
+    return GroupTables(*map(_read_only, (rho, start, quot, join)))
 
 
 class IrrepGroup(NamedTuple):
@@ -390,11 +393,11 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
     for r in range(len(uniq)):
         hit = level == r
         letters[hit] = (first[r] + np.cumsum(hit, axis=1) - 1)[hit]
-    coset, elem = np.divmod(_rank(np.roll(letters, -1, axis=1)), m)
-    root = coset[:, None] * m + group.quot[elem[:, None], elem[list(arr.ptilde)]]
+    coset, elem = map(_read_only, np.divmod(_rank(np.roll(letters, -1, axis=1)), m))
+    root = _read_only(coset[:, None] * m + group.quot[elem[:, None], elem[list(arr.ptilde)]])
     # S_mu g for every g: its slot sequence as an arrangement key, looked up among the sorted keys
     code = np.append(np.searchsorted(first, np.arange(n - 1), side="right"), 0)  # letter -> 1 + level index, marker 0
-    arrangement = np.searchsorted((level + 1) @ arr._place, np.roll(code[_elements(n)], 1, axis=1) @ arr._place)
+    arrangement = _read_only(np.searchsorted((level + 1) @ arr._place, np.roll(code[_elements(n)], 1, axis=1) @ arr._place))
     copies = [c for r in range(len(uniq)) for c in range(first[r], first[r + 1] - 1)]  # the s_c that generate S_mu
     scale = math.prod(math.factorial(b - a) for a, b in zip(first, first[1:])) / math.factorial(n)
     shapes = {}
@@ -410,8 +413,9 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
         units = np.array([np.eye(q.shape[1])] + [q.T @ sum(swaps[a:b]) @ q for a, b in zip(first, first[1:])])
         same = shapes.setdefault(q.shape[::-1], [])  # (K, d)
         same.append(((units + units.swapaxes(1, 2)) / 2, q * (d * scale), np.hstack(q.T @ cosets), branch))
-    groups = [IrrepGroup(np.array(u), np.array(q), np.array(z), b) for u, q, z, b in (zip(*same) for same in shapes.values())]
-    return GammaTables(groups, root, coset, elem, arrangement, arrangement[np.arange(1, n + 1) * m - 1], group)
+    groups = [IrrepGroup(*(_read_only(np.array(a)) for a in (u, q, z)), b) for u, q, z, b in (zip(*same) for same in shapes.values())]
+    corners = _read_only(arrangement[np.arange(1, n + 1) * m - 1])
+    return GammaTables(groups, root, coset, elem, arrangement, corners, group)
 
 
 def _irrep_blocks(arr: Arrangements, levels: np.ndarray, lam_y: float) -> list:
@@ -653,6 +657,22 @@ def _orbit_segments(arr: Arrangements):
     return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
 
 
+@functools.cache
+def _layout_tables(layout: tuple) -> tuple[Arrangements, tuple]:
+    """The `Arrangements` of a multiplicity pattern's layout and (entries,
+    reads, starts) of its orbit sums: the distinct flat Gamma entries that
+    `_orbit_segments` reads, the index of each read among them and the
+    segment starts.  None of it depends on lambda.  `NPortChannel` keeps a
+    layout here for the process when its sectors share stacked batches
+    (size^2 <= _STACK_ELEMS), along with the `Arrangements` tables built
+    on first read, and builds a larger one through `__wrapped__` for one
+    pattern only.  Every array is read-only."""
+    arr = Arrangements(layout)
+    idx, starts = _orbit_segments(arr)
+    entries, reads = np.unique(idx, return_inverse=True)  # orbit sums read some entries more than once
+    return arr, tuple(map(_read_only, (entries, reads, starts)))
+
+
 def _largest_layout(ports: int, levels: int) -> tuple[list[int], int]:
     """The largest layout of the N - 1 levels of a sector drawn from
     `levels` distinct ones: its level multiplicities m, spread as evenly as
@@ -674,7 +694,10 @@ def _build_mb(ports: int, cap: int) -> float:
     bytes per entry of a full batch of b size^2 <= _STACK_ELEMS (small
     sectors carry most overhead), or 24 per entry of the size x size/N
     gather table and B of one larger sector, the layout with the most
-    distinct levels (`_largest_layout`).  The cap must be nonnegative."""
+    distinct levels (`_largest_layout`).  The tables that a cold build
+    keeps (`_layout_tables`, size^2 <= _STACK_ELEMS) are left out: with
+    every pattern walked they hold 2.5 MiB at N = 6 and 4.3 MiB at N = 7,
+    small against the 32 MiB stack term.  The cap must be nonnegative."""
     sectors = math.comb(cap + ports - 1, ports - 1)
     size = _largest_layout(ports, cap + 1)[1]
     stack = max(128 * _STACK_ELEMS, 24 * size**2 // ports)
@@ -710,7 +733,11 @@ class NPortChannel:
     sums stands for them all.  Sectors sharing a multiplicity pattern share
     one arrangement layout, so the build walks the patterns
     (`_pattern_walk`) with one array of levels and one gather of weights
-    each.  Every batch's Gammas come as one stack from
+    each.  A layout's tables depend on N and the pattern alone
+    (`_layout_tables`): those of the layouts whose sectors share stacked
+    batches are kept for the process, so a later build at the same N
+    makes none of them; larger ones are built per build.  Every batch's
+    Gammas come as one stack from
     `gammas(arr, levels, lam_y, entries)`, (b, len(entries)), holding only
     the distinct flat entries, in the canonical coordinates of the layout
     `arr`, that the orbit sums read (`_orbit_segments`); by default from
@@ -737,11 +764,12 @@ class NPortChannel:
         f = np.zeros((top + 1, top), dtype=complex)
         for layout, levels in _pattern_walk(params.ports, self.cap):
             k = levels.shape[1]
-            arr = Arrangements(layout)  # levels relabelled 0..k-1 in order keep every sector's arrangement order
-            idx, starts = _orbit_segments(arr)
-            entries, reads = np.unique(idx, return_inverse=True)  # orbit sums read some entries more than once
+            size = math.factorial(params.ports) // math.prod(map(math.factorial, np.bincount(layout)))
+            tables = _layout_tables if size**2 <= _STACK_ELEMS else _layout_tables.__wrapped__
+            # levels relabelled 0..k-1 in order keep every sector's arrangement order
+            arr, (entries, reads, starts) = tables(tuple(layout))
             weights = powers[levels[:, layout].sum(axis=1)]
-            step = max(1, _STACK_ELEMS // arr.size**2)
+            step = max(1, _STACK_ELEMS // size**2)
             for lo in range(0, len(levels), step):
                 part = slice(lo, lo + step)
                 g = gammas(arr, levels[part], params.lambda_y, entries)

@@ -806,17 +806,29 @@ class TestPatternStacks:
             assert np.array_equal(got, whole.reshape(len(sectors), -1)[:, idx])
 
     def test_three_port_builds_make_no_numeric_tables(self, monkeypatch):
-        seen = []
-        tables = nport._gamma_tables
-        monkeypatch.setattr(nport, "_gamma_tables", lambda arr: seen.append(arr) or tables(arr))
-        ThreePortChannel(ChannelParams(0.5, 0.4, ports=3), cap=8)
-        assert seen == []
-        NPortChannel(ChannelParams(0.5, 0.4, ports=3), cap=8)
-        assert len(seen) == 2  # one per pattern
+        # per layout, once per process: counted from a cold layout cache
+        calls = Counter()
+        for name in ("_gamma_tables", "_orbit_segments"):
+            made = getattr(nport, name)
+            monkeypatch.setattr(nport, name, lambda arr, name=name, made=made: calls.update([name]) or made(arr))
+        p = ChannelParams(0.5, 0.4, ports=3)
+        nport._layout_tables.cache_clear()
+        ThreePortChannel(p, cap=8)
+        assert calls == {"_orbit_segments": 2}  # one per pattern, and no irrep tables
+        NPortChannel(p, cap=8)
+        assert calls == {"_orbit_segments": 2, "_gamma_tables": 2}  # the layouts kept, their irrep tables made once
+        calls.clear()
+        NPortChannel(p, cap=8)
+        ThreePortChannel(p, cap=8)
+        assert calls == {}
+        nport._layout_tables.cache_clear()
+        NPortChannel(p, cap=8)
+        assert calls == {"_orbit_segments": 2, "_gamma_tables": 2}
 
     def test_constructors_are_bitwise_deterministic(self):
-        # twice in this process, then in two fresh ones whose string hashes,
-        # and so dict and set orders, differ
+        # cold, then warm in this process, then in two fresh ones whose
+        # string hashes, and so dict and set orders, differ
+        nport._layout_tables.cache_clear()
         digests = build_digests()
         assert build_digests() == digests
         package_root = str(pathlib.Path(nport.__file__).resolve().parents[1])
@@ -910,8 +922,11 @@ class TestBuildBudget:
         assert channel.sectors == enumerate_multisets(3, 300)
         assert NPortChannel.closed_two_port(ChannelParams(0.5, 0.45)).sectors == []
 
-    @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (3, 300), (4, 30), (5, 8), (6, 4), (7, 3)])
+    @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (3, 300), (4, 30), (5, 8), (6, 4), (7, 3), (7, 5)])
     def test_declared_size_bounds_traced_peak(self, ports, cap):
+        # from a cold layout cache, so the kept layout tables count; at (7, 5)
+        # keeping every layout would peak at 132 MiB
+        nport._layout_tables.cache_clear()
         tracemalloc.start()
         try:
             NPortChannel(ChannelParams(0.5, 0.45, ports=ports), cap)
@@ -919,6 +934,31 @@ class TestBuildBudget:
         finally:
             tracemalloc.stop()
         assert peak / 2**20 <= nport._build_mb(ports, cap)
+
+
+def test_only_small_layouts_are_kept_and_read_only():
+    # kept for the process: layouts whose sectors share stacked batches
+    # (size^2 <= _STACK_ELEMS), so not the all-distinct N = 6 one (720)
+    nport._layout_tables.cache_clear()
+    small, large = [], []
+    for ports, cap in ((6, 5), (7, 3)):
+        NPortChannel(ChannelParams(0.4, 0.45, ports=ports), cap)
+        for layout, _ in nport._pattern_walk(ports, cap):
+            size = math.factorial(ports) // math.prod(map(math.factorial, Counter(layout).values()))
+            (small if size**2 <= nport._STACK_ELEMS else large).append(tuple(layout))
+    assert (0, 1, 2, 3, 4) in large
+    assert nport._layout_tables.cache_info().currsize == len(small)  # every key differs: its length is N - 1
+    kept = 0
+    for layout in small:
+        misses = nport._layout_tables.cache_info().misses
+        arr, tables = nport._layout_tables(layout)
+        assert nport._layout_tables.cache_info().misses == misses and arr.size**2 <= nport._STACK_ELEMS
+        t = arr.gamma_tables
+        arrays = [*tables, arr.slot_level, arr.swaps, arr._place, t.root, t.coset, t.elem, t.arrangement, t.corners]
+        arrays += [a for s in t.groups for a in (s.units, s.q, s.z)]
+        assert not any(a.flags.writeable for a in arrays)
+        kept += sum(a.nbytes for a in arrays)
+    assert kept <= 6 * 2**20  # 5.5 MiB: 2.0 at N = 6, 3.5 at N = 7
 
 
 @pytest.mark.parametrize("ports", range(2, 10))
