@@ -657,20 +657,27 @@ def _orbit_segments(arr: Arrangements):
     return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
 
 
-@functools.cache
+_LAYOUTS: dict[tuple, tuple] = {}  # layout -> its `_layout_tables`, for the layouts kept for the process
+
+
 def _layout_tables(layout: tuple) -> tuple[Arrangements, tuple]:
     """The `Arrangements` of a multiplicity pattern's layout and (entries,
     reads, starts) of its orbit sums: the distinct flat Gamma entries that
     `_orbit_segments` reads, the index of each read among them and the
-    segment starts.  None of it depends on lambda.  `NPortChannel` keeps a
-    layout here for the process when its sectors share stacked batches
-    (size^2 <= _STACK_ELEMS), along with the `Arrangements` tables built
-    on first read, and builds a larger one through `__wrapped__` for one
-    pattern only.  Every array is read-only."""
+    segment starts.  None of it depends on lambda, so a layout whose
+    sectors share stacked batches (size^2 <= _STACK_ELEMS) is kept in
+    `_LAYOUTS` for the process, along with the `Arrangements` tables built
+    on first read; a larger one is built anew on every call.  Every array
+    is read-only."""
+    if layout in _LAYOUTS:
+        return _LAYOUTS[layout]
     arr = Arrangements(layout)
     idx, starts = _orbit_segments(arr)
     entries, reads = np.unique(idx, return_inverse=True)  # orbit sums read some entries more than once
-    return arr, tuple(map(_read_only, (entries, reads, starts)))
+    tables = arr, tuple(map(_read_only, (entries, reads, starts)))
+    if arr.size**2 <= _STACK_ELEMS:
+        _LAYOUTS[layout] = tables
+    return tables
 
 
 def _largest_layout(ports: int, levels: int) -> tuple[list[int], int]:
@@ -735,8 +742,10 @@ class NPortChannel:
     (`_pattern_walk`) with one array of levels and one gather of weights
     each.  A layout's tables depend on N and the pattern alone
     (`_layout_tables`): those of the layouts whose sectors share stacked
-    batches are kept for the process, so a later build at the same N
-    makes none of them; larger ones are built per build.  Every batch's
+    batches are kept for the process, so a later build at the same N in
+    the same process makes none of them; larger ones are built per build.
+    A process that builds one channel gains nothing from this and holds
+    the kept tables after its build.  Every batch's
     Gammas come as one stack from
     `gammas(arr, levels, lam_y, entries)`, (b, len(entries)), holding only
     the distinct flat entries, in the canonical coordinates of the layout
@@ -764,12 +773,10 @@ class NPortChannel:
         f = np.zeros((top + 1, top), dtype=complex)
         for layout, levels in _pattern_walk(params.ports, self.cap):
             k = levels.shape[1]
-            size = math.factorial(params.ports) // math.prod(map(math.factorial, np.bincount(layout)))
-            tables = _layout_tables if size**2 <= _STACK_ELEMS else _layout_tables.__wrapped__
             # levels relabelled 0..k-1 in order keep every sector's arrangement order
-            arr, (entries, reads, starts) = tables(tuple(layout))
+            arr, (entries, reads, starts) = _layout_tables(tuple(layout))
             weights = powers[levels[:, layout].sum(axis=1)]
-            step = max(1, _STACK_ELEMS // size**2)
+            step = max(1, _STACK_ELEMS // arr.size**2)
             for lo in range(0, len(levels), step):
                 part = slice(lo, lo + step)
                 g = gammas(arr, levels[part], params.lambda_y, entries)

@@ -812,7 +812,7 @@ class TestPatternStacks:
             made = getattr(nport, name)
             monkeypatch.setattr(nport, name, lambda arr, name=name, made=made: calls.update([name]) or made(arr))
         p = ChannelParams(0.5, 0.4, ports=3)
-        nport._layout_tables.cache_clear()
+        nport._LAYOUTS.clear()
         ThreePortChannel(p, cap=8)
         assert calls == {"_orbit_segments": 2}  # one per pattern, and no irrep tables
         NPortChannel(p, cap=8)
@@ -821,14 +821,14 @@ class TestPatternStacks:
         NPortChannel(p, cap=8)
         ThreePortChannel(p, cap=8)
         assert calls == {}
-        nport._layout_tables.cache_clear()
+        nport._LAYOUTS.clear()
         NPortChannel(p, cap=8)
         assert calls == {"_orbit_segments": 2, "_gamma_tables": 2}
 
     def test_constructors_are_bitwise_deterministic(self):
         # cold, then warm in this process, then in two fresh ones whose
         # string hashes, and so dict and set orders, differ
-        nport._layout_tables.cache_clear()
+        nport._LAYOUTS.clear()
         digests = build_digests()
         assert build_digests() == digests
         package_root = str(pathlib.Path(nport.__file__).resolve().parents[1])
@@ -926,7 +926,7 @@ class TestBuildBudget:
     def test_declared_size_bounds_traced_peak(self, ports, cap):
         # from a cold layout cache, so the kept layout tables count; at (7, 5)
         # keeping every layout would peak at 132 MiB
-        nport._layout_tables.cache_clear()
+        nport._LAYOUTS.clear()
         tracemalloc.start()
         try:
             NPortChannel(ChannelParams(0.5, 0.45, ports=ports), cap)
@@ -939,20 +939,17 @@ class TestBuildBudget:
 def test_only_small_layouts_are_kept_and_read_only():
     # kept for the process: layouts whose sectors share stacked batches
     # (size^2 <= _STACK_ELEMS), so not the all-distinct N = 6 one (720)
-    nport._layout_tables.cache_clear()
-    small, large = [], []
+    nport._LAYOUTS.clear()
+    walked = set()
     for ports, cap in ((6, 5), (7, 3)):
         NPortChannel(ChannelParams(0.4, 0.45, ports=ports), cap)
-        for layout, _ in nport._pattern_walk(ports, cap):
-            size = math.factorial(ports) // math.prod(map(math.factorial, Counter(layout).values()))
-            (small if size**2 <= nport._STACK_ELEMS else large).append(tuple(layout))
-    assert (0, 1, 2, 3, 4) in large
-    assert nport._layout_tables.cache_info().currsize == len(small)  # every key differs: its length is N - 1
+        walked |= {tuple(layout) for layout, _ in nport._pattern_walk(ports, cap)}  # keys of N - 1 levels
+    small = {layout for layout in walked if nport.Arrangements(layout).size ** 2 <= nport._STACK_ELEMS}
+    assert (0, 1, 2, 3, 4) in walked - small
+    assert set(nport._LAYOUTS) == small
     kept = 0
-    for layout in small:
-        misses = nport._layout_tables.cache_info().misses
-        arr, tables = nport._layout_tables(layout)
-        assert nport._layout_tables.cache_info().misses == misses and arr.size**2 <= nport._STACK_ELEMS
+    for layout, (arr, tables) in nport._LAYOUTS.items():
+        assert nport._layout_tables(layout)[0] is arr
         t = arr.gamma_tables
         arrays = [*tables, arr.slot_level, arr.swaps, arr._place, t.root, t.coset, t.elem, t.arrangement, t.corners]
         arrays += [a for s in t.groups for a in (s.units, s.q, s.z)]
