@@ -16,6 +16,8 @@ from .fock import (
     DensityOperator,
     FockOperator,
     _abs2,
+    _check_integer,
+    _check_squeezing,
     _per_point,
     as_cutoff,
     chi,
@@ -173,10 +175,8 @@ class EdrcParams:
 
     def __post_init__(self):
         _check_nonnegative([self.kappa, self.f], "kappa and f")
-        if not 0 <= self.tau < 1:
-            raise ValueError("tau must lie in [0, 1)")
-        if not 0 <= self.h < 1:
-            raise ValueError("thermal parameter h must lie in [0, 1)")
+        _check_squeezing(self.tau, "tau")
+        _check_squeezing(self.h, "thermal parameter h")
 
     @classmethod
     def matched(cls, params: ChannelParams) -> "EdrcParams":
@@ -234,18 +234,15 @@ def edrc_distance(params: ChannelParams) -> tuple[int, float]:
         raise ValueError("the exact replacement-channel distance assumes the positive regime")
     om, _ = omega(params)
     m_c = _critical_index(params, om)
-    if m_c < 0:
-        return m_c, 0.0
     total = sum(chi(params.lambda_x, m) * (_inv_root(params.lambda_y, m) - om) for m in range(m_c + 1))
     return m_c, 2 * params.g * total
 
 
 def resource_fidelity(lambda_1: float, lambda_2: float, ports: int) -> float:
     """Fidelity of two port resources built from N two-mode squeezed pairs."""
-    if not (0 <= lambda_1 < 1 and 0 <= lambda_2 < 1):
-        raise ValueError("squeezing parameters must lie in [0, 1)")
-    if ports < 1:
-        raise ValueError("ports must be positive")
+    _check_squeezing(lambda_1, "lambda_1")
+    _check_squeezing(lambda_2, "lambda_2")
+    _check_integer(ports, "ports", 1)
     single = (1 - lambda_1**2) * (1 - lambda_2**2) / (1 - lambda_1 * lambda_2) ** 2
     return single**ports
 
@@ -256,14 +253,13 @@ def sim_example_bound(delta: float, base: ChannelParams | None = None) -> float:
     Both channels are simulated with the same measurement squeezing; the
     resource states differ by +-delta/2 in lambda_x.  The bound chains the
     two exact simulation errors with the Fuchs-van de Graaf bound on the
-    resource-state trace distance.
+    resource-state trace distance.  A delta that shifts lambda_x out of
+    [0, 1) is refused by `ChannelParams`.
     """
     if base is None:
         base = ChannelParams(lambda_x=2 ** -0.25, lambda_y=2 ** -0.25)
     lx_plus = base.lambda_x + delta / 2
     lx_minus = base.lambda_x - delta / 2
-    if not (0 <= lx_minus < 1 and 0 <= lx_plus < 1):
-        raise ValueError(f"shifted lambda_x out of range for delta={delta}")
     p_plus = ChannelParams(lx_plus, base.lambda_y)
     p_minus = ChannelParams(lx_minus, base.lambda_y)
     for p in (p_plus, p_minus):

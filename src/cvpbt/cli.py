@@ -138,8 +138,7 @@ def _parse_range(spec: str, args, columns: int, *work) -> np.ndarray:
     start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     if not np.isfinite([start, stop]).all():
         raise ValueError(f"range bounds must be finite, got {spec!r}")
-    if count < 1:
-        raise ValueError("range count must be positive")
+    fock._check_integer(count, "range count", 1)
     _require_table(args, count, columns, *work)
     return np.linspace(start, stop, count)
 

@@ -42,9 +42,7 @@ class Cutoff:
     levels: int
 
     def __post_init__(self):
-        if not isinstance(self.levels, (int, np.integer)) or self.levels < 2:
-            raise ValueError(f"cutoff must be an integer of at least two Fock levels, got {self.levels!r}")
-        object.__setattr__(self, "levels", int(self.levels))  # numpy integers become Python ints
+        object.__setattr__(self, "levels", _check_integer(self.levels, "cutoff", 2))
 
 
 def as_cutoff(cutoff) -> Cutoff:
@@ -53,8 +51,8 @@ def as_cutoff(cutoff) -> Cutoff:
 
 def adaptive_cutoff(lam: float, tol: float = 1e-12, minimum: int = 2) -> Cutoff:
     """Smallest cutoff whose geometric tail lam**(2 D) falls below tol."""
-    if not 0 <= lam < 1:
-        raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
+    _check_squeezing(lam)
+    _check_positive(tol, "tail tolerance")
     if lam == 0:
         return Cutoff(minimum)
     need = math.ceil(math.log(tol) / (2 * math.log(lam)))
@@ -68,11 +66,8 @@ def coherent_cutoff(alpha: complex, tol: float = 1e-12, minimum: int = 2) -> Cut
     Poisson weight exp(-|alpha|^2) is not a normal float (|alpha|^2 above
     about 708), or when the tail 1 - sum never falls below tol.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tail tolerance must be finite and positive, got {tol}")
+    _check_positive(tol, "tail tolerance")
     mu = _abs2(alpha)
-    if mu == 0:
-        return Cutoff(minimum)
     term = math.exp(-mu)
     if term < sys.float_info.min:
         raise ValueError(f"|alpha|^2 = {mu:.6g} is too large: its first Poisson weight exp(-|alpha|^2) underflows")
@@ -161,6 +156,32 @@ class DensityOperator:
         return float(np.trace(self.op.matrix).real)
 
 
+def _check_squeezing(values, what: str = "squeezing parameter"):
+    """Refuse `values`, a number or an array, unless every entry lies in
+    [0, 1): the squeezing of a two-mode squeezed pair."""
+    values = np.asarray(values)
+    bad = ~((0 <= values) & (values < 1))
+    if bad.any():
+        raise ValueError(f"{what} must lie in [0, 1), got {values[bad].flat[0]}")
+
+
+def _check_positive(value: float, what: str):
+    """Refuse `value`, a tolerance or a budget, unless it is finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and > 0, got {value}")
+
+
+def _check_integer(value, what: str, least: int) -> int:
+    """`value` as a Python int, refused unless it is an integer (a numpy one
+    included, a bool not) of at least `least`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        bound = "nonnegative" if least == 0 else f"at least {least}"
+        raise ValueError(f"{what} must be {bound}, got {value}")
+    return int(value)
+
+
 def _per_point(fn, *args):
     """`fn` on scalar arguments, or point by point over broadcast arrays
     (or sequences, which are read as arrays).
@@ -189,8 +210,7 @@ def _abs2(alpha: complex) -> float:
 
 def chi(lam: float, r: int) -> float:
     """Geometric weight (1 - lam**2) lam**(2 r) of the r-th Fock level."""
-    if not 0 <= lam < 1:
-        raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
+    _check_squeezing(lam)
     if r < 0:
         raise ValueError("level index must be nonnegative")
     return (1 - lam**2) * lam ** (2 * r)
@@ -198,10 +218,7 @@ def chi(lam: float, r: int) -> float:
 
 def chi_vector(lam, levels: int) -> np.ndarray:
     """chi(lam, r) for r < levels; an array of lam gives one row per value."""
-    values = np.asarray(lam)
-    inside = (0 <= values) & (values < 1)
-    if not inside.all():
-        raise ValueError(f"squeezing parameter must lie in [0, 1), got {values[~inside].flat[0]}")
+    _check_squeezing(lam)
     weight = np.expand_dims(_per_point(lambda v: 1 - v**2, lam), -1)
     return weight * np.expand_dims(lam, -1) ** (2 * np.arange(levels))
 
@@ -223,8 +240,7 @@ def coherent_ket(alpha: complex, cutoff) -> FockVector:
 
 def tmsv_ket(lam: float, cutoff) -> FockVector:
     """Two-mode squeezed vacuum sqrt(1-lam^2) sum_n (-lam)^n |n,n>."""
-    if not 0 <= lam < 1:
-        raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
+    _check_squeezing(lam)
     cutoff = as_cutoff(cutoff)
     d = cutoff.levels
     amps = np.zeros(d * d, dtype=complex)

@@ -16,9 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import DensityOperator, FockOperator, _per_point, as_cutoff, chi_vector
+from .fock import DensityOperator, FockOperator, _check_integer, _check_squeezing, _per_point, as_cutoff, chi_vector
 from .oracle import mib, require_memory
-from .two_port import _BLOCK_ELEMS, ChannelParams, _check_point, _diag_tail_bound, _inv_root, omega
+from .two_port import _BLOCK_ELEMS, ChannelParams, _check_lambda_y, _check_point, _diag_tail_bound, _inv_root, omega
 
 __all__ = [
     "MARKER",
@@ -50,10 +50,8 @@ _STACK_ELEMS = 1 << 18  # b sectors of a stacked batch have b size^2 <= this: th
 def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
     """All multisets of ports-1 levels drawn from 0..cap, sorted ascending,
     listed once each in lexicographic order."""
-    if ports < 2:
-        raise ValueError("at least two ports are required")
-    if cap < 0:
-        raise ValueError("cap must be nonnegative")
+    _check_integer(ports, "ports", 2)
+    _check_integer(cap, "cap", 0)
     return list(itertools.combinations_with_replacement(range(cap + 1), ports - 1))
 
 
@@ -74,7 +72,7 @@ class Arrangements:
     """
 
     def __init__(self, multiset):
-        self.multiset = tuple(sorted(multiset))
+        self.multiset = tuple(sorted(_check_integer(level, "a multiset level", 0) for level in multiset))
         self.seqs = tuple(sorted(set(itertools.permutations((MARKER,) + self.multiset))))
         self.index = {s: i for i, s in enumerate(self.seqs)}
         self.ptilde = tuple(i for i, s in enumerate(self.seqs) if s[0] == MARKER)
@@ -126,8 +124,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _swap_weights(levels: np.ndarray, lam_y: float) -> np.ndarray:
     """(1-lam_y^2) lam_y^(2m) for every unique level m of `levels`."""
-    if not 0 < lam_y < 1:
-        raise ValueError("lambda_y must lie in (0, 1)")
+    _check_lambda_y(lam_y)
     ly2 = lam_y**2
     # scalar pow per level: numpy's vector power can differ in the last bit
     return (1 - ly2) * np.array([ly2**m for m in range(int(levels.max()) + 1)])[levels]
@@ -174,6 +171,7 @@ def eta_basis(multiset, lam_y: float) -> SectorBasis:
     Inside a degenerate cluster that basis is whichever one `eigh` returns:
     Gamma does not depend on the choice (`gamma`, `gamma_from_basis`).
     """
+    _check_lambda_y(lam_y)
     arr = Arrangements(multiset)
     n = arr.ports
     uniq = sorted(set(arr.multiset))
@@ -518,10 +516,12 @@ def _require_positive(xi, *levels):
 
 def gamma_mm_closed(m, lam_y: float) -> np.ndarray:
     """Closed-form Gamma for a repeated-value three-port sector {m, m}; an
-    array of levels gives the stack of their Gammas."""
+    array of levels gives the stack of their Gammas.  Every lambda_y that
+    `_check_lambda_y` admits keeps chi_m below one, so no eigenvalue
+    vanishes."""
+    _check_lambda_y(lam_y)
     chi_m = ((1 - lam_y**2) * lam_y ** (2 * np.asarray(m)))[..., None, None]
     xi1, xi2 = 1 + 2 * chi_m, 1 - chi_m
-    _require_positive(xi2, m)
     return (_MM_NUM / np.sqrt(xi1 * xi2) + _MM_DEN / xi2) / 9
 
 
@@ -539,6 +539,7 @@ _LM_LABEL_ORDER = lambda l, m: [
 def _lm_basis(l, m, lam_y: float):
     """Analytic eigenvectors as the columns of `vecs` (label order), their
     eigenvalues xi[1..6] and the phase factor e; level arrays give stacks."""
+    _check_lambda_y(lam_y)
     e = np.exp(1j * _lm_phase(l, m, lam_y))
     a = np.exp(2j * np.pi / 3 * np.arange(3)) / math.sqrt(6)
     top = np.column_stack([np.full(3, 1 / math.sqrt(6))] * 2 + [a, a, a.conj(), a.conj()])
@@ -758,12 +759,9 @@ class NPortChannel:
     """
 
     def __init__(self, params: ChannelParams, cap: int | None = None, gammas=_gamma_stack):
+        _check_point(params)
         self.params = params
-        if cap is not None and (isinstance(cap, bool) or not isinstance(cap, (int, np.integer))):
-            raise ValueError(f"cap must be an integer, got {cap!r}")
-        self.cap = default_cap(params) if cap is None else int(cap)
-        if self.cap < 0:
-            raise ValueError("cap must be nonnegative")
+        self.cap = default_cap(params) if cap is None else _check_integer(cap, "cap", 0)
         require_memory(_build_mb(params.ports, self.cap), f"the {params.ports}-port sector build at cap {self.cap}")
         self._gamma_max = 0.0
         # lx^(2 t) per level total t, scalar pows: numpy's vector power can differ in the last bit
@@ -980,8 +978,7 @@ def input_output_fidelity(
     if kind == "tmsv":
         if lambda_in is None or levels is None:
             raise ValueError("tmsv fidelity needs lambda_in and a level cutoff")
-        if not 0 <= lambda_in < 1:
-            raise ValueError(f"lambda_in must lie in [0, 1), got {lambda_in}")
+        _check_squeezing(lambda_in, "lambda_in")
         levels = as_cutoff(levels).levels
         lam2 = lambda_in**2
         w = lam2 ** np.arange(levels)

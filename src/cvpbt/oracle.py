@@ -43,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fock import Cutoff, FockOperator, as_cutoff, chi_vector, permute_modes
+from .fock import Cutoff, FockOperator, _check_positive, as_cutoff, chi_vector, permute_modes
 from .two_port import ChannelParams, _check_point
 
 __all__ = [
@@ -82,8 +82,7 @@ def memory_budget() -> float:
         mb = float(raw)
     except ValueError as exc:
         raise ValueError(f"CVPBT_MEM_BUDGET_MB must be numeric, got {raw!r}") from exc
-    if not (math.isfinite(mb) and mb > 0):
-        raise ValueError(f"memory budget must be finite and > 0 MiB, got {mb!r}")
+    _check_positive(mb, "CVPBT_MEM_BUDGET_MB")
     return mb
 
 
@@ -637,8 +636,7 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
         raise ValueError("element range exceeds the cutoff")
     if a_max < 0 or b_max < 0:
         raise ValueError(f"element range must be non-negative, got a_max={a_max}, b_max={b_max}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+    _check_positive(tol, "tolerance")
     from . import nport
 
     t0 = time.perf_counter()

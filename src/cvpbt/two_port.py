@@ -17,6 +17,9 @@ from .fock import (
     DensityOperator,
     FockOperator,
     _abs2,
+    _check_integer,
+    _check_positive,
+    _check_squeezing,
     _per_point,
     as_cutoff,
     chi_vector,
@@ -59,25 +62,9 @@ class ChannelParams:
         if isinstance(self.lambda_x, np.ndarray) or isinstance(self.lambda_y, np.ndarray):
             for name, values in zip(("lambda_x", "lambda_y"), np.broadcast_arrays(self.lambda_x, self.lambda_y)):
                 object.__setattr__(self, name, np.array(values, dtype=float))
-        lx, ly = np.asarray(self.lambda_x), np.asarray(self.lambda_y)
-        bad = ~((0 <= lx) & (lx < 1))
-        if bad.any():
-            raise ValueError(f"lambda_x must lie in [0, 1), got {lx[bad].flat[0]}")
-        bad = ~((0 < ly) & (ly < 1))
-        if bad.any():
-            raise ValueError(
-                f"lambda_y must lie in (0, 1), got {ly[bad].flat[0]}; "
-                "lambda_y = 0 makes the square-root measurement degenerate"
-            )
-        bad = 1 - ly**2 == 1  # chi_{y,0} = 1, where (1 - chi_{y,0}^2)^(-1/2) diverges
-        if bad.any():
-            raise ValueError(f"lambda_y must exceed 2^-27 (about 7.45e-9), got {ly[bad].flat[0]}; "
-                             "at or below it 1 - lambda_y^2 rounds to 1 and the measurement weight diverges")
-        if isinstance(self.ports, bool) or not isinstance(self.ports, (int, np.integer)):
-            raise ValueError(f"ports must be an integer, got {self.ports!r}")
-        object.__setattr__(self, "ports", int(self.ports))  # numpy integers become Python ints
-        if self.ports < 2:
-            raise ValueError("at least two ports are required")
+        _check_squeezing(self.lambda_x, "lambda_x")
+        _check_lambda_y(self.lambda_y)
+        object.__setattr__(self, "ports", _check_integer(self.ports, "ports", 2))
 
     @classmethod
     def grid(cls, lambda_x, lambda_y, ports: int = 2) -> "ChannelParams":
@@ -97,6 +84,22 @@ class ChannelParams:
     @property
     def g(self) -> float:
         return _per_point(lambda lx, ly: (1 - lx**2) * (1 - ly**2), self.lambda_x, self.lambda_y)
+
+
+def _check_lambda_y(values):
+    """Refuse measurement squeezing, a number or an array, unless every
+    entry lies in (0, 1) and exceeds 2^-27."""
+    ly = np.asarray(values)
+    bad = ~((0 < ly) & (ly < 1))
+    if bad.any():
+        raise ValueError(
+            f"lambda_y must lie in (0, 1), got {ly[bad].flat[0]}; "
+            "lambda_y = 0 makes the square-root measurement degenerate"
+        )
+    bad = 1 - ly**2 == 1  # chi_{y,0} = 1, where (1 - chi_{y,0}^2)^(-1/2) diverges
+    if bad.any():
+        raise ValueError(f"lambda_y must exceed 2^-27 (about 7.45e-9), got {ly[bad].flat[0]}; "
+                         "at or below it 1 - lambda_y^2 rounds to 1 and the measurement weight diverges")
 
 
 class Regime(enum.Enum):
@@ -152,8 +155,7 @@ def _adaptive_sum(params: ChannelParams, tol: float, first_moment: bool):
     at most the first dropped factor times the remaining geometric mass
     (zeroth or first moment as appropriate).
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"sum tolerance must be finite and positive, got {tol}")
+    _check_positive(tol, "sum tolerance")
     shape = np.shape(params.lambda_x)
     lx = np.ravel(params.lambda_x).tolist()
     ly = np.ravel(params.lambda_y).tolist()
@@ -164,7 +166,6 @@ def _adaptive_sum(params: ChannelParams, tol: float, first_moment: bool):
     chi_m = np.array([1 - x**2 for x in lx])  # chi_{x,m} at the block's first level
     total = np.zeros(len(lx))
     stop = np.zeros(len(lx), dtype=np.int64)  # each point's last summed level
-    single = np.array(lx) == 0  # lambda_x = 0 leaves only the m = 0 term
     live = np.arange(len(lx))
     need = _last_level(r, tol, first_moment)
     start, block = 0, 4
@@ -184,7 +185,6 @@ def _adaptive_sum(params: ChannelParams, tol: float, first_moment: bool):
         chi = np.cumprod(chi, axis=1)
         term = (levels * chi if first_moment else chi) * inv
         below = (term < tol) & (levels >= 1)
-        below[:, 0] |= single[live]
         first = below.argmax(axis=1)
         done = below[np.arange(live.size), first]
         term[:, 0] += total[live]  # the running total carried into the block
@@ -196,8 +196,6 @@ def _adaptive_sum(params: ChannelParams, tol: float, first_moment: bool):
         start += block
 
     def tail(x, y, m):
-        if x == 0:
-            return 0.0
         r = x**2
         if first_moment:
             # sum_{k>m} k (1-r) r^k = r^(m+1) ((m+1) - m r) / (1 - r)

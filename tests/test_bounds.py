@@ -239,8 +239,9 @@ class TestEdrcDiamond:
 
     def test_exactness_against_direct_trace_norm(self):
         # alpha = 0 maximizes the diagonal difference, so the closed sum must
-        # equal the directly computed trace norm there
-        for lx, ly in [(0.5, 0.5), (0.3, 0.6), (0.6, 0.75)]:
+        # equal the directly computed trace norm there; at lambda_x = 0 no level
+        # qualifies (m_c = -1) and the sum is empty
+        for lx, ly in [(0.5, 0.5), (0.3, 0.6), (0.6, 0.75), (0.0, 0.75)]:
             p = ChannelParams(lx, ly)
             ep = EdrcParams.matched(p)
             d = 60

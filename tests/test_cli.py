@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -401,6 +402,23 @@ class TestTableFormat:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+
+def readme_commands() -> list:
+    """The `cvpbt ...` lines of README.md's command-line usage block, split as a shell would."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("cvpbt ")]
+
+
+class TestReadmeUsage:
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_command_runs(self, tmp_path, argv):
+        argv = list(argv)
+        out = argv.index("--out") + 1
+        argv[out] = str(tmp_path / argv[out])
+        assert main(argv) == EXIT_OK
+        assert read_table(argv[out]).rows
 
 
 class TestConfigFile:

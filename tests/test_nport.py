@@ -189,6 +189,18 @@ class TestArrangements:
                 if arr.size <= 720:
                     assert all(swaps[t, q] == swapped(arr, t, q) for t in range(arr.size) for q in range(ports))
 
+    @pytest.mark.parametrize("call, multiset", [
+        (lambda ms: sector_matrix(ms, 0.5), (-1, 0)),  # -1 is the marker: it would count 3 arrangements, not 6
+        (lambda ms: eta_basis(ms, 0.5), (-1, 0, 2)),  # 12 x 12 in place of 24 x 24
+        (lambda ms: sector_matrix(ms, 0.5), (0.5, 1)),  # an IndexError before
+        (lambda ms: sector_matrix(ms, 0.5), (-2, 0)),  # an IndexError before
+        (Arrangements, (np.int64(1), 2.0)),
+        (Arrangements, (True, 1)),
+    ])
+    def test_levels_other_than_nonnegative_integers_are_refused(self, call, multiset):
+        with pytest.raises(ValueError, match="multiset level"):
+            call(multiset)
+
     @pytest.mark.parametrize("ports", range(2, 7))
     def test_orbit_segments_are_the_literal_walk(self, ports):
         for layout, _ in nport._pattern_walk(ports, ports - 2):
@@ -711,13 +723,13 @@ class TestPatternStacks:
 
     def test_closed_forms_refuse_a_vanishing_eigenvalue(self):
         # at lambda_y = 1e-5, xi[2] of {0, 1} is 1 - (1 - ly^2)(1 + ly^2), which rounds to 0.0;
-        # {0, 0} keeps xi2 = ly^2 until 1 - ly^2 rounds to 1
+        # {0, 0} keeps xi2 = ly^2 until 1 - ly^2 rounds to 1, which the lambda_y rule refuses first
         message = r"sector matrix with levels \[0, 1\] is not positive definite"
         for l, m in [(1, 0), (0, 1), (np.array([2, 1]), np.array([0, 0]))]:
             with pytest.raises(RuntimeError, match=message):
                 gamma_lm_closed(l, m, 1e-5)
         assert np.isfinite(gamma_mm_closed(np.arange(3), 1e-5)).all()
-        with pytest.raises(RuntimeError, match=r"sector matrix with levels \[0\] is not positive definite"):
+        with pytest.raises(ValueError, match=r"lambda_y must exceed 2\^-27"):
             gamma_mm_closed(np.arange(3), 1e-9)
 
     def test_closed_forms_reject_repeated_values_in_a_stack(self):

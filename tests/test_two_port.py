@@ -390,13 +390,15 @@ def test_state_and_coherent_entry_points_refuse_a_grid():
 def test_single_point_entry_points_refuse_a_grid():
     # a grid's stacked T would hand back one grid point's profiles as a
     # single answer; the entry points that evaluate one point refuse it
-    from cvpbt.nport import make_channel
+    from cvpbt.nport import NPortChannel, make_channel
     from cvpbt.oracle import TruncatedProtocol
 
     grid = ChannelParams(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
+    three = ChannelParams.grid([0.1, 0.2], [0.3], 3)
     channel = make_channel(grid)
     calls = [lambda: apply_number_element(1, 1, grid, 6), lambda: channel.number_element(0, 1, 6),
-             lambda: channel.diagonal_profile(1, 6), lambda: TruncatedProtocol(grid, Cutoff(4))]
+             lambda: channel.diagonal_profile(1, 6), lambda: TruncatedProtocol(grid, Cutoff(4)),
+             lambda: NPortChannel(three), lambda: NPortChannel(three, 2)]
     for call in calls:
         with pytest.raises(ValueError, match="one parameter point"):
             call()
