@@ -182,6 +182,14 @@ def _check_integer(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _check_level(value, levels: int, what: str = "level index") -> int:
+    """`value` as a Python int, refused unless it is an integer in [0, levels)."""
+    value = _check_integer(value, what, 0)
+    if value >= levels:
+        raise ValueError(f"{what} {value} outside cutoff {levels}")
+    return value
+
+
 def _per_point(fn, *args):
     """`fn` on scalar arguments, or point by point over broadcast arrays
     (or sequences, which are read as arrays).
@@ -211,8 +219,7 @@ def _abs2(alpha: complex) -> float:
 def chi(lam: float, r: int) -> float:
     """Geometric weight (1 - lam**2) lam**(2 r) of the r-th Fock level."""
     _check_squeezing(lam)
-    if r < 0:
-        raise ValueError("level index must be nonnegative")
+    _check_integer(r, "level index", 0)
     return (1 - lam**2) * lam ** (2 * r)
 
 
@@ -258,10 +265,8 @@ def thermal_state(lam: float, cutoff) -> DensityOperator:
 
 def number_ket(n: int, cutoff) -> FockVector:
     cutoff = as_cutoff(cutoff)
-    if not 0 <= n < cutoff.levels:
-        raise ValueError(f"level {n} outside cutoff {cutoff.levels}")
     amps = np.zeros(cutoff.levels, dtype=complex)
-    amps[n] = 1.0
+    amps[_check_level(n, cutoff.levels)] = 1.0
     return FockVector(amps, 1, cutoff)
 
 

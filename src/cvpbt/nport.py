@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .fock import DensityOperator, FockOperator, _check_integer, _check_squeezing, _per_point, as_cutoff, chi_vector
+from .fock import DensityOperator, FockOperator, _check_integer, _check_level, _check_squeezing, _per_point, as_cutoff, chi_vector
 from .oracle import mib, require_memory
 from .two_port import _BLOCK_ELEMS, ChannelParams, _check_lambda_y, _check_point, _diag_tail_bound, _inv_root, omega
 
@@ -58,44 +58,53 @@ def enumerate_multisets(ports: int, cap: int) -> list[tuple[int, ...]]:
 class Arrangements:
     """Distinct orderings of the marker slot together with the multiset values.
 
-    Arrangements are stored in lexicographic order of their slot
-    sequences, with the marker sorting before any level value.  This
-    fixes the row/column convention of every Gamma matrix.
+    With the marker as letter N-1 and the copies of the v-th unique level
+    as the next letters from 0 up, every element g of S_N lays the letters
+    out as one arrangement, a coset S_mu g of the copy permutations S_mu:
+    the letter at position s-1 of g's row of `_elements` goes to slot s,
+    the one at position N-1 to slot 0.  One `np.unique` over the integer
+    keys of all N! slot sequences (`_place`) is the only enumeration of
+    the arrangements.  It lists them in lexicographic order of their slot
+    sequences, the marker sorting before any level value, which fixes the
+    row/column convention of every Gamma matrix.  `slot_level` holds each
+    arrangement's unique-level index per slot, -1 at the marker;
+    `arrangement_of` the arrangement S_mu g of every element g of S_N;
+    `ptilde` the marker-first arrangements, which come first; and `index`,
+    built on first read, the row of each slot sequence written with the
+    levels and MARKER.
 
     `swaps` holds every marker swap of every arrangement, from which the
     sector matrix (`sector_matrix`) and the orbit sums (`_orbit_segments`)
-    are read.  With the marker as one letter and the copies of each level
-    as letters of their own, an arrangement is also a coset of the copy
-    permutations S_mu in S_N and a marker swap is a transposition of
-    letters; `gamma_tables` holds what the S_N irreps make of that
-    (`_gamma_tables`).
+    are read: a marker swap is a transposition of letters.
+    `gamma_tables` holds what the S_N irreps make of the cosets
+    (`_gamma_tables`).  Every array is read-only.
     """
 
     def __init__(self, multiset):
         self.multiset = tuple(sorted(_check_integer(level, "a multiset level", 0) for level in multiset))
-        self.seqs = tuple(sorted(set(itertools.permutations((MARKER,) + self.multiset))))
-        self.index = {s: i for i, s in enumerate(self.seqs)}
-        self.ptilde = tuple(i for i, s in enumerate(self.seqs) if s[0] == MARKER)
+        uniq = sorted(set(self.multiset))
+        # slot place values: a key has the digit slot_level + 1 (the marker 0) in base k + 1, so keys ascend in canonical order
+        self._place = _read_only((len(uniq) + 1) ** np.arange(self.ports - 1, -1, -1))
+        code = np.append(np.searchsorted(uniq, self.multiset) + 1, 0)  # letter -> its digit
+        rows = code[_elements(self.ports)]  # the digits by position; np.roll(place, -1) weighs position s-1 as slot s
+        _, pick, inverse = np.unique(rows @ np.roll(self._place, -1), return_index=True, return_inverse=True)
+        self.slot_level, self.arrangement_of = map(_read_only, (np.roll(rows[pick], 1, axis=1) - 1, inverse))
+        self.ptilde = _read_only(np.flatnonzero(self.slot_level[:, 0] < 0))
 
     @property
     def size(self) -> int:
-        return len(self.seqs)
+        return len(self.slot_level)
 
     @property
     def ports(self) -> int:
         return len(self.multiset) + 1
 
     @functools.cached_property
-    def slot_level(self) -> np.ndarray:
-        """(size, N): the unique-level index in every slot, -1 at the marker."""
-        return _read_only(np.searchsorted((MARKER, *sorted(set(self.multiset))), np.array(self.seqs)) - 1)
-
-    @functools.cached_property
-    def _place(self) -> np.ndarray:
-        """Slot place values of the arrangement keys: an arrangement's key
-        has the digit slot_level + 1 (the marker 0) in base k + 1, k unique
-        levels, so the keys ascend in `seqs` order."""
-        return _read_only((len(set(self.multiset)) + 1) ** np.arange(self.ports - 1, -1, -1))
+    def index(self) -> dict:
+        """Row of each arrangement by its slot sequence, a tuple of levels
+        with MARKER at the marker, in row order; built on first read."""
+        values = np.array((MARKER, *sorted(set(self.multiset))))
+        return {seq: i for i, seq in enumerate(map(tuple, values[self.slot_level + 1].tolist()))}
 
     @functools.cached_property
     def swaps(self) -> np.ndarray:
@@ -269,12 +278,14 @@ def _irreps(n: int) -> list:
     return out
 
 
+@functools.cache
 def _elements(k: int) -> np.ndarray:
-    """Every element of S_k as a row of images, (k!, k) int8, in index order."""
+    """Every element of S_k as a row of images, (k!, k) int8, in index order;
+    built on first use and kept, 0.3 MiB at k = 8."""
     if k == 0:
-        return np.zeros((1, 0), np.int8)
+        return _read_only(np.zeros((1, 0), np.int8))
     h = np.column_stack([_elements(k - 1), np.full(math.factorial(k - 1), k - 1, np.int8)])
-    return np.concatenate([np.array([*range(j), *range(j + 1, k), j], np.int8)[h] for j in range(k)])
+    return _read_only(np.concatenate([np.array([*range(j), *range(j + 1, k), j], np.int8)[h] for j in range(k)]))
 
 
 def _rank(perms: np.ndarray) -> np.ndarray:
@@ -363,8 +374,7 @@ class GammaTables(NamedTuple):
     root: (size, m), the index in S_N of x_r x_p^-1 for marker-first p,
     with x_r the arrangement r as a permutation (`_gamma_tables`).
     coset, elem: x_r = t_j h as j and the index of h in S_(N-1).
-    arrangement: the arrangement S_mu g of every element g of S_N.
-    corners: the arrangements S_mu t_j.
+    corners: the arrangements S_mu t_j (`Arrangements.arrangement_of`).
     group: the `GroupTables` of S_N.
     """
 
@@ -372,7 +382,6 @@ class GammaTables(NamedTuple):
     root: np.ndarray
     coset: np.ndarray
     elem: np.ndarray
-    arrangement: np.ndarray
     corners: np.ndarray
     group: GroupTables
 
@@ -387,15 +396,13 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
     uniq = sorted(set(arr.multiset))
     first = np.cumsum([0] + [arr.multiset.count(v) for v in uniq])
     level = arr.slot_level
+    # the copies in slot order: the element `Arrangements` picks per coset may order them otherwise, and rank differently
     letters = np.full(level.shape, n - 1, np.int8)
     for r in range(len(uniq)):
         hit = level == r
         letters[hit] = (first[r] + np.cumsum(hit, axis=1) - 1)[hit]
     coset, elem = map(_read_only, np.divmod(_rank(np.roll(letters, -1, axis=1)), m))
-    root = _read_only(coset[:, None] * m + group.quot[elem[:, None], elem[list(arr.ptilde)]])
-    # S_mu g for every g: its slot sequence as an arrangement key, looked up among the sorted keys
-    code = np.append(np.searchsorted(first, np.arange(n - 1), side="right"), 0)  # letter -> 1 + level index, marker 0
-    arrangement = _read_only(np.searchsorted((level + 1) @ arr._place, np.roll(code[_elements(n)], 1, axis=1) @ arr._place))
+    root = _read_only(coset[:, None] * m + group.quot[elem[:, None], elem[arr.ptilde]])
     copies = [c for r in range(len(uniq)) for c in range(first[r], first[r + 1] - 1)]  # the s_c that generate S_mu
     scale = math.prod(math.factorial(b - a) for a, b in zip(first, first[1:])) / math.factorial(n)
     shapes = {}
@@ -412,8 +419,8 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
         same = shapes.setdefault(q.shape[::-1], [])  # (K, d)
         same.append(((units + units.swapaxes(1, 2)) / 2, q * (d * scale), np.hstack(q.T @ cosets), branch))
     groups = [IrrepGroup(*(_read_only(np.array(a)) for a in (u, q, z)), b) for u, q, z, b in (zip(*same) for same in shapes.values())]
-    corners = _read_only(arrangement[np.arange(1, n + 1) * m - 1])
-    return GammaTables(groups, root, coset, elem, arrangement, corners, group)
+    corners = _read_only(arr.arrangement_of[np.arange(1, n + 1) * m - 1])
+    return GammaTables(groups, root, coset, elem, corners, group)
 
 
 def _irrep_blocks(arr: Arrangements, levels: np.ndarray, lam_y: float) -> list:
@@ -472,7 +479,7 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: n
     cols = root @ root[:, t.corners].swapaxes(1, 2)
     r, c = np.divmod(entries, arr.size)
     u = t.group.quot[t.elem[r], t.elem[c]]  # x_r x_c^-1 = t_j(r) u t_j(c)^-1
-    g = cols.reshape(b, -1)[:, t.arrangement[t.coset[r] * math.factorial(n - 1) + u] * n + t.coset[c]]
+    g = cols.reshape(b, -1)[:, arr.arrangement_of[t.coset[r] * math.factorial(n - 1) + u] * n + t.coset[c]]
     g -= phi[:, 1, t.group.join[t.coset[r], u, t.coset[c]]]
     return g
 
@@ -486,7 +493,7 @@ def gamma_from_basis(basis: SectorBasis) -> np.ndarray:
     """
     arr = basis.arrangements
     n = arr.ports
-    pt = list(arr.ptilde)
+    pt = arr.ptilde
     e = basis.etas
     s = e[pt, :].conj().T @ e[pt, :]  # s[alpha, beta]
     w = (s - np.eye(arr.size) / n) / np.sqrt(np.outer(basis.eigenvalues, basis.eigenvalues))
@@ -704,7 +711,7 @@ def _build_mb(ports: int, cap: int) -> float:
     gather table and B of one larger sector, the layout with the most
     distinct levels (`_largest_layout`).  The tables that a cold build
     keeps (`_layout_tables`, size^2 <= _STACK_ELEMS) are left out: with
-    every pattern walked they hold 2.5 MiB at N = 6 and 4.3 MiB at N = 7,
+    every pattern walked they hold 2.1 MiB at N = 6 and 3.6 MiB at N = 7,
     small against the 32 MiB stack term.  The cap must be nonnegative."""
     sectors = math.comb(cap + ports - 1, ports - 1)
     size = _largest_layout(ports, cap + 1)[1]
@@ -856,7 +863,7 @@ class NPortChannel:
         """Diagonal of the output for an |a><a| input, truncated to `levels`;
         one parameter point only."""
         _check_point(self.params)
-        return self.arrays(levels)[1][a]
+        return self.arrays(levels)[1][_check_level(a, levels)]
 
     def tail_bound(self, levels: int) -> float:
         """Declared bound on the output mass missed by the cap and level
@@ -882,8 +889,7 @@ class NPortChannel:
         _check_point(self.params)
         cutoff = as_cutoff(cutoff)
         d = cutoff.levels
-        if not (0 <= a < d and 0 <= b < d):
-            raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
+        a, b = _check_level(a, d, "element index a"), _check_level(b, d, "element index b")
         c, t = self.arrays(d)
         mat = np.zeros((d, d), dtype=complex)
         if a != b:

@@ -43,7 +43,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .fock import Cutoff, FockOperator, _check_positive, as_cutoff, chi_vector, permute_modes
+from .fock import Cutoff, FockOperator, _check_integer, _check_level, _check_positive, as_cutoff, chi_vector, permute_modes
 from .two_port import ChannelParams, _check_point
 
 __all__ = [
@@ -560,8 +560,7 @@ def reduced_resource(a: int, b: int, proto: TruncatedProtocol) -> FockOperator:
     """Signal element |a><b| with the port resource, spectator receiver modes
     already traced out: an operator on (C, A_1..A_N, B_1)."""
     d, n = proto.levels, proto.ports
-    if not (0 <= a < d and 0 <= b < d):
-        raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
+    a, b = _check_level(a, d, "element index a"), _check_level(b, d, "element index b")
     # the output and the copy permute_modes makes of it, and the operands of the last np.kron
     require_memory(2 * proto.dense_mb(extra_modes=1) + proto.dense_mb() + mib(d * d * 8), "dense reduced resource")
     lx = proto.params.lambda_x
@@ -616,8 +615,7 @@ def brute_channel_element(a: int, b: int, proto: TruncatedProtocol) -> FockOpera
     call runs the whole streamed pass, one eigh per component, so ask
     `channel_elements` for one window of several elements."""
     d = proto.levels
-    if not (0 <= a < d and 0 <= b < d):
-        raise ValueError(f"indices ({a}, {b}) outside cutoff {d}")
+    a, b = _check_level(a, d, "element index a"), _check_level(b, d, "element index b")
     out = channel_elements(proto, range(a, a + 1), range(b, b + 1))[0, 0]
     return FockOperator(out.astype(complex), 1, proto.cutoff, meta=proto.eigenvalue_census())
 
@@ -632,10 +630,9 @@ def verification_report(proto: TruncatedProtocol, a_max: int, b_max: int, tol: f
     JSON-ready report: per-element deviations, trace deviations,
     eigenvalue census, dimensions, and the total runtime.
     """
+    a_max, b_max = _check_integer(a_max, "element range a_max", 0), _check_integer(b_max, "element range b_max", 0)
     if a_max >= proto.levels or b_max >= proto.levels:
         raise ValueError("element range exceeds the cutoff")
-    if a_max < 0 or b_max < 0:
-        raise ValueError(f"element range must be non-negative, got a_max={a_max}, b_max={b_max}")
     _check_positive(tol, "tolerance")
     from . import nport
 

@@ -327,9 +327,9 @@ def max_output_energy(params: ChannelParams, tol: float = SUM_TOL) -> float:
     s1, _ = energy_weighted_omega(params, tol)
 
     def point(lx, g, tau, om, s1):
-        if lx == 0:
-            return 0.0
         thermal = lx**2 / (1 - lx**2)
+        if tau == 0:  # lambda_x = 0, or lambda_x^2 lambda_y^2 underflows: no coherent peak
+            return thermal
         peak = (tau * g * om / (1 - tau)) * math.exp(-(1 + (1 - tau) * s1 / (tau * om)))
         return peak + thermal
 

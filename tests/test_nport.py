@@ -49,16 +49,21 @@ def lm_label_order(l, m):
     return [(MARKER, l, m), (l, m, MARKER), (m, MARKER, l), (MARKER, m, l), (m, l, MARKER), (l, MARKER, m)]
 
 
+def seqs(arr):
+    """The slot sequences of `arr`'s arrangements in row order, read from `index`."""
+    return list(arr.index)
+
+
 def swapped(arr, t, q):
     """Index of arrangement t with its marker and slot q exchanged."""
-    seq = list(arr.seqs[t])
+    seq = list(seqs(arr)[t])
     seq[seq.index(MARKER)], seq[q] = seq[q], MARKER
     return arr.index[tuple(seq)]
 
 
 def orbit(arr, t, v):
     """t, then the arrangements reached by swapping its marker with each slot holding v."""
-    return [t] + [swapped(arr, t, q) for q, x in enumerate(arr.seqs[t]) if x == v]
+    return [t] + [swapped(arr, t, q) for q, x in enumerate(seqs(arr)[t]) if x == v]
 
 
 def literal_segments(arr):
@@ -72,7 +77,7 @@ def literal_segments(arr):
 
     segments = [[r * size + c for i in arr.ptilde for r in orbit_of(i, b) for c in orbit_of(i, a)] for a in slots for b in slots]
     segments += [
-        [t * size + c for t, seq in enumerate(arr.seqs) if seq[0] == n for c in orbit_of(t, a)] for a in slots for n in uniq
+        [t * size + c for t, seq in enumerate(seqs(arr)) if seq[0] == n for c in orbit_of(t, a)] for a in slots for n in uniq
     ]
     return np.concatenate(segments), np.cumsum([0] + [len(x) for x in segments[:-1]])
 
@@ -91,7 +96,8 @@ def rotation_tables(arr):
     slot d and rotating the marker back to slot 0; slot[d-1, p']: the
     unique-level index of the value in slot d of p'."""
     n = arr.ports
-    first = [arr.seqs[i] for i in arr.ptilde]
+    listed = seqs(arr)
+    first = [listed[i] for i in arr.ptilde]
     rank = {s: p for p, s in enumerate(first)}
     level = {v: r for r, v in enumerate(sorted(set(arr.multiset)))}
     perm = np.array([[arr.index[s[n - j :] + s[: n - j]] for s in first] for j in range(n)])
@@ -128,7 +134,7 @@ def block_circulant(blocks):
 def mirror(arr):
     """Index of every arrangement with its level slots reversed,
     (s0, s1..s_(N-1)) -> (s0, s_(N-1)..s1)."""
-    return np.array([arr.index[s[:1] + s[:0:-1]] for s in arr.seqs])
+    return np.array([arr.index[s[:1] + s[:0:-1]] for s in seqs(arr)])
 
 
 def reflection(arr):
@@ -188,6 +194,25 @@ class TestArrangements:
                 assert np.array_equal(swaps[swaps, marker[:, None]], np.broadcast_to(np.arange(arr.size)[:, None], swaps.shape))
                 if arr.size <= 720:
                     assert all(swaps[t, q] == swapped(arr, t, q) for t in range(arr.size) for q in range(ports))
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_the_enumeration_is_the_literal_one(self, ports):
+        # every layout, and sectors whose levels leave gaps
+        gaps = {3: [(1, 4)], 4: [(3, 3, 7)], 5: [(0, 2, 2, 5)], 6: [(1, 1, 4, 4, 4)], 7: [(0, 2, 2, 5, 5, 9)]}
+        for ms in [tuple(layout) for layout, _ in nport._pattern_walk(ports, ports - 1)] + gaps.get(ports, []):
+            arr = Arrangements(ms)
+            literal = sorted(set(itertools.permutations((MARKER,) + ms)))
+            assert list(arr.index) == literal
+            assert arr.size == len(literal) and arr.slot_level.dtype == np.intp
+            assert arr.ptilde.tolist() == [i for i, s in enumerate(literal) if s[0] == MARKER]
+            # the key search that found each element's arrangement before the enumeration gave it
+            uniq = sorted(set(ms))
+            first = np.cumsum([0] + [ms.count(v) for v in uniq])
+            code = np.append(np.searchsorted(first, np.arange(ports - 1), side="right"), 0)
+            place = (len(uniq) + 1) ** np.arange(ports - 1, -1, -1)
+            keys = np.array([[0 if v == MARKER else uniq.index(v) + 1 for v in s] for s in literal]) @ place
+            want = np.searchsorted(keys, np.roll(code[nport._elements(ports)], 1, axis=1) @ place)
+            assert arr.arrangement_of.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("call, multiset", [
         (lambda ms: sector_matrix(ms, 0.5), (-1, 0)),  # -1 is the marker: it would count 3 arrangements, not 6
@@ -266,9 +291,10 @@ class TestDihedral:
             arr = Arrangements(layout)
             flip = reflection(arr)
             assert np.array_equal(flip[flip], np.arange(len(flip)))
+            listed = seqs(arr)
             for p, i in enumerate(arr.ptilde):
-                tail = arr.seqs[i][1:]
-                assert arr.seqs[arr.ptilde[flip[p]]] == (MARKER,) + tail[::-1]
+                tail = listed[i][1:]
+                assert listed[arr.ptilde[flip[p]]] == (MARKER,) + tail[::-1]
                 assert (flip[p] == p) == (tail == tail[::-1])
             if arr.size <= 720:
                 f = mirror(arr)
@@ -352,7 +378,7 @@ class TestIrreps:
         with mpmath.workdps(50):
             ly2 = mpmath.mpf(lam_y) ** 2
             h = mpmath.eye(arr.size)
-            for t, seq in enumerate(arr.seqs):
+            for t, seq in enumerate(seqs(arr)):
                 for q, v in enumerate(seq):
                     if v != MARKER:
                         h[t, arr.swaps[t, q]] += (1 - ly2) * ly2**v
@@ -623,7 +649,7 @@ class TestGenericChannel:
                         want[a, b] += w * g[np.ix_(orbit_of(i, b), orbit_of(i, a))].sum()
                         if a != b:
                             continue
-                        seq = arr.seqs[i]
+                        seq = seqs(arr)[i]
                         for q in range(1, n):  # the marker moves to slot q, the output gets level seq[q]
                             if seq[q] == a:
                                 continue
@@ -948,6 +974,15 @@ class TestBuildBudget:
         assert peak / 2**20 <= nport._build_mb(ports, cap)
 
 
+@pytest.mark.parametrize("ports", [4, 5, 6])
+def test_generic_builds_list_no_slot_sequences(ports):
+    # `index` is built on first read, and only the three-port closed forms read it
+    nport._LAYOUTS.clear()
+    NPortChannel(ChannelParams(0.4, 0.45, ports=ports), 3)
+    assert nport._LAYOUTS
+    assert not any("index" in vars(arr) for arr, _ in nport._LAYOUTS.values())
+
+
 def test_only_small_layouts_are_kept_and_read_only():
     # kept for the process: layouts whose sectors share stacked batches
     # (size^2 <= _STACK_ELEMS), so not the all-distinct N = 6 one (720)
@@ -963,7 +998,7 @@ def test_only_small_layouts_are_kept_and_read_only():
     for layout, (arr, tables) in nport._LAYOUTS.items():
         assert nport._layout_tables(layout)[0] is arr
         t = arr.gamma_tables
-        arrays = [*tables, arr.slot_level, arr.swaps, arr._place, t.root, t.coset, t.elem, t.arrangement, t.corners]
+        arrays = [*tables, arr.slot_level, arr.swaps, arr._place, arr.arrangement_of, arr.ptilde, t.root, t.coset, t.elem, t.corners]
         arrays += [a for s in t.groups for a in (s.units, s.q, s.z)]
         assert not any(a.flags.writeable for a in arrays)
         kept += sum(a.nbytes for a in arrays)

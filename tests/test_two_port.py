@@ -294,6 +294,17 @@ class TestEnergy:
             assert output_energy(u, p) == 0.0
         assert max_output_energy(p) == 0.0
 
+    @pytest.mark.parametrize("lam_x", [1e-170, 1e-200])
+    def test_underflowing_tau_gives_the_thermal_term(self, lam_x):
+        # lambda_x^2 lambda_y^2 rounds to 0: the coherent peak's division by tau went to a ZeroDivisionError
+        points = [ChannelParams(lam_x, ly) for ly in (0.1, 0.5, 0.9)]
+        assert all(p.tau == 0 for p in points)
+        assert [max_output_energy(p) for p in points] == [lam_x**2 / (1 - lam_x**2)] * 3 == [0.0] * 3
+        grid = ChannelParams.grid([0.0, lam_x, 0.3], [0.1, 0.5, 0.9])
+        energies = max_output_energy(grid).tolist()
+        assert energies == [max_output_energy(p) for p in grid.points()]
+        assert energies[:6] == [0.0] * 6 and min(energies[6:]) > 0
+
     def test_matches_constructed_output(self):
         p = ChannelParams(0.5, 0.5)
         for u in (0.0, 0.5, 2.0):

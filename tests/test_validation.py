@@ -25,6 +25,10 @@ BAD = {
 POINT = ChannelParams(0.5, 0.5)
 
 
+def _proto():
+    return oracle.TruncatedProtocol(POINT, 3)
+
+
 def _budget(value):
     with mock.patch.dict(os.environ, {"CVPBT_MEM_BUDGET_MB": repr(value)}):
         return oracle.memory_budget()
@@ -68,8 +72,7 @@ ENTRY_POINTS = {
         ("two_port.energy_weighted_omega", lambda v: two_port.energy_weighted_omega(POINT, v), "tolerance"),
         ("two_port.output_energy", lambda v: two_port.output_energy(1.0, POINT, v), "tolerance"),
         ("two_port.max_output_energy", lambda v: two_port.max_output_energy(POINT, v), "tolerance"),
-        ("oracle.verification_report",
-         lambda v: oracle.verification_report(oracle.TruncatedProtocol(POINT, 3), 1, 1, tol=v), "tolerance"),
+        ("oracle.verification_report", lambda v: oracle.verification_report(_proto(), 1, 1, tol=v), "tolerance"),
         ("oracle.memory_budget", _budget, "CVPBT_MEM_BUDGET_MB"),
     ],
     "integer": [
@@ -79,6 +82,17 @@ ENTRY_POINTS = {
         ("nport.enumerate_multisets cap", lambda v: nport.enumerate_multisets(3, v), "cap"),
         ("nport.NPortChannel", lambda v: nport.NPortChannel(ChannelParams(0.3, 0.5, 3), v), "cap"),
         ("bounds.resource_fidelity", lambda v: bounds.resource_fidelity(0.5, 0.4, v), "ports"),
+        ("fock.number_ket", lambda v: fock.number_ket(v, 4), "level index"),
+        ("fock.chi", lambda v: fock.chi(0.5, v), "level index"),
+        ("oracle.verification_report a_max", lambda v: oracle.verification_report(_proto(), v, 1), "element range"),
+        ("oracle.verification_report b_max", lambda v: oracle.verification_report(_proto(), 1, v), "element range"),
+        ("oracle.brute_channel_element a", lambda v: oracle.brute_channel_element(v, 1, _proto()), "element index a"),
+        ("oracle.brute_channel_element b", lambda v: oracle.brute_channel_element(1, v, _proto()), "element index b"),
+        ("oracle.reduced_resource a", lambda v: oracle.reduced_resource(v, 1, _proto()), "element index a"),
+        ("oracle.reduced_resource b", lambda v: oracle.reduced_resource(1, v, _proto()), "element index b"),
+        ("NPortChannel.number_element a", lambda v: nport.make_channel(POINT).number_element(v, 1, 4), "element index a"),
+        ("NPortChannel.number_element b", lambda v: nport.make_channel(POINT).number_element(1, v, 4), "element index b"),
+        ("NPortChannel.diagonal_profile", lambda v: nport.make_channel(POINT).diagonal_profile(v, 4), "level index"),
     ],
 }
 
@@ -104,3 +118,19 @@ def test_every_call_of_the_table_runs_on_a_good_value(rule):
     for entry, call, _ in ENTRY_POINTS[rule]:
         # a small shift keeps both channels of the simulation bound in the positive regime
         call(0.51 if entry == "bounds.sim_example_bound" else good)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: fock.chi(0.5, -1), "level index must be nonnegative"),
+    (lambda: fock.number_ket(-1, 4), "level index must be nonnegative"),
+    (lambda: fock.number_ket(4, 4), "outside cutoff"),
+    (lambda: oracle.verification_report(_proto(), 3, 1), "element range"),
+    (lambda: oracle.verification_report(_proto(), 1, -1), "element range"),
+    (lambda: oracle.brute_channel_element(0, 3, _proto()), "outside cutoff"),
+    (lambda: oracle.reduced_resource(-1, 0, _proto()), "element index a"),
+    (lambda: nport.make_channel(POINT).number_element(0, 4, 4), "outside cutoff"),
+    (lambda: nport.make_channel(POINT).diagonal_profile(4, 4), "outside cutoff"),
+])
+def test_index_outside_its_range_is_a_value_error(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
