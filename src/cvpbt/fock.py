@@ -49,18 +49,20 @@ def as_cutoff(cutoff) -> Cutoff:
     return cutoff if isinstance(cutoff, Cutoff) else Cutoff(cutoff)
 
 
-def adaptive_cutoff(lam: float, tol: float = 1e-12, minimum: int = 2) -> Cutoff:
-    """Smallest cutoff whose geometric tail lam**(2 D) falls below tol."""
+def adaptive_cutoff(lam: float, tol: float = 1e-12) -> Cutoff:
+    """Smallest cutoff, at least the floor of 2 levels, whose geometric
+    tail lam**(2 D) falls below tol."""
     _check_squeezing(lam)
     _check_positive(tol, "tail tolerance")
     if lam == 0:
-        return Cutoff(minimum)
+        return Cutoff(2)
     need = math.ceil(math.log(tol) / (2 * math.log(lam)))
-    return Cutoff(max(minimum, need))
+    return Cutoff(max(2, need))
 
 
-def coherent_cutoff(alpha: complex, tol: float = 1e-12, minimum: int = 2) -> Cutoff:
-    """Smallest cutoff whose Poisson tail for |alpha|**2 falls below tol.
+def coherent_cutoff(alpha: complex, tol: float = 1e-12) -> Cutoff:
+    """Smallest cutoff, at least the floor of 2 levels, whose Poisson tail
+    for |alpha|**2 falls below tol.
 
     Raises ValueError where double precision cannot tell: when the first
     Poisson weight exp(-|alpha|^2) is not a normal float (|alpha|^2 above
@@ -79,7 +81,7 @@ def coherent_cutoff(alpha: complex, tol: float = 1e-12, minimum: int = 2) -> Cut
         k += 1
         term *= mu / k
         cum += term
-    return Cutoff(max(minimum, k + 1))
+    return Cutoff(max(2, k + 1))
 
 
 @dataclass(frozen=True)

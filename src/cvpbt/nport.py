@@ -66,12 +66,17 @@ class Arrangements:
     keys of all N! slot sequences (`_place`) is the only enumeration of
     the arrangements.  It lists them in lexicographic order of their slot
     sequences, the marker sorting before any level value, which fixes the
-    row/column convention of every Gamma matrix.  `slot_level` holds each
-    arrangement's unique-level index per slot, -1 at the marker;
-    `arrangement_of` the arrangement S_mu g of every element g of S_N;
-    `ptilde` the marker-first arrangements, which come first; and `index`,
-    built on first read, the row of each slot sequence written with the
-    levels and MARKER.
+    row/column convention of every Gamma matrix.
+
+    This object owns every table of its layout's permutations, all from
+    that one pass: `uniq` and `mults`, the unique levels and their
+    multiplicities; `slot_level`, each arrangement's unique-level index per
+    slot, -1 at the marker; `arrangement_of`, the arrangement S_mu g of
+    every element g of S_N; `representative`, the index in S_N of each
+    arrangement's element that puts the copies of every level in slot
+    order; `ptilde`, the marker-first arrangements, which come first; and
+    `index`, built on first read, the row of each slot sequence written
+    with the levels and MARKER.
 
     `swaps` holds every marker swap of every arrangement, from which the
     sector matrix (`sector_matrix`) and the orbit sums (`_orbit_segments`)
@@ -82,13 +87,22 @@ class Arrangements:
 
     def __init__(self, multiset):
         self.multiset = tuple(sorted(_check_integer(level, "a multiset level", 0) for level in multiset))
-        uniq = sorted(set(self.multiset))
+        uniq, mults = np.unique(self.multiset, return_counts=True)
+        self.uniq, self.mults = tuple(uniq.tolist()), tuple(mults.tolist())
         # slot place values: a key has the digit slot_level + 1 (the marker 0) in base k + 1, so keys ascend in canonical order
         self._place = _read_only((len(uniq) + 1) ** np.arange(self.ports - 1, -1, -1))
-        code = np.append(np.searchsorted(uniq, self.multiset) + 1, 0)  # letter -> its digit
-        rows = code[_elements(self.ports)]  # the digits by position; np.roll(place, -1) weighs position s-1 as slot s
-        _, pick, inverse = np.unique(rows @ np.roll(self._place, -1), return_index=True, return_inverse=True)
-        self.slot_level, self.arrangement_of = map(_read_only, (np.roll(rows[pick], 1, axis=1) - 1, inverse))
+        code = np.append(np.repeat(np.arange(1, len(uniq) + 1), mults), 0)  # letter -> its digit
+        el = _elements(self.ports)
+        rows = code[el]  # the digits by position; np.roll(place, -1) weighs position s-1 as slot s
+        _, inverse = np.unique(rows @ np.roll(self._place, -1), return_inverse=True)
+        # per arrangement, the one element that puts the copies of each level in slot order
+        slot = np.argsort(np.roll(el, 1, axis=1), axis=1)  # the slot of every letter
+        same = code[1:-1] == code[:-2]  # copy letters c and c + 1 of one level
+        ordered = np.flatnonzero((slot[:, 1:-1] > slot[:, :-2])[:, same].all(axis=1))
+        rep = np.empty_like(ordered)
+        rep[inverse[ordered]] = ordered
+        self.arrangement_of, self.representative = map(_read_only, (inverse, rep))
+        self.slot_level = _read_only(np.roll(rows[rep], 1, axis=1) - 1)
         self.ptilde = _read_only(np.flatnonzero(self.slot_level[:, 0] < 0))
 
     @property
@@ -103,7 +117,7 @@ class Arrangements:
     def index(self) -> dict:
         """Row of each arrangement by its slot sequence, a tuple of levels
         with MARKER at the marker, in row order; built on first read."""
-        values = np.array((MARKER, *sorted(set(self.multiset))))
+        values = np.array((MARKER, *self.uniq))
         return {seq: i for i, seq in enumerate(map(tuple, values[self.slot_level + 1].tolist()))}
 
     @functools.cached_property
@@ -150,7 +164,7 @@ def sector_matrix(multiset, lam_y: float) -> np.ndarray:
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
     held = arr.slot_level >= 0
-    c = _swap_weights(np.array(sorted(set(arr.multiset))), lam_y)
+    c = _swap_weights(np.array(arr.uniq), lam_y)
     h = np.eye(arr.size)
     h[held.nonzero()[0], arr.swaps[held]] = c[arr.slot_level[held]]
     return h
@@ -182,8 +196,7 @@ def eta_basis(multiset, lam_y: float) -> SectorBasis:
     """
     _check_lambda_y(lam_y)
     arr = Arrangements(multiset)
-    n = arr.ports
-    uniq = sorted(set(arr.multiset))
+    n, uniq = arr.ports, arr.uniq
     if len(uniq) == 1:
         m = uniq[0]
         chi_m = (1 - lam_y**2) * lam_y ** (2 * m)
@@ -209,7 +222,7 @@ def gamma(multiset, lam_y: float) -> np.ndarray:
     """
     arr = multiset if isinstance(multiset, Arrangements) else Arrangements(multiset)
     size = arr.size
-    return _gamma_stack(arr, np.array([sorted(set(arr.multiset))]), lam_y, np.arange(size**2)).reshape(size, size)
+    return _gamma_stack(arr, np.array([arr.uniq]), lam_y, np.arange(size**2)).reshape(size, size)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +264,10 @@ def _tableaux(shape: tuple) -> tuple:
 def _irreps(n: int) -> list:
     """Young's orthogonal form of S_n: per partition of n (`_partitions`
     order), the real orthogonal rho(s_i), (n-1, d, d); rho(t_j), (n, d, d);
-    and (index among the partitions of n-1, first row, dimension) of each
-    diagonal block of the restriction to S_(n-1).  rho(s_i) e_T = e_T / r +
+    the marker transpositions rho((c n-1)) = rho(t_c) rho(s_(n-2))
+    rho(t_c)^T, (n-1, d, d), shared by every layout of n ports; and (index
+    among the partitions of n-1, first row, dimension) of each diagonal
+    block of the restriction to S_(n-1).  rho(s_i) e_T = e_T / r +
     sqrt(1 - 1/r^2) e_(s_i T), r the content of letter i+1 less that of
     letter i in the tableau T."""
     smaller = {s: i for i, s in enumerate(_partitions(n - 1))}
@@ -274,7 +289,8 @@ def _irreps(n: int) -> list:
         dims = [len(_tableaux(child)) for _, child in _corners(shape)]
         rows = np.cumsum([0] + dims)
         branch = [(smaller[child], rows[i], dims[i]) for i, (_, child) in enumerate(_corners(shape))]
-        out.append((_read_only(gens), _read_only(np.array(cosets)), branch))
+        swaps = np.array([cosets[c] @ gens[-1] @ cosets[c].T for c in range(n - 1)]).reshape(gens.shape)
+        out.append((*map(_read_only, (gens, np.array(cosets), swaps)), branch))
     return out
 
 
@@ -306,7 +322,7 @@ def _rho_all(k: int) -> list:
         return [np.ones((1, 1, 1))]
     lower = _rho_all(k - 1)
     out = []
-    for _, cosets, branch in _irreps(k):
+    for _, cosets, _, branch in _irreps(k):
         h = np.zeros((len(lower[0]),) + cosets.shape[1:])
         for child, row, d in branch:
             h[:, row : row + d, row : row + d] = lower[child]
@@ -334,7 +350,7 @@ class GroupTables(NamedTuple):
 def _group_tables(n: int) -> GroupTables:
     """`GroupTables` of S_n, built on first use and kept: at n = 7, rho and
     quot are 720 x 720 each, 8.3 MB together, the rest 0.3 MB, and the
-    cached `_irreps` of S_1..S_7 another 0.6 MB."""
+    cached `_irreps` of S_1..S_7 another 0.9 MB."""
     m = math.factorial(n - 1)
     lower = _rho_all(n - 1)
     rho = np.concatenate([r.transpose(2, 1, 0).reshape(-1, m) for r in lower])
@@ -368,14 +384,16 @@ class IrrepGroup(NamedTuple):
 
 
 class GammaTables(NamedTuple):
-    """Layout-only tables of `_gamma_stack` for an `Arrangements`, m = size / N.
+    """Layout-only tables of `_gamma_stack` for an `Arrangements`, m = size / N,
+    read from its permutation tables; the tables of N alone are
+    `_group_tables` and `_irreps`.
 
     groups: the `IrrepGroup`s, one per block shape.
     root: (size, m), the index in S_N of x_r x_p^-1 for marker-first p,
-    with x_r the arrangement r as a permutation (`_gamma_tables`).
+    with x_r the arrangement r's representative element
+    (`Arrangements.representative`).
     coset, elem: x_r = t_j h as j and the index of h in S_(N-1).
     corners: the arrangements S_mu t_j (`Arrangements.arrangement_of`).
-    group: the `GroupTables` of S_N.
     """
 
     groups: list
@@ -383,30 +401,22 @@ class GammaTables(NamedTuple):
     coset: np.ndarray
     elem: np.ndarray
     corners: np.ndarray
-    group: GroupTables
 
 
 def _gamma_tables(arr: Arrangements) -> GammaTables:
-    """`Arrangements.gamma_tables`.  The marker is letter N-1 and the copies
-    of the v-th unique level are the next letters from 0 up, taken in slot
-    order; position s-1 holds the letter in slot s and position N-1 the
-    one in slot 0, so the marker-first arrangements are S_(N-1)."""
-    n, group = arr.ports, _group_tables(arr.ports)
+    """`Arrangements.gamma_tables`: the cosets and irrep blocks of the
+    layout's representatives (`Arrangements.representative`), whose
+    marker-first ones are S_(N-1), with the blocks rho((c N-1)) of
+    `_irreps` and the quotients of `_group_tables`."""
+    n = arr.ports
     m = math.factorial(n - 1)
-    uniq = sorted(set(arr.multiset))
-    first = np.cumsum([0] + [arr.multiset.count(v) for v in uniq])
-    level = arr.slot_level
-    # the copies in slot order: the element `Arrangements` picks per coset may order them otherwise, and rank differently
-    letters = np.full(level.shape, n - 1, np.int8)
-    for r in range(len(uniq)):
-        hit = level == r
-        letters[hit] = (first[r] + np.cumsum(hit, axis=1) - 1)[hit]
-    coset, elem = map(_read_only, np.divmod(_rank(np.roll(letters, -1, axis=1)), m))
-    root = _read_only(coset[:, None] * m + group.quot[elem[:, None], elem[arr.ptilde]])
-    copies = [c for r in range(len(uniq)) for c in range(first[r], first[r + 1] - 1)]  # the s_c that generate S_mu
-    scale = math.prod(math.factorial(b - a) for a, b in zip(first, first[1:])) / math.factorial(n)
+    coset, elem = map(_read_only, np.divmod(arr.representative, m))
+    root = _read_only(coset[:, None] * m + _group_tables(n).quot[elem[:, None], elem[arr.ptilde]])
+    first = np.cumsum((0,) + arr.mults)
+    copies = [c for a, b in zip(first, first[1:]) for c in range(a, b - 1)]  # the s_c that generate S_mu
+    scale = math.prod(map(math.factorial, arr.mults)) / math.factorial(n)
     shapes = {}
-    for gens, cosets, branch in _irreps(n):
+    for gens, cosets, swaps, branch in _irreps(n):
         d = len(cosets[0])
         q = np.eye(d)
         if copies:  # the common +1 space of the s_c: the other eigenvalues lie at 2 - 2 cos(pi/(N-1)) or above
@@ -414,13 +424,12 @@ def _gamma_tables(arr: Arrangements) -> GammaTables:
             q = v[:, w < 1 - math.cos(math.pi / n)]
         if not q.shape[1]:
             continue
-        swaps = [cosets[c] @ gens[-1] @ cosets[c].T for c in range(n - 1)]  # (c N-1) = t_c s_(N-2) t_c^-1
         units = np.array([np.eye(q.shape[1])] + [q.T @ sum(swaps[a:b]) @ q for a, b in zip(first, first[1:])])
         same = shapes.setdefault(q.shape[::-1], [])  # (K, d)
         same.append(((units + units.swapaxes(1, 2)) / 2, q * (d * scale), np.hstack(q.T @ cosets), branch))
     groups = [IrrepGroup(*(_read_only(np.array(a)) for a in (u, q, z)), b) for u, q, z, b in (zip(*same) for same in shapes.values())]
     corners = _read_only(arr.arrangement_of[np.arange(1, n + 1) * m - 1])
-    return GammaTables(groups, root, coset, elem, corners, group)
+    return GammaTables(groups, root, coset, elem, corners)
 
 
 def _irrep_blocks(arr: Arrangements, levels: np.ndarray, lam_y: float) -> list:
@@ -459,12 +468,12 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: n
     layout-only table comes from `Arrangements.gamma_tables`.
     """
     n, b = arr.ports, len(levels)
-    t = arr.gamma_tables
+    t, group = arr.gamma_tables, _group_tables(arr.ports)
     eig = [np.linalg.eigh(block) for block in _irrep_blocks(arr, levels, lam_y)]
     low = np.min([w.min(axis=(1, 2)) for w, _ in eig], axis=0)
     if low.min() <= 0:
         raise RuntimeError(f"sector matrix with levels {levels[np.argmin(low)].tolist()} is not positive definite")
-    coef = np.zeros((b, 2, n, len(t.group.rho)))  # (x^(-1/2), x^(-1)/N), coset t_j, flat S_(N-1) blocks
+    coef = np.zeros((b, 2, n, len(group.rho)))  # (x^(-1/2), x^(-1)/N), coset t_j, flat S_(N-1) blocks
     for s, (w, v) in zip(t.groups, eig):
         qv = s.q @ v
         f = np.concatenate([qv / np.sqrt(w)[..., None, :], qv / (n * w)[..., None, :]], axis=2)
@@ -472,15 +481,15 @@ def _gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, entries: n
         y = (f @ (v.swapaxes(2, 3) @ s.z)).reshape(b, -1, 2, d, n, d)  # (b, g, F, row, coset, column)
         for i, branch in enumerate(s.branch):
             for child, row, e in branch:
-                at = t.group.start[child]
+                at = group.start[child]
                 coef[..., at : at + e * e] += y[:, i, :, row : row + e, :, row : row + e].swapaxes(2, 3).reshape(b, 2, n, -1)
-    phi = (coef @ t.group.rho).reshape(b, 2, -1)
+    phi = (coef @ group.rho).reshape(b, 2, -1)
     root = phi[:, 0, t.root]
     cols = root @ root[:, t.corners].swapaxes(1, 2)
     r, c = np.divmod(entries, arr.size)
-    u = t.group.quot[t.elem[r], t.elem[c]]  # x_r x_c^-1 = t_j(r) u t_j(c)^-1
+    u = group.quot[t.elem[r], t.elem[c]]  # x_r x_c^-1 = t_j(r) u t_j(c)^-1
     g = cols.reshape(b, -1)[:, arr.arrangement_of[t.coset[r] * math.factorial(n - 1) + u] * n + t.coset[c]]
-    g -= phi[:, 1, t.group.join[t.coset[r], u, t.coset[c]]]
+    g -= phi[:, 1, group.join[t.coset[r], u, t.coset[c]]]
     return g
 
 
@@ -501,8 +510,8 @@ def gamma_from_basis(basis: SectorBasis) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# three-port closed forms, written in the analytic label order; the mapping
-# to the canonical arrangement order lives in lm_closed_basis
+# three-port closed forms, written in the analytic label order; `_LM_ROWS`
+# maps it to the canonical arrangement order
 # ---------------------------------------------------------------------------
 
 _MM_NUM = np.array([[4, 1, 1], [1, -2, -2], [1, -2, -2]], dtype=float)
@@ -538,9 +547,9 @@ def _lm_phase(l, m, lam_y: float) -> np.ndarray:
     return 4 * math.pi / 3 - np.arctan2(t * math.sin(2 * math.pi / 3), 1 + t * math.cos(2 * math.pi / 3))
 
 
-_LM_LABEL_ORDER = lambda l, m: [
-    (MARKER, l, m), (l, m, MARKER), (m, MARKER, l), (MARKER, m, l), (m, l, MARKER), (l, MARKER, m)
-]
+# canonical row of each analytic label (M, l, m), (l, m, M), (m, M, l), (M, m, l),
+# (m, l, M), (l, M, m), M the marker: the first row for l > m, the second for l < m
+_LM_ROWS = _read_only(np.array([[1, 5, 2, 0, 3, 4], [0, 3, 4, 1, 5, 2]]))
 
 
 def _lm_basis(l, m, lam_y: float):
@@ -606,7 +615,7 @@ def lm_closed_basis(l: int, m: int, lam_y: float) -> SectorBasis:
     vecs, xi, _ = _lm_basis(l, m, lam_y)
     order = (1, 3, 5, 4, 6, 2)  # descending eigenvalue, construction order in ties
     etas = np.zeros((6, 6), complex)
-    etas[[arr.index[s] for s in _LM_LABEL_ORDER(l, m)]] = vecs[:, [k - 1 for k in order]]
+    etas[_LM_ROWS[int(l < m)]] = vecs[:, [k - 1 for k in order]]
     return SectorBasis(arr.multiset, etas, np.array([xi[k] for k in order]), arr)
 
 
@@ -877,8 +886,6 @@ class NPortChannel:
         lx, n = p.lambda_x, p.ports
         if self.cap is None:
             return _diag_tail_bound(p, levels) + p.g * self._omega_tail
-        if lx == 0:
-            return 0.0
         geo = (n - 1) * (lx ** (2 * (self.cap + 1)) + lx ** (2 * levels)) / (1 - lx**2) ** (n - 1)
         per_sector = self._gamma_max * math.factorial(n - 1) * (n + 1) ** 2
         pref = n * (1 - lx**2) ** n * (1 - p.lambda_y**2)
@@ -905,7 +912,7 @@ def _closed_gamma_stack(arr: Arrangements, levels: np.ndarray, lam_y: float, ent
     at the canonical `entries` of `arr`."""
     if levels.shape[1] == 1:
         return gamma_mm_closed(levels[:, 0], lam_y).reshape(len(levels), -1)[:, entries]
-    order = np.argsort([arr.index[s] for s in _LM_LABEL_ORDER(1, 0)])
+    order = np.argsort(_LM_ROWS[0])  # the label of each canonical row, l > m
     labels = (order[:, None] * len(order) + order).ravel()
     return gamma_lm_closed(levels[:, 1], levels[:, 0], lam_y).reshape(len(levels), -1)[:, labels[entries]]
 

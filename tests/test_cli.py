@@ -396,6 +396,21 @@ class TestTableFormat:
         direct = two_port.max_output_energy(two_port.ChannelParams(0.123456789, 0.5))
         assert table.rows[0][2] == direct  # bit-exact through the text round trip
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_output_is_stdout_with_the_file_bytes(self, tmp_path, capsys, fmt):
+        argv = ["energy", *SWEEP_RANGES, "--format", fmt]
+        capsys.readouterr()
+        assert main(argv) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+
+        def lines(text):
+            return [line for line in text.splitlines(keepends=True) if "timestamp" not in line]
+
+        written = (tmp_path / "out").read_text(encoding="utf-8")
+        assert printed.endswith("\n") and len(lines(printed)) == len(printed.splitlines()) - 1
+        assert lines(printed) == lines(written)
 
     def test_unwritable_output_is_validation_error(self, tmp_path, capsys):
         code = main(["energy", *SWEEP_RANGES, "--out", str(tmp_path / "missing" / "x.csv")])

@@ -49,6 +49,14 @@ def lm_label_order(l, m):
     return [(MARKER, l, m), (l, m, MARKER), (m, MARKER, l), (MARKER, m, l), (m, l, MARKER), (l, MARKER, m)]
 
 
+GAPS = {3: [(1, 4)], 4: [(3, 3, 7)], 5: [(0, 2, 2, 5)], 6: [(1, 1, 4, 4, 4)], 7: [(0, 2, 2, 5, 5, 9)]}
+
+
+def layouts_and_gaps(ports):
+    """Every layout of `ports` ports, then sectors whose levels leave gaps."""
+    return [tuple(layout) for layout, _ in nport._pattern_walk(ports, ports - 1)] + GAPS.get(ports, [])
+
+
 def seqs(arr):
     """The slot sequences of `arr`'s arrangements in row order, read from `index`."""
     return list(arr.index)
@@ -197,9 +205,7 @@ class TestArrangements:
 
     @pytest.mark.parametrize("ports", range(2, 8))
     def test_the_enumeration_is_the_literal_one(self, ports):
-        # every layout, and sectors whose levels leave gaps
-        gaps = {3: [(1, 4)], 4: [(3, 3, 7)], 5: [(0, 2, 2, 5)], 6: [(1, 1, 4, 4, 4)], 7: [(0, 2, 2, 5, 5, 9)]}
-        for ms in [tuple(layout) for layout, _ in nport._pattern_walk(ports, ports - 1)] + gaps.get(ports, []):
+        for ms in layouts_and_gaps(ports):
             arr = Arrangements(ms)
             literal = sorted(set(itertools.permutations((MARKER,) + ms)))
             assert list(arr.index) == literal
@@ -213,6 +219,27 @@ class TestArrangements:
             keys = np.array([[0 if v == MARKER else uniq.index(v) + 1 for v in s] for s in literal]) @ place
             want = np.searchsorted(keys, np.roll(code[nport._elements(ports)], 1, axis=1) @ place)
             assert arr.arrangement_of.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_representatives_order_every_levels_copies_by_slot(self, ports):
+        m = math.factorial(ports - 1)
+        for ms in layouts_and_gaps(ports):
+            arr = Arrangements(ms)
+            rep = arr.representative
+            assert rep.dtype == np.intp and not rep.flags.writeable
+            assert np.array_equal(arr.arrangement_of[rep], np.arange(arr.size))
+            assert arr.uniq == tuple(sorted(set(ms))) and arr.mults == tuple(ms.count(v) for v in arr.uniq)
+            # the letters by slot: the marker is letter N-1, the copies of level r the letters first[r]..
+            letters = np.roll(nport._elements(ports)[rep], 1, axis=1)
+            first = np.cumsum((0,) + arr.mults)
+            held = letters < ports - 1
+            assert np.array_equal(np.where(held, np.searchsorted(first, letters, side="right") - 1, -1), arr.slot_level)
+            for r, start in enumerate(first[:-1]):
+                hit = arr.slot_level == r
+                assert np.array_equal(letters[hit], (start + np.cumsum(hit, axis=1) - 1)[hit])
+            t = arr.gamma_tables
+            coset, elem = np.divmod(rep, m)
+            assert t.coset.tobytes() == coset.tobytes() and t.elem.tobytes() == elem.tobytes()
 
     @pytest.mark.parametrize("call, multiset", [
         (lambda ms: sector_matrix(ms, 0.5), (-1, 0)),  # -1 is the marker: it would count 3 arrangements, not 6
@@ -321,7 +348,7 @@ class TestIrreps:
 
     @pytest.mark.parametrize("ports", range(2, 8))
     def test_young_generators_are_orthogonal_and_satisfy_the_coxeter_relations(self, ports):
-        for gens, _, _ in nport._irreps(ports):
+        for gens, *_ in nport._irreps(ports):
             one = np.eye(gens.shape[-1])
             for i, s in enumerate(gens):
                 assert np.abs(s @ s.T - one).max() <= 1e-14
@@ -336,8 +363,8 @@ class TestIrreps:
         shapes = nport._partitions(ports)
         assert len(shapes) == [1, 2, 3, 5, 7, 11, 15][ports - 1]
         assert len(shapes) == len(set(shapes)) and all(sum(s) == ports and list(s) == sorted(s)[::-1] for s in shapes)
-        assert [len(nport._tableaux(s)) for s in shapes] == [c.shape[-1] for _, c, _ in nport._irreps(ports)]
-        assert sum(c.shape[-1] ** 2 for _, c, _ in nport._irreps(ports)) == math.factorial(ports)
+        assert [len(nport._tableaux(s)) for s in shapes] == [c.shape[-1] for _, c, *_ in nport._irreps(ports)]
+        assert sum(c.shape[-1] ** 2 for _, c, *_ in nport._irreps(ports)) == math.factorial(ports)
 
     @pytest.mark.parametrize("ports", range(2, 8))
     def test_kostka_multiplicities_count_the_arrangements(self, ports):
@@ -360,6 +387,17 @@ class TestIrreps:
                 got = np.sort(np.concatenate([np.repeat(np.linalg.eigvalsh(b[i]).ravel(), d) for b, d in zip(blocks, dims)]))
                 want = np.linalg.eigvalsh(sector_matrix(tuple(row[layout]), lam_y))
                 assert np.abs(got - want).max() <= 1e-13
+
+    @pytest.mark.parametrize("ports", range(2, 8))
+    def test_marker_blocks_are_the_marker_transpositions(self, ports):
+        # rho((c N-1)), read from every element's representation
+        swap = np.tile(np.arange(ports, dtype=np.int8), (ports - 1, 1))
+        swap[np.arange(ports - 1), np.arange(ports - 1)] = ports - 1
+        swap[:, -1] = np.arange(ports - 1)
+        rank = nport._rank(swap)
+        for (_, _, blocks, _), rho in zip(nport._irreps(ports), nport._rho_all(ports)):
+            assert not blocks.flags.writeable
+            assert np.abs(blocks - rho[rank]).max() <= 1e-13
 
     def test_group_tables_multiply_the_representations(self):
         ports = 6
@@ -464,6 +502,11 @@ class TestEtaBasis:
                 h = sector_matrix((m, l), lam_y)
                 resid = h @ basis.etas - basis.etas * basis.eigenvalues
                 assert np.abs(resid).max() < 1e-12
+
+    def test_label_rows_are_the_canonical_rows_of_the_labels(self):
+        for l, m in [(1, 0), (0, 1), (5, 2), (2, 5), (0, 400), (400, 0)]:
+            arr = Arrangements((min(l, m), max(l, m)))
+            assert nport._LM_ROWS[int(l < m)].tolist() == [arr.index[s] for s in lm_label_order(l, m)]
 
     def test_printed_vector_layout(self):
         # first column is the uniform vector; each column matches the analytic
@@ -623,6 +666,20 @@ class TestGenericChannel:
                     - big.number_element(a, b, Cutoff(d)).matrix
                 ).max()
                 assert delta <= small.tail_bound(d) + 1e-14
+
+    @pytest.mark.parametrize("ports", [3, 4])
+    @pytest.mark.parametrize("lam_y", [0.3, 0.7])
+    def test_vacuum_resource_has_no_tail(self, ports, lam_y):
+        # lambda_x = 0: the general tail expression is 0.0 itself (cap 0,
+        # a zero geometric term and lx^(2 levels) = 0), and the output is vacuum
+        channel = nport.make_channel(ChannelParams(0.0, lam_y, ports=ports))
+        assert channel.cap == 0 and channel.tail_bound(12) == 0.0
+        c, t = channel.arrays(12)
+        vacuum = np.eye(12)[0]
+        assert not c.any() and np.array_equal(t[1:], np.broadcast_to(vacuum, (11, 12)))
+        assert np.abs(t[0] - vacuum).max() <= 1e-14
+        generic = NPortChannel(channel.params)
+        assert generic.tail_bound(12) == 0.0 and np.abs(generic.arrays(12)[1] - t).max() <= 1e-14
 
     def test_level_sums_match_literal_orbit_sums(self):
         # four ports, output levels past cap + 1: every element against the
@@ -998,7 +1055,7 @@ def test_only_small_layouts_are_kept_and_read_only():
     for layout, (arr, tables) in nport._LAYOUTS.items():
         assert nport._layout_tables(layout)[0] is arr
         t = arr.gamma_tables
-        arrays = [*tables, arr.slot_level, arr.swaps, arr._place, arr.arrangement_of, arr.ptilde, t.root, t.coset, t.elem, t.corners]
+        arrays = [*tables, arr.slot_level, arr.swaps, arr._place, arr.arrangement_of, arr.ptilde, arr.representative, t.root, t.coset, t.elem, t.corners]
         arrays += [a for s in t.groups for a in (s.units, s.q, s.z)]
         assert not any(a.flags.writeable for a in arrays)
         kept += sum(a.nbytes for a in arrays)

@@ -4,15 +4,19 @@ Each rule is one function (`fock._check_squeezing`, `two_port._check_lambda_y`,
 `fock._check_positive`, `fock._check_integer`); the table below gives every
 entry point that takes such an input its rule's bad values and requires a
 ValueError that names the input, never a nan, an IndexError or a TypeError.
+A second table holds the refusals of inputs that are out of a function's
+reach rather than against a rule: a regime, a port count, a shape.
 """
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from cvpbt import bounds, fock, nport, oracle, two_port
+from cvpbt.cli import EXIT_VALIDATION, main
 from cvpbt.two_port import ChannelParams
 
 BAD = {
@@ -134,3 +138,69 @@ def test_every_call_of_the_table_runs_on_a_good_value(rule):
 def test_index_outside_its_range_is_a_value_error(call, match):
     with pytest.raises(ValueError, match=match):
         call()
+
+
+NEGATIVE = ChannelParams(0.1, 0.1)  # (1 - 0.01)^-2 - 1 < (1 - 0.01)^2: the negative regime
+
+
+def _state(levels, modes=1):
+    return fock.DensityOperator(fock.FockOperator(np.eye(levels**modes) / levels**modes, modes, fock.Cutoff(levels)))
+
+
+def _env_budget(raw):
+    with mock.patch.dict(os.environ, {"CVPBT_MEM_BUDGET_MB": raw}):
+        return oracle.memory_budget()
+
+
+# the refusals of inputs that break no single input rule: (entry point, call, the text its message holds)
+REFUSALS = [
+    ("bounds.lossy_apply above 1", lambda: bounds.lossy_apply(0.5, 1.5, 4), "transmissivity must lie in"),
+    ("bounds.lossy_apply below 0", lambda: bounds.lossy_apply(0.5, -0.1, 4), "transmissivity must lie in"),
+    ("bounds.edrc_distance", lambda: bounds.edrc_distance(NEGATIVE), "assumes the positive regime"),
+    ("bounds.sim_example_bound", lambda: bounds.sim_example_bound(0.0, NEGATIVE), "both channels in the positive regime"),
+    ("NPortChannel.closed_two_port", lambda: nport.NPortChannel.closed_two_port(ChannelParams(0.5, 0.5, 3)),
+     "two-port case"),
+    ("nport.ThreePortChannel two ports", lambda: nport.ThreePortChannel(ChannelParams(0.5, 0.5, 2)), "ports == 3"),
+    ("nport.ThreePortChannel four ports", lambda: nport.ThreePortChannel(ChannelParams(0.5, 0.5, 4)), "ports == 3"),
+    ("nport.lm_closed_basis", lambda: nport.lm_closed_basis(2, 2, 0.5), "values must be distinct"),
+    ("nport.apply_state_nport", lambda: nport.apply_state_nport(_state(4), POINT, cutoff=3),
+     "output cutoff must cover the input"),
+    ("nport.input_output_fidelity", lambda: nport.input_output_fidelity("bell4", POINT), "unknown input kind"),
+    ("two_port.apply_state", lambda: two_port.apply_state(_state(3, 2), POINT), "single-mode input"),
+    ("two_port.apply_coherent", lambda: two_port.apply_coherent(0.5, ChannelParams(0.5, 0.5, 3), 4), "two-port case"),
+    ("oracle.build_sigma", lambda: oracle.build_sigma(0, _proto()), "port index 0 outside"),
+    ("oracle.povm_element_explicit", lambda: oracle.povm_element_explicit(oracle.TruncatedProtocol(
+        ChannelParams(0.5, 0.5, 3), 2)), "two-port case"),
+    ("oracle.memory_budget", lambda: _env_budget("abc"), "CVPBT_MEM_BUDGET_MB must be numeric"),
+    ("fock.FockVector shape", lambda: fock.FockVector(np.zeros(3), 1, fock.Cutoff(4)), "expected 4 amplitudes"),
+    ("fock.FockVector finite", lambda: fock.FockVector(np.array([1, math.nan, 0, 0]), 1, fock.Cutoff(4)),
+     "non-finite amplitudes"),
+    ("fock.FockOperator shape", lambda: fock.FockOperator(np.zeros((4, 4)), 2, fock.Cutoff(4)), "expected 16x16 matrix"),
+    ("fock.DensityOperator", lambda: fock.DensityOperator(_state(3).op, trace_deficit=-1e-3),
+     "trace_deficit must be nonnegative"),
+    ("fock.fidelity", lambda: fock.fidelity(_state(3), _state(4)), "same truncated space"),
+    ("fock.mean_photon_number", lambda: fock.mean_photon_number(_state(3, 2)), "single-mode state"),
+    ("fock.partial_trace", lambda: fock.partial_trace(_state(3, 2).op, [2]), "outside mode range"),
+]
+
+
+@pytest.mark.parametrize("call, match", [pytest.param(call, match, id=entry) for entry, call, match in REFUSALS])
+def test_refused_input_is_a_value_error(call, match):
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            call()
+
+
+@pytest.mark.parametrize("argv, env, match", [
+    (["bounds", "--kind", "edrc", "--lambda-x", "0.1", "--lambda-y", "0.1"], {}, "assumes the positive regime"),
+    (["bounds", "--kind", "sim", "--lambda-x", "0.5", "--lambda-y", "0.5"], {}, "--delta-range is required"),
+    (["oracle-verify", "--ports", "3", "--lambda-x", "0.3", "--lambda-y", "0.3", "--cutoff", "4"],
+     {"CVPBT_MEM_BUDGET_MB": "abc"}, "CVPBT_MEM_BUDGET_MB must be numeric"),
+])
+def test_refusal_reached_from_the_command_line_exits_2(tmp_path, monkeypatch, capsys, argv, env, match):
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert not out.exists() and match in err and "Traceback" not in err
