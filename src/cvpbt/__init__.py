@@ -22,7 +22,6 @@ from .two_port import (
     Regime,
     apply_coherent,
     apply_number_element,
-    apply_state,
     max_output_energy,
     omega,
     output_energy,

@@ -17,6 +17,7 @@ from .fock import (
     FockOperator,
     _abs2,
     _check_integer,
+    _check_nonnegative,
     _check_squeezing,
     _per_point,
     as_cutoff,
@@ -25,7 +26,7 @@ from .fock import (
     pure_density,
     thermal_state,
 )
-from .two_port import ChannelParams, Regime, _check_nonnegative, _inv_root, omega, regime
+from .two_port import ChannelParams, Regime, _inv_root, omega, regime
 
 __all__ = [
     "EdrcParams",

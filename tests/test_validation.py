@@ -27,6 +27,7 @@ BAD = {
 }
 
 POINT = ChannelParams(0.5, 0.5)
+THREE = ChannelParams(0.3, 0.5, 3)
 
 
 def _proto():
@@ -97,6 +98,11 @@ ENTRY_POINTS = {
         ("NPortChannel.number_element a", lambda v: nport.make_channel(POINT).number_element(v, 1, 4), "element index a"),
         ("NPortChannel.number_element b", lambda v: nport.make_channel(POINT).number_element(1, v, 4), "element index b"),
         ("NPortChannel.diagonal_profile", lambda v: nport.make_channel(POINT).diagonal_profile(v, 4), "level index"),
+        ("NPortChannel.arrays two ports", lambda v: nport.make_channel(POINT).arrays(v), "levels"),
+        ("NPortChannel.arrays three ports", lambda v: nport.make_channel(THREE).arrays(v), "levels"),
+        ("NPortChannel.tail_bound two ports", lambda v: nport.make_channel(POINT).tail_bound(v), "levels"),
+        ("NPortChannel.tail_bound three ports", lambda v: nport.make_channel(THREE).tail_bound(v), "levels"),
+        ("fock.chi_vector levels", lambda v: fock.chi_vector(0.5, v), "levels"),
     ],
 }
 
@@ -134,6 +140,10 @@ def test_every_call_of_the_table_runs_on_a_good_value(rule):
     (lambda: oracle.reduced_resource(-1, 0, _proto()), "element index a"),
     (lambda: nport.make_channel(POINT).number_element(0, 4, 4), "outside cutoff"),
     (lambda: nport.make_channel(POINT).diagonal_profile(4, 4), "outside cutoff"),
+    (lambda: nport.make_channel(THREE).arrays(-1), "levels must be at least 1"),
+    (lambda: nport.make_channel(THREE).arrays(0), "levels must be at least 1"),
+    (lambda: nport.make_channel(THREE).tail_bound(-1), "levels must be at least 1"),
+    (lambda: fock.chi_vector(0.5, -1), "levels must be nonnegative"),
 ])
 def test_index_outside_its_range_is_a_value_error(call, match):
     with pytest.raises(ValueError, match=match):
@@ -166,7 +176,6 @@ REFUSALS = [
     ("nport.apply_state_nport", lambda: nport.apply_state_nport(_state(4), POINT, cutoff=3),
      "output cutoff must cover the input"),
     ("nport.input_output_fidelity", lambda: nport.input_output_fidelity("bell4", POINT), "unknown input kind"),
-    ("two_port.apply_state", lambda: two_port.apply_state(_state(3, 2), POINT), "single-mode input"),
     ("two_port.apply_coherent", lambda: two_port.apply_coherent(0.5, ChannelParams(0.5, 0.5, 3), 4), "two-port case"),
     ("oracle.build_sigma", lambda: oracle.build_sigma(0, _proto()), "port index 0 outside"),
     ("oracle.povm_element_explicit", lambda: oracle.povm_element_explicit(oracle.TruncatedProtocol(
@@ -177,7 +186,11 @@ REFUSALS = [
      "non-finite amplitudes"),
     ("fock.FockOperator shape", lambda: fock.FockOperator(np.zeros((4, 4)), 2, fock.Cutoff(4)), "expected 16x16 matrix"),
     ("fock.DensityOperator", lambda: fock.DensityOperator(_state(3).op, trace_deficit=-1e-3),
-     "trace_deficit must be nonnegative"),
+     "trace_deficit must be finite and nonnegative"),
+    ("fock.DensityOperator nan", lambda: fock.DensityOperator(_state(3).op, trace_deficit=math.nan),
+     "trace_deficit must be finite and nonnegative"),
+    ("fock.DensityOperator inf", lambda: fock.DensityOperator(_state(3).op, trace_deficit=math.inf),
+     "trace_deficit must be finite and nonnegative"),
     ("fock.fidelity", lambda: fock.fidelity(_state(3), _state(4)), "same truncated space"),
     ("fock.mean_photon_number", lambda: fock.mean_photon_number(_state(3, 2)), "single-mode state"),
     ("fock.partial_trace", lambda: fock.partial_trace(_state(3, 2).op, [2]), "outside mode range"),
